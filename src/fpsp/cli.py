@@ -45,8 +45,9 @@ from .incidence import (COLLINEAR_CAP, MATERIALIZE_CAP, TRIPLES_CAP,
                         VARIANTS, build_proof_config, incidences,
                         make_config, max_collinear, proof_incidences,
                         rudnev_ratio)
-from .sets import FSet, affine, combine, generate, read_set_file
-from .sweep import load_config_file, report_json, rows_csv, run_sweep
+from .sets import (FSet, _format_lines, _read_lines, affine, combine,
+                   generate, read_set_file)
+from .sweep import load_config_file, rows_csv, run_sweep
 from .verify import (THEOREMS, ThmInstance, composite_N_check, eplus_chain,
                      lemma_chain_check, n_chain_check, phi_chain,
                      theorem_ratio)
@@ -101,14 +102,8 @@ def parse_set_spec(field: PrimeField, spec: str) -> FSet:
                          % spec)
 
 
-def _set_text(a: FSet) -> str:
-    lines = ["p=%d" % a.field.p]
-    lines += [str(x) for x in a.elements().tolist()]
-    return "\n".join(lines) + "\n"
-
-
 def _emit_set(a: FSet, out: str | None, what: str = "set") -> None:
-    text = _set_text(a)
+    text = _format_lines(a.field.p, a.elements())
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -128,52 +123,18 @@ def _emit_json(data, out: str | None = None) -> None:
         print(blob)
 
 
-def _parse_rows_text(text: str, width: int,
-                     field: PrimeField | None = None
-                     ) -> tuple[int, np.ndarray]:
-    p = None
-    rows: list[list[int]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if p is None:
-            if not line.startswith("p="):
-                raise ParseError("line %d: expected p=<modulus> header"
-                                 % lineno)
-            try:
-                p = int(line[2:])
-            except ValueError:
-                raise ParseError("line %d: bad modulus %r" % (lineno, line))
-            if field is not None and p != field.p:
-                raise ParseError("file modulus %d != expected %d"
-                                 % (p, field.p))
-            continue
-        parts = line.split()
-        if len(parts) != width:
-            raise ParseError("line %d: expected %d integers, got %d"
-                             % (lineno, width, len(parts)))
-        try:
-            rows.append([int(v) for v in parts])
-        except ValueError:
-            raise ParseError("line %d: bad integer in %r" % (lineno, line))
-    if p is None:
-        raise ParseError("missing p=<modulus> header")
-    return p, np.array(rows, dtype=np.int64).reshape(-1, width)
-
-
 def read_rows_file(path: str, width: int,
                    field: PrimeField | None = None
                    ) -> tuple[int, np.ndarray]:
     with open(path) as fh:
-        return _parse_rows_text(fh.read(), width, field)
+        p, rows = _read_lines(fh.read(), width, field)
+        arr = np.array([row for _, row in rows], dtype=np.int64)
+    return p, arr.reshape(-1, width)
 
 
 def write_rows_file(path: str, p: int, rows: np.ndarray) -> None:
-    lines = ["p=%d" % p]
-    lines += [" ".join(str(int(v)) for v in row) for row in rows]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_format_lines(p, rows))
 
 
 def _eps_arg(s: str) -> Fraction:
@@ -432,13 +393,7 @@ def _cmd_sweep(ns) -> int:
     cfg = load_config_file(ns.config)
     result = run_sweep(cfg, workers=ns.workers)
     rep = result["report"]
-    blob = report_json(result)
-    if ns.out:
-        with open(ns.out, "w") as fh:
-            fh.write(blob + "\n")
-        _log("wrote %s" % ns.out)
-    else:
-        print(blob)
+    _emit_json(result, ns.out)
     if ns.csv:
         with open(ns.csv, "w") as fh:
             fh.write(rows_csv(rep["rows"]))

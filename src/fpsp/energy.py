@@ -1,10 +1,10 @@
 """Representation functions, moment energies, and popularity selections.
 
 The central object is the exact histogram r_{B?C}(x): how many pairs
-(b, c) in B x C realize x as b-c, b/c, or b+c.  Two independent computation
-paths exist on purpose: a pairwise numpy enumeration ("naive") and an NTT
-convolution ("transform"); they must agree bit for bit and serve as each
-other's oracle.
+(b, c) in B x C realize x as b-c, b/c, or b+c.  It comes from the two
+pair-count routes in the sets module, shared with combine: a chunked
+enumeration ("naive") and an NTT convolution ("transform").  They must
+agree bit for bit and serve as each other's oracle.
 
 On top of the histogram sit the moment energies E_n = sum_x r(x)^n (exact
 big integers for integer n, floats for fractional n), level sets
@@ -21,11 +21,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import convolve
 from .errors import (BadEpsilon, BadExponent, BadParams, EmptySet,
                      FieldMismatch, ZeroDivisor)
 from .field import PrimeField
-from .sets import FSet
+from .sets import FSet, _pair_counts
 
 KINDS = ("difference", "ratio", "sum")
 
@@ -57,48 +56,7 @@ class RepFn:
         return int((self.counts > 0).sum())
 
 
-def _rep_naive(b: FSet, c: FSet, kind: str) -> np.ndarray:
-    p = b.field.p
-    be, ce = b.elements(), c.elements()
-    counts = np.zeros(p, dtype=np.int64)
-    if len(be) == 0 or len(ce) == 0:
-        return counts
-    if kind == "ratio":
-        ce = b.field.inv_table[ce]
-    chunk = max(1, 4_000_000 // max(len(ce), 1))
-    for i in range(0, len(be), chunk):
-        rows = be[i:i + chunk, None]
-        if kind == "difference":
-            vals = (rows - ce[None, :]) % p
-        elif kind == "sum":
-            vals = (rows + ce[None, :]) % p
-        else:
-            vals = rows * ce[None, :] % p
-        counts += np.bincount(vals.ravel(), minlength=p)
-    return counts
-
-
-def _rep_transform(b: FSet, c: FSet, kind: str) -> np.ndarray:
-    p = b.field.p
-    if kind in ("difference", "sum"):
-        xb = b.mask.astype(np.int64)
-        yc = c.mask.astype(np.int64)
-        if kind == "difference":
-            yc = np.roll(yc[::-1], 1)  # indicator of -C
-        return convolve.cyclic_convolve(xb, yc, p)
-    # ratio: move to exponents in Z_{p-1}
-    q = p - 1
-    f = b.field
-    bexp = f.dlog_table[b.elements()]
-    cexp = f.dlog_table[c.elements()]
-    xv = np.zeros(q, dtype=np.int64)
-    yv = np.zeros(q, dtype=np.int64)
-    xv[bexp] = 1
-    yv[(-cexp) % q] = 1
-    hist_exp = convolve.cyclic_convolve(xv, yv, q)
-    counts = np.zeros(p, dtype=np.int64)
-    counts[f.pow_table] = hist_exp
-    return counts
+_OP_OF = {"difference": "diff", "ratio": "ratio", "sum": "sum"}
 
 
 def rep_fn(b: FSet, c: FSet, kind: str, method: str = "auto") -> RepFn:
@@ -109,16 +67,7 @@ def rep_fn(b: FSet, c: FSet, kind: str, method: str = "auto") -> RepFn:
         raise BadParams("unknown rep kind %r" % kind)
     if kind == "ratio" and (not b.is_zero_free or not c.is_zero_free):
         raise ZeroDivisor("ratio histogram needs both sets inside F_p^*")
-    if method == "auto":
-        p = b.field.p
-        heavy = b.size * c.size > 32 * p * max(1, int(math.log2(p)))
-        method = "transform" if heavy else "naive"
-    if method == "naive":
-        counts = _rep_naive(b, c, kind)
-    elif method == "transform":
-        counts = _rep_transform(b, c, kind)
-    else:
-        raise BadParams("unknown method %r" % method)
+    counts = _pair_counts(b, c, _OP_OF[kind], method, "naive")
     return RepFn(b.field, kind, counts, b.size, c.size)
 
 

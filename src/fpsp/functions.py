@@ -7,7 +7,10 @@ The two-variable maps under study all have the shape
 so a function is just a flat value table over F_p^* (index 0 unused).  The
 key structural quantity is the multiplicity mu(g): the largest fiber size
 max_x |g^{-1}(x)|, optionally restricted to a domain set.  Constructors
-reject any table that would take the value 0 on F_p^*.
+reject any table that would take the value 0 on F_p^*.  The image f(A,B)
+is the support of the sets module's chunked pair counter, since
+g(a)(h(a)+b) = g(a) b + g(a)h(a); set and table files share that module's
+line format.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from .errors import (BadParams, FieldMismatch, ParseError, ZeroInA,
                      ZeroInCodomain)
 from .field import PrimeField
 from .rng import CounterRng
-from .sets import FSet
+from .sets import FSet, _format_lines, _pair_count, _read_lines
 
 
 class FnTable:
@@ -149,34 +152,14 @@ def parse_fn_spec(field: PrimeField, spec: str,
 
 
 def write_fn_file(path: str, fn: FnTable) -> None:
-    lines = ["p=%d" % fn.field.p]
-    lines += [str(v) for v in fn.values[1:].tolist()]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_format_lines(fn.field.p, fn.values[1:]))
 
 
 def read_fn_file(path: str, field: PrimeField) -> FnTable:
     with open(path) as fh:
-        text = fh.read()
-    p = None
-    vals: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if p is None:
-            if not line.startswith("p="):
-                raise ParseError("line %d: expected p=<modulus> header" % lineno)
-            p = int(line[2:])
-            if p != field.p:
-                raise ParseError("function file modulus %d != %d" % (p, field.p))
-            continue
-        try:
-            vals.append(int(line))
-        except ValueError:
-            raise ParseError("line %d: bad value %r" % (lineno, line))
-    if p is None:
-        raise ParseError("missing p=<modulus> header")
+        _, rows = _read_lines(fh.read(), 1, field)
+        vals = [v for _, (v,) in rows]
     if len(vals) != field.p - 1:
         raise ParseError("expected %d values, got %d" % (field.p - 1, len(vals)))
     return make_fn(field, "table", table=np.array(vals, dtype=np.int64))
@@ -220,11 +203,9 @@ def f_image(g: FnTable, h: FnTable, a: FSet, b: FSet) -> FSet:
     if not b.is_zero_free:
         raise BadParams("0 in B; the maps need B inside F_p^*")
     p = a.field.p
-    ae, be = a.elements(), b.elements()
-    mask = np.zeros(p, dtype=bool)
-    if len(ae) and len(be):
-        ga = g.values[ae]
-        ha = h.values[ae]
-        vals = ga[:, None] * ((ha[:, None] + be[None, :]) % p) % p
-        mask[vals.ravel()] = True
+    ae = a.elements()
+    ga = g.values[ae]
+    # g(a)(h(a) + b) = g(a) * b + g(a)h(a)
+    mask = _pair_count(ga, b.elements(), ga * h.values[ae] % p, p,
+                       support=True)
     return FSet(a.field, mask)

@@ -13,6 +13,8 @@ a plane exactly when one bilinear kernel (alpha*t + beta mod p) collides.
 That turns incidence counting for these configs into a histogram sum of
 squares, O(|PAIRS| * |T|) instead of O(|R| * |S|), and the same kernel with
 multiset pairs is the quadruple-energy histogram used by the verify module.
+bilinear_hist runs the kernel through the sets module's chunked pair
+counter, the enumeration behind combine, rep_fn and f_image too.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .errors import (BadParams, EmptySet, FieldMismatch, SizeCap, ZeroDivisor,
                      ZeroInA)
 from .field import PrimeField
 from .functions import FnTable
-from .sets import FSet
+from .sets import FSet, _pair_count
 
 VARIANTS = ("sum_E1", "sum_E2", "prod_E1", "prod_E2")
 
@@ -212,15 +214,7 @@ def bilinear_hist(alpha: np.ndarray, beta: np.ndarray, ts: np.ndarray,
     if work > cap:
         raise SizeCap("kernel histogram needs %d cells, cap is %d"
                       % (work, cap))
-    counts = np.zeros(p, dtype=np.int64)
-    if work == 0:
-        return counts
-    chunk = max(1, 4_000_000 // max(len(ts), 1))
-    for i in range(0, len(alpha), chunk):
-        vals = (alpha[i:i + chunk, None] * ts[None, :]
-                + beta[i:i + chunk, None]) % p
-        counts += np.bincount(vals.ravel(), minlength=p)
-    return counts
+    return _pair_count(alpha, ts, beta, p)
 
 
 def proof_incidences(variant: str, a: FSet, x: FSet, third: FSet, g: FnTable,

@@ -1,14 +1,23 @@
 """Subsets of F_p as bit-vector masks, plus generators and set algebra.
 
-An FSet is a boolean membership mask of length p with a cached size.  That
-representation makes the combine operations (A+B, A-B, A*B, A/B) either a
-pairwise numpy enumeration or a support-of-convolution question, and the two
-paths are kept as mutual oracles.  Elements always come back sorted
-ascending, so everything downstream is deterministic.
+An FSet is a boolean membership mask of length p with a cached size.
+Elements always come back sorted ascending, so everything downstream is
+deterministic.
 
-The module also owns the on-disk set format: a `p=<modulus>` header line
-followed by one strictly increasing decimal element per line, `#` comments
-allowed.
+This module also holds the package's one pairwise counter.  Sumsets, ratio
+sets, the image g(a)(h(a)+b), the histograms r_{B-C}, r_{B/C}, r_{B+C} and
+the proof's point-plane kernels are all histograms, or supports of
+histograms, of alpha_i * t_j + beta_i mod p.  _pair_count is the one chunked
+enumeration of that pattern: combine, energy.rep_fn, functions.f_image and
+incidence.bilinear_hist all call it.  _pair_transform is the one
+convolution route for sum, diff, prod and ratio, and _pair_counts picks
+between the two routes for combine and rep_fn.  Enumeration and transform
+are kept as mutual oracles, checked bit for bit in the tests.
+
+The module also owns the on-disk line format shared by set, function-table
+and point/plane files: a `p=<modulus>` header line followed by one row of
+decimal integers per line, `#` comments allowed.  A set file holds one
+strictly increasing element per line.
 """
 
 from __future__ import annotations
@@ -19,8 +28,8 @@ from typing import Iterable
 import numpy as np
 
 from . import convolve
-from .errors import (BadParams, EmptySet, FieldMismatch, ParseError,
-                     ZeroDilation, ZeroDivisor)
+from .errors import (BadParams, FieldMismatch, ParseError, ZeroDilation,
+                     ZeroDivisor)
 from .field import PrimeField, factorize
 from .rng import CounterRng
 
@@ -172,95 +181,97 @@ def generate(field: PrimeField, family: str, *, start: int | None = None,
     return out
 
 
-def _check_fields(a: FSet, b: FSet) -> PrimeField:
-    if a.field != b.field:
-        raise FieldMismatch("operands over different fields: %r vs %r"
-                            % (a.field, b.field))
-    return a.field
+def _pair_count(alpha, t: np.ndarray, beta: np.ndarray | None, p: int,
+                support: bool = False) -> np.ndarray:
+    """Histogram of (alpha_i * t_j + beta_i) mod p over all (i, j), or with
+    support=True its support as a boolean mask.
+
+    alpha is a per-row array, or a scalar shared by every row (then beta
+    gives the rows); beta is a per-row array, or None for no shift.  Rows
+    are enumerated in chunks of about 4e6 cells, so memory stays bounded.
+    """
+    out = np.zeros(p, dtype=bool if support else np.int64)
+    rows = len(alpha) if np.ndim(alpha) else len(beta)
+    chunk = max(1, 4_000_000 // max(len(t), 1))
+    shared = None if np.ndim(alpha) else alpha * t
+    for i in range(0, rows, chunk):
+        # One chunk-sized array at a time: the shift and the reduction run
+        # in place, and the chunk is freed before the next one is built.
+        if shared is not None:
+            vals = shared + beta[i:i + chunk, None]
+        else:
+            vals = alpha[i:i + chunk, None] * t
+            if beta is not None:
+                vals += beta[i:i + chunk, None]
+        vals %= p
+        if support:
+            out[vals.ravel()] = True
+        else:
+            out += np.bincount(vals.ravel(), minlength=p)
+        del vals
+    return out
 
 
-def _combine_pairwise(a: FSet, b: FSet, op: str) -> np.ndarray:
-    p = a.field.p
-    ae, be = a.elements(), b.elements()
-    mask = np.zeros(p, dtype=bool)
-    if len(ae) == 0 or len(be) == 0:
-        return mask
-    if op == "ratio":
-        be = a.field.inv_table[be]
-        op = "prod"
-    # Chunk rows of a to bound the outer product at ~4e6 cells.
-    chunk = max(1, 4_000_000 // max(len(be), 1))
-    for i in range(0, len(ae), chunk):
-        rows = ae[i:i + chunk, None]
-        if op == "sum":
-            vals = (rows + be[None, :]) % p
-        elif op == "diff":
-            vals = (rows - be[None, :]) % p
-        else:  # prod
-            vals = rows * be[None, :] % p
-        mask[vals.ravel()] = True
-    return mask
-
-
-def _combine_transform(a: FSet, b: FSet, op: str) -> np.ndarray:
-    p = a.field.p
+def _pair_transform(x: FSet, y: FSet, op: str) -> np.ndarray:
+    """counts[v] = #{(s, u) in X x Y : s op u = v} by one cyclic
+    convolution of indicator vectors: over Z_p for sum and diff, over the
+    discrete logs in Z_{p-1} for prod and ratio.  diff and ratio negate Y
+    in that group.  For prod and ratio the pairs with a zero factor all
+    land on 0 and are counted apart (callers keep 0 out of a ratio's Y)."""
+    f = x.field
+    xe, ye = x.elements(), y.elements()
+    n = f.p
+    if op in ("prod", "ratio"):
+        n = f.p - 1
+        xe = f.dlog_table[xe[xe > 0]]
+        ye = f.dlog_table[ye[ye > 0]]
+    xv = np.zeros(n, dtype=np.int64)
+    yv = np.zeros(n, dtype=np.int64)
+    xv[xe] = 1
+    yv[(-ye) % n if op in ("diff", "ratio") else ye] = 1
+    hist = convolve.cyclic_convolve(xv, yv, n)
     if op in ("sum", "diff"):
-        xb = a.mask.astype(np.int64)
-        yb = b.mask.astype(np.int64)
-        if op == "diff":
-            yb = np.roll(yb[::-1], 1)  # indicator of -B
-        counts = convolve.cyclic_convolve(xb, yb, p)
-        return counts > 0
-    # prod / ratio run over exponents in Z_{p-1}; zero needs bookkeeping.
-    q = p - 1
-    f = a.field
-    ae, be = a.elements(), b.elements()
-    mask = np.zeros(p, dtype=bool)
-    a_has0 = bool(a.mask[0])
-    b_has0 = bool(b.mask[0])
-    if op == "ratio" and b_has0:
-        raise ZeroDivisor("0 in denominator set")
-    if a_has0 and len(be) > 0:
-        mask[0] = True
-    if op == "prod" and b_has0 and len(ae) > 0:
-        mask[0] = True
-    aexp = f.dlog_table[ae[ae > 0]]
-    bexp = f.dlog_table[be[be > 0]]
-    if len(aexp) == 0 or len(bexp) == 0:
-        return mask
-    xv = np.zeros(q, dtype=np.int64)
-    yv = np.zeros(q, dtype=np.int64)
-    xv[aexp] = 1
+        return hist
+    counts = np.zeros(f.p, dtype=np.int64)
+    counts[f.pow_table] = hist
+    counts[0] = x.size * y.size - len(xe) * len(ye)
+    return counts
+
+
+def _pair_counts(x: FSet, y: FSet, op: str, method: str, enum: str,
+                 support: bool = False) -> np.ndarray:
+    """The count of x op y over X x Y, op in {sum, diff, prod, ratio}, by
+    the route `method` names: `enum` (the caller's spelling of the
+    enumeration), "transform", or "auto", which takes the transform once
+    |X||Y| > 32 p log2 p."""
+    p = x.field.p
+    if method == "auto":
+        heavy = x.size * y.size > 32 * p * max(1, int(math.log2(p)))
+        method = "transform" if heavy else enum
+    if method == "transform":
+        counts = _pair_transform(x, y, op)
+        return counts > 0 if support else counts
+    if method != enum:
+        raise BadParams("unknown method %r" % method)
+    xe, ye = x.elements(), y.elements()
+    if op in ("sum", "diff"):
+        return _pair_count(1 if op == "sum" else -1, ye, xe, p, support)
     if op == "ratio":
-        yv[(-bexp) % q] = 1
-    else:
-        yv[bexp] = 1
-    counts = convolve.cyclic_convolve(xv, yv, q)
-    mask[f.pow_table[np.flatnonzero(counts > 0)]] = True
-    return mask
-
-
-def _use_transform(a: FSet, b: FSet) -> bool:
-    p = a.field.p
-    return a.size * b.size > 32 * p * max(1, int(math.log2(p)))
+        ye = x.field.inv_table[ye]
+    return _pair_count(xe, ye, None, p, support)
 
 
 def combine(a: FSet, b: FSet, op: str, method: str = "auto") -> FSet:
     """Element-wise set operation: op in {sum, diff, prod, ratio}."""
-    field = _check_fields(a, b)
+    if a.field != b.field:
+        raise FieldMismatch("operands over different fields: %r vs %r"
+                            % (a.field, b.field))
     if op not in ("sum", "diff", "prod", "ratio"):
         raise BadParams("unknown combine op %r" % op)
     if op == "ratio" and b.mask[0]:
         raise ZeroDivisor("0 in denominator set")
-    if method == "auto":
-        method = "transform" if _use_transform(a, b) else "pairwise"
-    if method == "pairwise":
-        mask = _combine_pairwise(a, b, op)
-    elif method == "transform":
-        mask = _combine_transform(a, b, op)
-    else:
-        raise BadParams("unknown method %r" % method)
-    return FSet(field, mask)
+    return FSet(a.field, _pair_counts(a, b, op, method, "pairwise",
+                                      support=True))
 
 
 def affine(a: FSet, lam: int, t: int) -> FSet:
@@ -284,38 +295,65 @@ def subgroup_orders(field: PrimeField) -> list[int]:
 # -- on-disk format ------------------------------------------------------
 
 
+def _format_lines(p: int, values: np.ndarray) -> str:
+    """The line format as text: the header, then one value (1-d input) or
+    one space-separated row (2-d input) per line."""
+    v = np.asarray(values)
+    if v.ndim == 1:
+        lines = map(str, v.tolist())
+    else:
+        lines = (" ".join(map(str, row)) for row in v.tolist())
+    return "\n".join(["p=%d" % p, *lines]) + "\n"
+
+
+def _read_lines(text: str, width: int, field: PrimeField | None = None):
+    """Read the line format shared by set, function-table and point/plane
+    files: a `p=<modulus>` header (checked against field when given), then
+    `width` whitespace-separated integers per line; blank lines and `#`
+    comments are skipped.  Returns (p, rows), rows yielding
+    (lineno, [ints]) lazily; callers apply their own content rules."""
+    lines = ((lineno, raw.split("#", 1)[0].strip())
+             for lineno, raw in enumerate(text.splitlines(), 1))
+    lines = ((lineno, line) for lineno, line in lines if line)
+    lineno, line = next(lines, (0, None))
+    if line is None:
+        raise ParseError("missing p=<modulus> header")
+    if not line.startswith("p="):
+        raise ParseError("line %d: expected p=<modulus> header" % lineno)
+    try:
+        p = int(line[2:])
+    except ValueError:
+        raise ParseError("line %d: bad modulus %r" % (lineno, line))
+    if field is not None and p != field.p:
+        raise ParseError("file modulus %d != expected %d" % (p, field.p))
+
+    def rows():
+        for lineno, line in lines:
+            parts = line.split()
+            if len(parts) != width:
+                raise ParseError("line %d: expected %d integers, got %d"
+                                 % (lineno, width, len(parts)))
+            try:
+                ints = [int(v) for v in parts]
+            except ValueError:
+                raise ParseError("line %d: bad integer in %r"
+                                 % (lineno, line))
+            yield lineno, ints
+    return p, rows()
+
+
 def write_set_file(path: str, a: FSet) -> None:
-    lines = ["p=%d" % a.field.p]
-    lines += [str(x) for x in a.elements().tolist()]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_format_lines(a.field.p, a.elements()))
 
 
 def parse_set_text(text: str, field: PrimeField | None = None
                    ) -> tuple[int, list[int]]:
     """Parse the set format; returns (p, elements).  Strictness follows the
     format contract: header first, strictly increasing elements, in range."""
-    p = None
+    p, rows = _read_lines(text, 1, field)
     elems: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if p is None:
-            if not line.startswith("p="):
-                raise ParseError("line %d: expected p=<modulus> header" % lineno)
-            try:
-                p = int(line[2:])
-            except ValueError:
-                raise ParseError("line %d: bad modulus %r" % (lineno, line))
-            if field is not None and p != field.p:
-                raise ParseError("file modulus %d != expected %d"
-                                 % (p, field.p))
-            continue
-        try:
-            v = int(line)
-        except ValueError:
-            raise ParseError("line %d: bad element %r" % (lineno, line))
+    for lineno, (v,) in rows:
         if not 0 <= v < p:
             raise ParseError("line %d: element %d out of range [0,%d)"
                              % (lineno, v, p))
@@ -323,8 +361,6 @@ def parse_set_text(text: str, field: PrimeField | None = None
             raise ParseError("line %d: elements must be strictly increasing"
                              % lineno)
         elems.append(v)
-    if p is None:
-        raise ParseError("missing p=<modulus> header")
     return p, elems
 
 

@@ -35,8 +35,9 @@ from .functions import parse_fn_spec
 from .incidence import COLLINEAR_CAP, TRIPLES_CAP
 from .rng import CounterRng
 from .sets import generate, subgroup_orders
-from .verify import (CSV_HEADER, THEOREMS, ThmInstance, composite_N_check,
-                     eplus_chain, lemma_chain_check, phi_chain, theorem_ratio)
+from .verify import (CSV_HEADER, THEOREMS, ThmInstance, _csv_row,
+                     composite_N_check, eplus_chain, lemma_chain_check,
+                     phi_chain, theorem_ratio)
 
 CHAIN_NAMES = ("lemma", "composite", "eplus", "phi")
 _GP_RETRIES = 64
@@ -367,14 +368,7 @@ def report_json(result: dict) -> str:
 
 def rows_csv(rows: list) -> str:
     """The ratio rows as CSV, one line per row dict, fixed column order."""
-    lines = [CSV_HEADER]
-    for row in rows:
-        lines.append("%s,%d,%s,%d,%d,%d,%d,%d,%d,%d,%.10g,%.10g,%s" % (
-            row["theorem"], row["p"], row["family"], row["seed"],
-            row["na"], row["nb"], row["nc"], row["nd"], row["m"],
-            row["lhs"], row["rhs"], row["ratio"],
-            "true" if row["hyp_ok"] else "false"))
-    return "\n".join(lines) + "\n"
+    return "\n".join([CSV_HEADER, *map(_csv_row, rows)]) + "\n"
 
 
 def load_config_file(path: str) -> SweepConfig:

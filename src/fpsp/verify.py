@@ -23,7 +23,6 @@ after deduplication, and E <= m^2 I is a termwise multiplicity bound.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -124,7 +123,6 @@ class ChainReport:
     instance: dict
     checks: list
     rows: list
-    elapsed: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -133,14 +131,11 @@ class ChainReport:
     def failures(self) -> list:
         return [c for c in self.checks if not c.passed]
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        out = {"instance": self.instance,
-               "ok": self.ok,
-               "checks": [c.to_dict() for c in self.checks],
-               "rows": [r.to_dict() for r in self.rows]}
-        if include_timing:
-            out["elapsed_s"] = self.elapsed
-        return out
+    def to_dict(self) -> dict:
+        return {"instance": self.instance,
+                "ok": self.ok,
+                "checks": [c.to_dict() for c in self.checks],
+                "rows": [r.to_dict() for r in self.rows]}
 
 
 # -- quadruple energies ------------------------------------------------------
@@ -281,7 +276,6 @@ def lemma_chain_check(a: FSet, b: FSet, c: FSet, g: FnTable, h: FnTable,
     m^4 min{|f|^3 |C|^2, |f|^2 |C|^3} log|A| / |A| (log base 2, floored
     at 1) and, when B = C, the self-shape m^4 |f|^2 |B|^3 log|A| / |A|.
     """
-    t0 = time.perf_counter()
     if kind not in ("sum", "prod"):
         raise BadParams("kind must be sum or prod, got %r" % kind)
     if a.size == 0 or b.size == 0 or c.size == 0:
@@ -363,7 +357,7 @@ def lemma_chain_check(a: FSet, b: FSet, c: FSet, g: FnTable, h: FnTable,
         "m": m, "mu_a": mu_a, "g": g.label, "h": h.label,
         "M": bigm, "E1": e1, "E2": e2, "E4": int(e4), "I1": i1, "I2": i2,
     }
-    return ChainReport(instance, checks, rows, time.perf_counter() - t0)
+    return ChainReport(instance, checks, rows)
 
 
 # -- shifted-difference machinery --------------------------------------------
@@ -447,7 +441,6 @@ def composite_N_check(b: FSet, c: FSet) -> ChainReport:
     N >= |P|^2 |B| / |C| stays a report row (it needs r >= threshold on
     all of P times a count of distinct differences, which the popularity
     threshold alone does not give with constant 1)."""
-    t0 = time.perf_counter()
     if b.size == 0 or c.size == 0:
         raise EmptySet("composite chain needs nonempty sets")
     pset = popular_diff(b, c)
@@ -476,7 +469,7 @@ def composite_N_check(b: FSet, c: FSet) -> ChainReport:
     instance = {"p": b.field.p, "nb": b.size, "nc": c.size,
                 "nP": pset.size, "mass": mass, "N": bigN, "X": bigX,
                 "S": s_weight, "E4B": hw["e4b"], "E4C": hw["e4c"]}
-    return ChainReport(instance, checks, rows, time.perf_counter() - t0)
+    return ChainReport(instance, checks, rows)
 
 
 def n_chain_check(b: FSet, c: FSet, pset: FSet | None = None) -> ChainReport:
@@ -487,7 +480,6 @@ def n_chain_check(b: FSet, c: FSet, pset: FSet | None = None) -> ChainReport:
     c-classes (N |C| >= mass^2 |B|) holds unconditionally, so the two
     popularity inequalities are demoted to report rows.
     """
-    t0 = time.perf_counter()
     if b.size == 0 or c.size == 0:
         raise EmptySet("n-chain needs nonempty sets")
     default_p = pset is None
@@ -513,7 +505,7 @@ def n_chain_check(b: FSet, c: FSet, pset: FSet | None = None) -> ChainReport:
     instance = {"p": b.field.p, "nb": b.size, "nc": c.size,
                 "nP": pset.size, "default_P": default_p,
                 "mass": mass, "N": bigN}
-    return ChainReport(instance, checks, rows, time.perf_counter() - t0)
+    return ChainReport(instance, checks, rows)
 
 
 def eplus_chain(a: FSet, b: FSet, c: FSet, g: FnTable, h: FnTable,
@@ -529,7 +521,6 @@ def eplus_chain(a: FSet, b: FSet, c: FSet, g: FnTable, h: FnTable,
     E^+(B, D) against m^2 |f|^{3/2} |D|^{3/2} / |A|^{1/2} and the
     popular-difference X count against m^4 |D|^4 |f|^3 / (|B|^2 |C|^2 |A|),
     both with unspecified constants in the source."""
-    t0 = time.perf_counter()
     if a.size == 0 or b.size == 0 or c.size == 0:
         raise EmptySet("eplus chain needs nonempty sets")
     d = combine(b, c, "diff")
@@ -554,7 +545,7 @@ def eplus_chain(a: FSet, b: FSet, c: FSet, g: FnTable, h: FnTable,
     instance = {"p": a.field.p, "na": a.size, "nb": b.size, "nc": c.size,
                 "nD": d.size, "nf": fimg.size, "m": m,
                 "Eplus": eplus, "W": w, "X": bigX}
-    return ChainReport(instance, checks, rows, time.perf_counter() - t0)
+    return ChainReport(instance, checks, rows)
 
 
 # -- popular-sum machinery ---------------------------------------------------
@@ -599,7 +590,6 @@ def phi_chain(b: FSet, c: FSet, eps=None, cap: int = PHI_CAP) -> ChainReport:
     (1-4 eps)|P'| Delta' |B|^2, E_{4/3}(C') against E_{4/3}(C), and
     |P'| Delta'^{4/3} against E_{4/3}(C') (the dyadic pigeonhole drops a
     log factor)."""
-    t0 = time.perf_counter()
     if b.size == 0 or c.size == 0:
         raise EmptySet("phi chain needs nonempty sets")
     if b.size > cap or c.size > cap:
@@ -624,8 +614,7 @@ def phi_chain(b: FSet, c: FSet, eps=None, cap: int = PHI_CAP) -> ChainReport:
                 "eps": str(eps), "nP": pset.size, "n_core": core.size}
     if core.size == 0:
         rows.append(_mk_row("phi_skipped", 0.0, 1.0, "empty core"))
-        return ChainReport(instance, checks, rows,
-                           time.perf_counter() - t0)
+        return ChainReport(instance, checks, rows)
     rcore = rep_fn(core, core, "difference")
     delta, pprime = energy_popular(rcore, Fraction(4, 3))
     on_bucket = rcore.counts[pprime.elements()]
@@ -645,7 +634,7 @@ def phi_chain(b: FSet, c: FSet, eps=None, cap: int = PHI_CAP) -> ChainReport:
                         float(den - 4 * num) / den
                         * pprime.size * delta * b.size ** 2))
     instance.update({"delta": delta, "nP_prime": pprime.size, "phi": phi})
-    return ChainReport(instance, checks, rows, time.perf_counter() - t0)
+    return ChainReport(instance, checks, rows)
 
 
 # -- theorem ratio rows -------------------------------------------------------
@@ -670,6 +659,14 @@ class ThmInstance:
 
 
 CSV_HEADER = "theorem,p,family,seed,|A|,|B|,|C|,|D|,m,lhs,rhs,ratio,hyp_ok"
+
+
+def _csv_row(row: dict) -> str:
+    """One ratio row, given as RatioRow.to_dict(), in CSV_HEADER's columns."""
+    return "%s,%d,%s,%d,%d,%d,%d,%d,%d,%d,%.10g,%.10g,%s" % (
+        row["theorem"], row["p"], row["family"], row["seed"], row["na"],
+        row["nb"], row["nc"], row["nd"], row["m"], row["lhs"], row["rhs"],
+        row["ratio"], "true" if row["hyp_ok"] else "false")
 
 
 @dataclass
@@ -698,10 +695,7 @@ class RatioRow:
     extras: dict = dc_field(default_factory=dict)
 
     def csv_line(self) -> str:
-        return "%s,%d,%s,%d,%d,%d,%d,%d,%d,%d,%.10g,%.10g,%s" % (
-            self.theorem, self.p, self.family, self.seed, self.na, self.nb,
-            self.nc, self.nd, self.m, self.lhs, self.rhs, self.ratio,
-            "true" if self.hyp_ok else "false")
+        return _csv_row(self.to_dict())
 
     def to_dict(self) -> dict:
         out = {"theorem": self.theorem, "p": self.p, "family": self.family,

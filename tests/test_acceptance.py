@@ -15,9 +15,8 @@ bound while staying within the fiber-corrected
 max(|A|, mu_A(g) * |C|, n_k).  On the fixed grid below a handful of
 instances do exactly that; the corrected bound and every other exact
 check hold on all of them.  The criterion is asserted as stated and left
-red rather than weakened; see notes/decisions.md in the workspace ledger
-for the write-up and tests/test_incidence.py for a pinned two-point
-counterexample.
+red rather than weakened; the explanation above is the write-up, and
+tests/test_incidence.py pins a two-point counterexample.
 """
 
 import math

@@ -101,10 +101,16 @@ def test_naive_transform_agree():
                      instance_id="mt-b%d" % trial, zero_free=True)
         c = generate(f, "random", size=1 + int(rng.below(p - 2)), seed=trial,
                      instance_id="mt-c%d" % trial, zero_free=True)
-        for kind in ("difference", "ratio", "sum"):
+        for kind, op in (("difference", "diff"), ("ratio", "ratio"),
+                         ("sum", "sum")):
             r1 = rep_fn(b, c, kind, method="naive")
             r2 = rep_fn(b, c, kind, method="transform")
             assert np.array_equal(r1.counts, r2.counts), (trial, kind, p)
+            # combine is the support of the same count on either route
+            for method in ("pairwise", "transform"):
+                comb = combine(b, c, op, method=method)
+                assert np.array_equal(comb.mask, r1.counts > 0), \
+                    (trial, kind, p, method)
 
 
 def test_ratio_kind_zero_rejected():

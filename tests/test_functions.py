@@ -8,6 +8,7 @@ from fpsp.errors import (BadParams, FieldMismatch, ParseError, ZeroInA,
 from fpsp.field import make_field
 from fpsp.functions import (FnTable, f_image, make_fn, mu, parse_fn_spec,
                             pointwise_product, read_fn_file, write_fn_file)
+from fpsp.incidence import bilinear_hist
 from fpsp.sets import generate
 
 F7 = make_field(7)
@@ -113,6 +114,10 @@ def test_fn_file_round_trip(tmp_path):
     short.write_text("p=7\n1\n2\n")
     with pytest.raises(ParseError):
         read_fn_file(str(short), F7)
+    bad_header = tmp_path / "bad_header.fn"
+    bad_header.write_text("p=abc\n1\n2\n")
+    with pytest.raises(ParseError):
+        read_fn_file(str(bad_header), F7)
 
 
 def test_pointwise_product():
@@ -155,6 +160,17 @@ def test_f_image_zero_in_inputs():
         f_image(g, h, ok, z)
 
 
+def _image_brute(g, h, a, b):
+    """Oracle: g(a)(h(a)+b) evaluated pair by pair in Python."""
+    p = a.field.p
+    bl = b.elements().tolist()
+    out = set()
+    for x in a.elements().tolist():
+        gx, hx = g(x), h(x)
+        out.update(gx * ((hx + y) % p) % p for y in bl)
+    return out
+
+
 def test_f_image_matches_brute_loop():
     from fpsp.rng import CounterRng
     rng = CounterRng(2, "fimg")
@@ -167,10 +183,34 @@ def test_f_image_matches_brute_loop():
                      instance_id="fb%d" % trial, zero_free=True)
         g = make_fn(F101, "random", seed=trial, instance_id="fg%d" % trial)
         h = make_fn(F101, "random", seed=trial, instance_id="fh%d" % trial)
-        want = {g(x) * ((h(x) + y) % 101) % 101
-                for x in a.elements().tolist() for y in b.elements().tolist()}
-        got = set(f_image(g, h, a, b).elements().tolist())
-        assert got == want, trial
+        img = f_image(g, h, a, b)
+        assert set(img.elements().tolist()) == _image_brute(g, h, a, b), \
+            trial
+        # the image is the support of the kernel g(a) * b + g(a)h(a)
+        ga = g.values[a.elements()]
+        hist = bilinear_hist(ga, ga * h.values[a.elements()] % 101,
+                             b.elements(), 101)
+        assert np.array_equal(hist > 0, img.mask), trial
+
+
+def test_f_image_memory_bounded():
+    """The image is enumerated in bounded chunks, not all |A||B| cells at
+    once: 3000 x 3000 at p = 1048573 (9e6 cells, about 145 MB of int64
+    temporaries when built as one table) peaks under 64 MB."""
+    import tracemalloc
+    f = make_field(1048573)
+    a = generate(f, "random", size=3000, seed=1, zero_free=True)
+    b = generate(f, "random", size=3000, seed=2, zero_free=True)
+    g = make_fn(f, "power", k=3)
+    h = make_fn(f, "power", k=2)
+    tracemalloc.start()
+    try:
+        img = f_image(g, h, a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20, peak
+    assert set(img.elements().tolist()) == _image_brute(g, h, a, b)
 
 
 def test_fn_table_explicit_values():

@@ -137,8 +137,16 @@ def test_combine_ratio_zero_denominator():
     z = generate(F7, "explicit", elements=[0, 1])
     with pytest.raises(ZeroDivisor):
         combine(a, z, "ratio")
-    # 0 in the numerator is fine: 0/y = 0
-    assert combine(z, a, "ratio").mask[0]
+    # 0 in the numerator is fine: 0/y = 0 (and 0*y = 0), on both routes
+    for op in ("prod", "ratio"):
+        for method in ("pairwise", "transform"):
+            got = combine(z, a, op, method=method)
+            assert set(got.elements().tolist()) == \
+                _brute_combine(z, a, op, 7), (op, method)
+            assert got.mask[0]
+    for method in ("pairwise", "transform"):
+        assert combine(z, z, "prod", method=method).elements().tolist() \
+            == [0, 1]
 
 
 def test_combine_field_mismatch():
