@@ -60,6 +60,14 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _explicit_elements(text: str) -> list[int]:
+    """The comma-separated integers of an explicit set; blanks skipped."""
+    try:
+        return [int(v) for v in text.split(",") if v.strip() != ""]
+    except ValueError:
+        raise ParseError("bad explicit elements in %r" % text)
+
+
 def parse_set_spec(field: PrimeField, spec: str) -> FSet:
     """Build an FSet from a CLI set spec (grammar in the module docstring)."""
     if spec == "full":
@@ -72,11 +80,7 @@ def parse_set_spec(field: PrimeField, spec: str) -> FSet:
     if head == "file":
         return read_set_file(rest, field)
     if head == "explicit":
-        try:
-            elems = [int(v) for v in rest.split(",") if v.strip() != ""]
-        except ValueError:
-            raise ParseError("bad explicit elements in %r" % spec)
-        return generate(field, "explicit", elements=elems)
+        return generate(field, "explicit", elements=_explicit_elements(rest))
     parts = rest.split(":")
     try:
         if head == "interval":
@@ -187,8 +191,7 @@ def _cmd_gen(ns) -> int:
     if ns.family == "explicit":
         if ns.elements is None:
             raise ParseError("--family explicit needs --elements")
-        kwargs["elements"] = [int(v) for v in ns.elements.split(",")
-                              if v.strip() != ""]
+        kwargs["elements"] = _explicit_elements(ns.elements)
     fam = "mul_subgroup" if ns.family == "subgroup" else ns.family
     a = generate(field, fam, zero_free=ns.zero_free, **kwargs)
     _emit_set(a, ns.out)

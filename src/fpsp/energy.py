@@ -3,8 +3,9 @@
 The central object is the exact histogram r_{B?C}(x): how many pairs
 (b, c) in B x C realize x as b-c, b/c, or b+c.  It comes from the two
 pair-count routes in the sets module, shared with combine: a chunked
-enumeration ("naive") and an NTT convolution ("transform").  They must
-agree bit for bit and serve as each other's oracle.
+enumeration ("naive") and a certified FFT convolution ("transform"), and
+"auto" takes the transform once |B||C| > p log2 p.  They must agree bit
+for bit and serve as each other's oracle.
 
 On top of the histogram sit the moment energies E_n = sum_x r(x)^n (exact
 big integers for integer n, floats for fractional n), level sets

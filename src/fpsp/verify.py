@@ -378,8 +378,14 @@ def count_N_shifted(b: FSet, c: FSet, pset: FSet) -> dict:
     if len(be) == 0 or len(ce) == 0:
         return {"N": 0, "mass": 0}
     p = b.field.p
-    hits = pset.mask[(be[:, None] - ce[None, :]) % p]
-    nvec = hits.sum(axis=0).astype(np.int64)
+    # Rows of B in chunks of about 4e6 cells, so memory stays bounded.
+    nvec = np.zeros(len(ce), dtype=np.int64)
+    chunk = max(1, 4_000_000 // len(ce))
+    for i in range(0, len(be), chunk):
+        diffs = be[i:i + chunk, None] - ce
+        diffs %= p
+        nvec += pset.mask[diffs].sum(axis=0)
+        del diffs
     mass = int(nvec.sum())
     return {"N": b.size * int(np.dot(nvec, nvec)), "mass": mass}
 

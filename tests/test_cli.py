@@ -67,6 +67,10 @@ def test_gen_stdout_and_errors(capsys):
     code, _, err = run(capsys, "gen", "--p", "9", "--family", "interval",
                        "--start", "1", "--len", "2")
     assert code == 2
+    # a non-integer explicit element is a usage error, not a failed check
+    code, _, err = run(capsys, "gen", "--p", "11", "--family", "explicit",
+                       "--elements", "1,x")
+    assert code == 2 and "bad explicit elements" in err
 
 
 def test_setop_and_affine(capsys):

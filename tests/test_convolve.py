@@ -1,9 +1,11 @@
-"""Exact NTT convolution against the schoolbook oracle."""
+"""Exact convolution: the certified float FFT, its NTT fallback and the
+schoolbook oracle, bit for bit."""
 
 import numpy as np
 import pytest
 
-from fpsp.convolve import convolve_naive, cyclic_convolve
+from fpsp.convolve import (_convolve_fft, _convolve_ntt, _fft_error_bound,
+                           convolve_naive, cyclic_convolve)
 from fpsp.errors import BadParams
 from fpsp.rng import CounterRng
 
@@ -42,6 +44,11 @@ def test_large_entries_no_overflow():
                      for k in range(n)], dtype=np.int64)
     assert np.array_equal(got, want)
     assert want.max() > 998244353  # the check is only meaningful past one prime
+    # the FFT's a-priori bound refuses these entries, so the NTT answers
+    bound = np.sqrt(float(np.dot(x, x)) * float(np.dot(y, y))) \
+        * _fft_error_bound(6)
+    assert bound >= 0.25
+    assert _convolve_fft(x, y, n) is None
 
 
 def test_indicator_autocorrelation_identity():
@@ -74,3 +81,39 @@ def test_seeded_random_lengths_loop():
         y = rng.integers(0, hi, n)
         assert np.array_equal(cyclic_convolve(x, y, n),
                               convolve_naive(x, y, n)), (trial, n, hi)
+
+
+def test_fft_ntt_naive_bit_identical():
+    # power-of-two lengths (direct), pad-and-fold lengths, and p - 1 for
+    # p in {101, 257, 1009, 10007}; indicators and small integer entries
+    lengths = (2, 8, 64, 1024, 3, 17, 97, 1009, 100, 256, 1008, 10006)
+    for n in lengths:
+        r = CounterRng(n, "conv-fft")
+        for hi in (2, 50):
+            x = r.integers(0, hi, n)
+            y = r.integers(0, hi, n)
+            if n > 1024:  # keep the schoolbook loop short: at most 40 x[i]
+                keep = np.zeros(n, dtype=bool)
+                keep[r.integers(0, n, 40)] = True
+                x[~keep] = 0
+            fft = _convolve_fft(x, y, n)
+            assert fft is not None, (n, hi)
+            assert fft.dtype == np.int64
+            assert np.array_equal(fft, _convolve_ntt(x, y, n)), (n, hi)
+            assert np.array_equal(fft, convolve_naive(x, y, n)), (n, hi)
+            assert np.array_equal(cyclic_convolve(x, y, n), fft), (n, hi)
+
+
+def test_fft_taken_on_large_indicators():
+    # 2^16-scale indicator pairs: n = 65536 transforms directly, n = 65537
+    # pads to 2^18; both certify and match the NTT
+    for n in (65536, 65537):
+        r = CounterRng(n, "conv-fft-large")
+        x = np.zeros(n, dtype=np.int64)
+        y = np.zeros(n, dtype=np.int64)
+        x[r.integers(0, n, 5000)] = 1
+        y[r.integers(0, n, 20000)] = 1
+        fft = _convolve_fft(x, y, n)
+        assert fft is not None, n
+        assert int(fft.sum()) == int(x.sum()) * int(y.sum())
+        assert np.array_equal(fft, _convolve_ntt(x, y, n)), n

@@ -4,6 +4,7 @@ popular-sum machinery, and the theorem ratio rows."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fpsp.energy import moment, popular_diff, rep_fn
@@ -12,7 +13,7 @@ from fpsp.errors import (BadP, BadParams, EmptySet, HypothesisViolated,
 from fpsp.field import make_field
 from fpsp.functions import f_image, make_fn, mu
 from fpsp.rng import CounterRng
-from fpsp.sets import affine, combine, generate
+from fpsp.sets import FSet, affine, combine, generate
 from fpsp.verify import (CSV_HEADER, QUAD_VARIANTS, THEOREMS, ThmInstance,
                          composite_N_check, count_N_shifted, count_X,
                          count_X_brute, eplus_chain, holder_weighted_sum,
@@ -232,6 +233,56 @@ def test_count_N_singleton_and_badp():
     outside = generate(F7, "explicit", elements=[1])
     with pytest.raises(BadP):
         count_N_shifted(s, s, outside)
+
+
+def _count_N_broadcast(b, c, pset):
+    """The whole |B| x |C| table at once: the oracle for count_N_shifted."""
+    be, ce = b.elements(), c.elements()
+    nvec = pset.mask[(be[:, None] - ce[None, :]) % b.field.p].sum(axis=0)
+    return {"N": b.size * int(np.dot(nvec, nvec)), "mass": int(nvec.sum())}
+
+
+def _part_of_diffs(b, c, residue):
+    """The x in B - C with x = residue mod 3, an admissible P."""
+    keep = np.arange(b.field.p) % 3 == residue % 3
+    return FSet(b.field, combine(b, c, "diff").mask & keep)
+
+
+def test_count_N_matches_broadcast():
+    # small grids, |B| = 1 and 0 in the sets, plus one 2100 x 2000 grid
+    # that takes two row chunks
+    rng = CounterRng(5, "count-N-grid")
+    cases = [(F101, 1, 7), (F101, 7, 1), (F101, 30, 40)]
+    cases += [(F101, 1 + int(rng.below(60)), 1 + int(rng.below(60)))
+              for _ in range(12)]
+    cases.append((make_field(10007), 2100, 2000))
+    for trial, (f, nb, nc) in enumerate(cases):
+        b = generate(f, "random", size=nb, seed=trial, instance_id="B")
+        c = generate(f, "random", size=nc, seed=trial, instance_id="C")
+        if trial % 2:
+            b = FSet(f, b.mask | (np.arange(f.p) == 0))
+        pset = _part_of_diffs(b, c, trial)
+        assert count_N_shifted(b, c, pset) == _count_N_broadcast(b, c, pset)
+
+
+def test_count_N_memory_bounded():
+    """3000 x 3000 at p = 1048573 (9e6 cells, about 138 MB of temporaries
+    as one table) is counted in row chunks and peaks under 64 MB."""
+    import tracemalloc
+    f = make_field(1048573)
+    b = generate(f, "random", size=3000, seed=1)
+    c = generate(f, "random", size=3000, seed=2)
+    pset = _part_of_diffs(b, c, 0)
+    tracemalloc.start()
+    try:
+        nm = count_N_shifted(b, c, pset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20, peak
+    # mass = #{(b, c) : b - c in P} = sum over P of r_{B-C}
+    r = rep_fn(b, c, "difference")
+    assert nm["mass"] == int(r.counts[pset.mask].sum())
 
 
 def test_count_X_worked_and_brute():
