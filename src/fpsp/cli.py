@@ -15,6 +15,7 @@ Set specs, accepted by --A/--B/--C/--D/--P/--X/--third:
     ap:<start>:<step>:<len>
     gp:<start>:<ratio>:<len>
     subgroup:<order>          multiplicative subgroup, order | p-1
+    mul_subgroup:<order>      the same
     random:<len>:<seed>       deterministic in (p, len, seed)
     explicit:v1,v2,...
 
@@ -45,15 +46,14 @@ from .incidence import (COLLINEAR_CAP, MATERIALIZE_CAP, TRIPLES_CAP,
                         VARIANTS, build_proof_config, incidences,
                         make_config, max_collinear, proof_incidences,
                         rudnev_ratio)
-from .sets import (FSet, _format_lines, _read_lines, affine, combine,
-                   generate, read_set_file)
+from .sets import (FAMILIES, FSet, _format_lines, _read_lines, affine,
+                   combine, generate, read_set_file)
 from .sweep import load_config_file, rows_csv, run_sweep
 from .verify import (THEOREMS, ThmInstance, composite_N_check, eplus_chain,
                      lemma_chain_check, n_chain_check, phi_chain,
                      theorem_ratio)
 
-_SET_FAMILY_HEADS = ("file", "interval", "ap", "gp", "subgroup",
-                     "mul_subgroup", "random", "explicit")
+_SET_FAMILY_HEADS = ("file", "subgroup") + FAMILIES
 
 
 def _log(msg: str) -> None:
@@ -164,36 +164,13 @@ def _report_verdict(rep_dict: dict, label: str) -> int:
 
 
 def _cmd_gen(ns) -> int:
-    field = make_field(ns.p)
-    kwargs = {}
-    if ns.family in ("interval", "ap", "gp", "random"):
-        if ns.len is None:
-            raise ParseError("--family %s needs --len" % ns.family)
-        kwargs["size"] = ns.len
-    if ns.family in ("interval", "ap", "gp"):
-        if ns.start is None:
-            raise ParseError("--family %s needs --start" % ns.family)
-        kwargs["start"] = ns.start
-    if ns.family == "ap":
-        if ns.step is None:
-            raise ParseError("--family ap needs --step")
-        kwargs["step"] = ns.step
-    if ns.family == "gp":
-        if ns.ratio is None:
-            raise ParseError("--family gp needs --ratio")
-        kwargs["ratio"] = ns.ratio
-    if ns.family in ("subgroup", "mul_subgroup"):
-        if ns.order is None:
-            raise ParseError("--family subgroup needs --order")
-        kwargs["order"] = ns.order
-    if ns.family == "random":
-        kwargs["seed"] = ns.seed
-    if ns.family == "explicit":
-        if ns.elements is None:
-            raise ParseError("--family explicit needs --elements")
-        kwargs["elements"] = _explicit_elements(ns.elements)
+    elements = None
+    if ns.family == "explicit" and ns.elements is not None:
+        elements = _explicit_elements(ns.elements)
     fam = "mul_subgroup" if ns.family == "subgroup" else ns.family
-    a = generate(field, fam, zero_free=ns.zero_free, **kwargs)
+    a = generate(make_field(ns.p), fam, start=ns.start, step=ns.step,
+                 ratio=ns.ratio, order=ns.order, size=ns.len, seed=ns.seed,
+                 elements=elements, zero_free=ns.zero_free)
     _emit_set(a, ns.out)
     return 0
 
@@ -243,8 +220,7 @@ def _cmd_energy(ns) -> int:
     r = rep_fn(a, b, kind)
     val = moment(r, int(n) if n.denominator == 1 else n)
     print(val)
-    _log("E_%s(%s) over %d support points" % (ns.n, kind,
-                                              int((r.counts > 0).sum())))
+    _log("E_%s(%s) over %d support points" % (ns.n, kind, r.support_size()))
     return 0
 
 
@@ -256,7 +232,7 @@ def _cmd_mu(ns) -> int:
     return 0
 
 
-def _load_incidence_config(ns):
+def _cmd_incidence(ns) -> int:
     field = make_field(ns.p)
     if ns.points is not None:
         _, pts = read_rows_file(ns.points, 3, field)
@@ -264,34 +240,21 @@ def _load_incidence_config(ns):
             _, pls = read_rows_file(ns.planes, 4, field)
         else:
             pls = np.zeros((0, 4), dtype=np.int64)
-        return make_config(field, pts, pls,
-                           provenance="files:%s,%s" % (ns.points, ns.planes))
-    if ns.variant is None:
-        raise ParseError("incidence needs --points/--planes files or "
-                         "--variant with sets")
-    a, x, third = _variant_sets(field, ns)
-    g = parse_fn_spec(field, ns.g)
-    h = parse_fn_spec(field, ns.h)
-    return build_proof_config(ns.variant, a, x, third, g, h, cap=ns.cap)
-
-
-def _variant_sets(field, ns):
-    if ns.A is None or ns.X is None or ns.third is None:
-        raise ParseError("--variant mode needs --A, --X and --third")
-    return (parse_set_spec(field, ns.A), parse_set_spec(field, ns.X),
-            parse_set_spec(field, ns.third))
-
-
-def _cmd_incidence(ns) -> int:
-    field = make_field(ns.p)
-    if ns.action == "count" and ns.variant is not None and ns.points is None:
-        # kernel route: no materialization needed for the count
-        a, x, third = _variant_sets(field, ns)
-        g = parse_fn_spec(field, ns.g)
-        h = parse_fn_spec(field, ns.h)
-        print(proof_incidences(ns.variant, a, x, third, g, h, cap=ns.cap))
-        return 0
-    cfg = _load_incidence_config(ns)
+        cfg = make_config(field, pts, pls,
+                          provenance="files:%s,%s" % (ns.points, ns.planes))
+    else:
+        if ns.variant is None:
+            raise ParseError("incidence needs --points/--planes files or "
+                             "--variant with sets")
+        if ns.A is None or ns.X is None or ns.third is None:
+            raise ParseError("--variant mode needs --A, --X and --third")
+        args = [parse_set_spec(field, s) for s in (ns.A, ns.X, ns.third)]
+        args += [parse_fn_spec(field, ns.g), parse_fn_spec(field, ns.h)]
+        if ns.action == "count":
+            # kernel route: no materialization needed for the count
+            print(proof_incidences(ns.variant, *args, cap=ns.cap))
+            return 0
+        cfg = build_proof_config(ns.variant, *args, cap=ns.cap)
     if ns.action == "count":
         print(incidences(cfg))
         _log("|R|=%d |S|=%d" % (cfg.n_points, cfg.n_planes))
@@ -430,8 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("gen", help="generate a set and write it")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--family", required=True,
-                    choices=["interval", "ap", "gp", "subgroup",
-                             "mul_subgroup", "random", "explicit"])
+                    choices=FAMILIES + ("subgroup",))
     sp.add_argument("--start", type=int)
     sp.add_argument("--step", type=int)
     sp.add_argument("--ratio", type=int)

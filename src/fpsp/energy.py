@@ -47,9 +47,6 @@ class RepFn:
     def mass(self) -> int:
         return self.size_b * self.size_c
 
-    def count(self, x: int) -> int:
-        return int(self.counts[x % self.field.p])
-
     def support(self) -> FSet:
         return FSet(self.field, self.counts > 0)
 
@@ -145,7 +142,7 @@ def popular_diff(b: FSet, c: FSet) -> FSet:
     if b.size == 0 or c.size == 0:
         raise EmptySet("popular_diff needs nonempty sets")
     r = rep_fn(b, c, "difference")
-    supp = int((r.counts > 0).sum())
+    supp = r.support_size()
     mask = 2 * r.counts * supp >= r.mass
     mask &= r.counts > 0
     return FSet(b.field, mask)
@@ -181,7 +178,7 @@ def popular_sum_core(c: FSet, eps: Fraction | float | None = None
     eps = normalize_eps(eps, c.size)
     p = c.field.p
     r = rep_fn(c, c, "sum")
-    supp = int((r.counts > 0).sum())
+    supp = r.support_size()
     num, den = eps.numerator, eps.denominator
     # r(x) * |C+C| >= eps * |C|^2  <=>  r(x) * |C+C| * den >= num * |C|^2
     pmask = (r.counts * supp * den >= num * c.size * c.size) & (r.counts > 0)

@@ -23,6 +23,8 @@ requested size, and random sets sample [1, p-1] directly.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import statistics
 import time
@@ -34,8 +36,8 @@ from .field import make_field
 from .functions import parse_fn_spec
 from .incidence import COLLINEAR_CAP, TRIPLES_CAP
 from .rng import CounterRng
-from .sets import generate, subgroup_orders
-from .verify import (CSV_HEADER, THEOREMS, ThmInstance, _csv_row,
+from .sets import FAMILIES, generate, subgroup_orders
+from .verify import (CSV_HEADER, PHI_CAP, THEOREMS, ThmInstance, _csv_row,
                      composite_N_check, eplus_chain, lemma_chain_check,
                      phi_chain, theorem_ratio)
 
@@ -88,7 +90,7 @@ class SweepConfig:
                 raise ConfigError("bad prime %r" % (p,))
         cfg.families = want_list("families")
         for fam in cfg.families:
-            if fam not in ("interval", "ap", "gp", "mul_subgroup", "random"):
+            if fam not in FAMILIES or fam == "explicit":
                 raise ConfigError("unknown family %r" % (fam,))
         cfg.sizes = []
         for triple in want_list("sizes"):
@@ -141,8 +143,9 @@ class SweepConfig:
                 raise ConfigError("%s must be a positive integer" % nm)
         if "phi" in cfg.chains:
             for _, nb, nc in cfg.sizes:
-                if nb > 100 or nc > 100:
-                    raise ConfigError("phi chain needs |B|, |C| <= 100")
+                if nb > PHI_CAP or nc > PHI_CAP:
+                    raise ConfigError("phi chain needs |B|, |C| <= %d"
+                                      % PHI_CAP)
         return cfg
 
     def to_dict(self) -> dict:
@@ -158,15 +161,9 @@ class SweepConfig:
 
     def descriptors(self) -> list:
         """The instance grid, in fixed declaration order."""
-        out = []
-        for p in self.primes:
-            for fam in self.families:
-                for triple in self.sizes:
-                    for seed in self.seeds:
-                        for gs in self.g_specs:
-                            for hs in self.h_specs:
-                                out.append((p, fam, triple, seed, gs, hs))
-        return out
+        return list(itertools.product(self.primes, self.families,
+                                      self.sizes, self.seeds, self.g_specs,
+                                      self.h_specs))
 
 
 def _parse_eps(eps):
@@ -239,53 +236,29 @@ def _instance_payload(cfg: SweepConfig, desc) -> dict:
     a, b, c, d = sets["A"], sets["B"], sets["C"], sets["D"]
     g = parse_fn_spec(field, gs)
     h = parse_fn_spec(field, hs)
-    ident = _descriptor_id(desc)
-    chains = []
+    reports = []
     for ch in cfg.chains:
         if ch == "lemma":
-            for kind in cfg.kinds:
-                rep = lemma_chain_check(a, b, c, g, h, kind, k=cfg.k,
-                                        triples_cap=cfg.triples_cap,
-                                        collinear_cap=cfg.collinear_cap)
-                entry = rep.to_dict()
-                entry["chain"] = "lemma:%s" % kind
-                entry["id"] = ident
-                chains.append(entry)
+            reports += [("lemma:%s" % kind,
+                         lemma_chain_check(a, b, c, g, h, kind, k=cfg.k,
+                                           triples_cap=cfg.triples_cap,
+                                           collinear_cap=cfg.collinear_cap))
+                        for kind in cfg.kinds]
         elif ch == "composite":
-            rep = composite_N_check(b, c)
-            entry = rep.to_dict()
-            entry["chain"] = "composite"
-            entry["id"] = ident
-            chains.append(entry)
+            reports.append((ch, composite_N_check(b, c)))
         elif ch == "eplus":
-            rep = eplus_chain(a, b, c, g, h, cap=cfg.triples_cap)
-            entry = rep.to_dict()
-            entry["chain"] = "eplus"
-            entry["id"] = ident
-            chains.append(entry)
+            reports.append((ch, eplus_chain(a, b, c, g, h,
+                                            cap=cfg.triples_cap)))
         else:  # phi
-            rep = phi_chain(b, c, eps=_parse_eps(cfg.eps))
-            entry = rep.to_dict()
-            entry["chain"] = "phi"
-            entry["id"] = ident
-            chains.append(entry)
+            reports.append((ch, phi_chain(b, c, eps=_parse_eps(cfg.eps))))
+    ident = _descriptor_id(desc)
+    chains = [dict(rep.to_dict(), chain=label, id=ident)
+              for label, rep in reports]
     rows = []
     inst = ThmInstance(a=a, b=b, c=c, d=d, g=g, h=h, family=fam, seed=seed)
     for tid in cfg.theorems:
         rows.append(theorem_ratio(tid, inst).to_dict())
     return {"id": ident, "chains": chains, "rows": rows}
-
-
-_WORKER_CFG = None
-
-
-def _init_worker(cfg_json: str) -> None:
-    global _WORKER_CFG
-    _WORKER_CFG = SweepConfig.from_dict(json.loads(cfg_json))
-
-
-def _run_one(desc) -> dict:
-    return _instance_payload(_WORKER_CFG, desc)
 
 
 def _aggregate(rows: list) -> dict:
@@ -320,13 +293,12 @@ def run_sweep(config, workers: int = 1) -> dict:
         raise ConfigError("workers must be a positive integer")
     t0 = time.perf_counter()
     descs = cfg.descriptors()
+    run_one = functools.partial(_instance_payload, cfg)
     if workers == 1 or len(descs) <= 1:
-        payloads = [_instance_payload(cfg, d) for d in descs]
+        payloads = list(map(run_one, descs))
     else:
-        cfg_json = json.dumps(cfg.to_dict(), sort_keys=True)
-        with Pool(processes=min(workers, len(descs)),
-                  initializer=_init_worker, initargs=(cfg_json,)) as pool:
-            payloads = pool.map(_run_one, descs, chunksize=1)
+        with Pool(processes=min(workers, len(descs))) as pool:
+            payloads = pool.map(run_one, descs, chunksize=1)
     chains = []
     rows = []
     for pay in payloads:

@@ -371,21 +371,21 @@ def count_N_shifted(b: FSet, c: FSet, pset: FSet) -> dict:
     d - c in P (b is free, giving the |B| factor)."""
     if not (b.field == c.field == pset.field):
         raise FieldMismatch("mixed fields in count_N_shifted")
-    bc = combine(b, c, "diff")
-    if bool((pset.mask & ~bc.mask).any()):
-        raise BadP("P is not contained in B - C")
     be, ce = b.elements(), c.elements()
-    if len(be) == 0 or len(ce) == 0:
-        return {"N": 0, "mass": 0}
     p = b.field.p
-    # Rows of B in chunks of about 4e6 cells, so memory stays bounded.
+    # Rows of B in chunks of about 4e6 cells, so memory stays bounded; the
+    # same pass collects the support of B - C for the containment check.
+    seen = np.zeros(p, dtype=bool)
     nvec = np.zeros(len(ce), dtype=np.int64)
-    chunk = max(1, 4_000_000 // len(ce))
+    chunk = max(1, 4_000_000 // max(len(ce), 1))
     for i in range(0, len(be), chunk):
         diffs = be[i:i + chunk, None] - ce
         diffs %= p
+        seen[diffs] = True
         nvec += pset.mask[diffs].sum(axis=0)
         del diffs
+    if bool((pset.mask & ~seen).any()):
+        raise BadP("P is not contained in B - C")
     mass = int(nvec.sum())
     return {"N": b.size * int(np.dot(nvec, nvec)), "mass": mass}
 

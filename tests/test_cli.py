@@ -11,6 +11,7 @@ import pytest
 from fpsp.cli import dispatch, parse_set_spec, read_rows_file
 from fpsp.errors import ParseError
 from fpsp.field import make_field
+from fpsp.sets import FAMILIES
 
 F101 = make_field(101)
 
@@ -56,13 +57,22 @@ def test_gen_writes_spec_example(tmp_path, capsys):
     assert out.read_text() == "p=7\n1\n2\n3\n"
 
 
+# One full flag set per --family choice, and the set spec it must match.
+GEN_CASES = {
+    "interval": ({"--start": "3", "--len": "4"}, "interval:3:4"),
+    "ap": ({"--start": "1", "--step": "3", "--len": "4"}, "ap:1:3:4"),
+    "gp": ({"--start": "1", "--ratio": "2", "--len": "5"}, "gp:1:2:5"),
+    "subgroup": ({"--order": "5"}, "subgroup:5"),
+    "mul_subgroup": ({"--order": "5"}, "mul_subgroup:5"),
+    "random": ({"--len": "4", "--seed": "7"}, "random:4:7"),
+    "explicit": ({"--elements": "5,2,9"}, "explicit:5,2,9"),
+}
+
+
 def test_gen_stdout_and_errors(capsys):
     code, out, _ = run(capsys, "gen", "--p", "11", "--family", "explicit",
                        "--elements", "5,2")
     assert code == 0 and out == "p=11\n2\n5\n"
-    # missing --len for a sized family is a usage error
-    code, _, err = run(capsys, "gen", "--p", "11", "--family", "random")
-    assert code == 2 and "error:" in err
     # p must be prime
     code, _, err = run(capsys, "gen", "--p", "9", "--family", "interval",
                        "--start", "1", "--len", "2")
@@ -71,6 +81,23 @@ def test_gen_stdout_and_errors(capsys):
     code, _, err = run(capsys, "gen", "--p", "11", "--family", "explicit",
                        "--elements", "1,x")
     assert code == 2 and "bad explicit elements" in err
+    # every family: gen writes the set its spec names, and leaving out any
+    # required parameter is a usage error with nothing on stdout
+    assert set(GEN_CASES) == set(FAMILIES) | {"subgroup"}
+    for family, (flags, spec) in GEN_CASES.items():
+        code, out, _ = run(capsys, "gen", "--p", "11", "--family", family,
+                           *[v for kv in flags.items() for v in kv])
+        want = parse_set_spec(make_field(11), spec).elements().tolist()
+        assert code == 0, family
+        assert out == "p=11\n" + "".join("%d\n" % v for v in want), family
+        # --seed is optional (it defaults to 0); every other flag is needed
+        for missing in [f for f in flags if f != "--seed"]:
+            rest = [v for kv in flags.items() if kv[0] != missing
+                    for v in kv]
+            code, out, err = run(capsys, "gen", "--p", "11", "--family",
+                                 family, *rest)
+            assert (code, out) == (2, "") and "error:" in err, \
+                (family, missing)
 
 
 def test_setop_and_affine(capsys):
@@ -158,6 +185,19 @@ def test_incidence_variant_and_build_roundtrip(tmp_path, capsys):
     _, pts = read_rows_file(str(op), 3, F101)
     _, pls = read_rows_file(str(os_), 4, F101)
     assert pts.shape[1] == 3 and pls.shape[1] == 4
+    # max-collinear and rudnev-ratio agree between --variant and the files,
+    # up to the provenance tag
+    files = ("--p", "101", "--points", str(op), "--planes", str(os_))
+    for action in ("max-collinear", "rudnev-ratio"):
+        outs = []
+        for mode in (args, files):
+            code, out, _ = run(capsys, "incidence", action, *mode)
+            assert code == 0
+            outs.append(json.loads(out))
+        if action == "rudnev-ratio":
+            assert outs[0].pop("provenance") == "sum_E1"
+            assert outs[1].pop("provenance").startswith("files:")
+        assert outs[0] == outs[1], action
 
 
 def test_incidence_usage_errors(tmp_path, capsys):
@@ -302,6 +342,17 @@ def test_help_and_usage_exits(capsys):
     capsys.readouterr()
     assert dispatch(["gen"]) == 2  # missing required flags
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    *[[cmd] for cmd in ("gen", "setop", "image", "energy", "mu", "incidence",
+                        "verify", "sweep")],
+    *[["verify", mode] for mode in ("lemma-chain", "n-chain", "composite",
+                                    "eplus", "phi", "theorem")],
+])
+def test_every_subcommand_help(argv, capsys):
+    assert dispatch(argv + ["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: fpsp " + " ".join(argv))
 
 
 def test_set_file_modulus_mismatch(tmp_path, capsys):

@@ -110,10 +110,16 @@ def test_sweep_serial_repeat_identical():
 
 
 def test_sweep_workers_do_not_change_report():
-    res1 = run_sweep(_cfg(), workers=1)
-    res3 = run_sweep(_cfg(), workers=3)
-    assert report_json(res1["report"]) == report_json(res3["report"])
-    assert res3["meta"]["workers"] == 3
+    for eps in ("1/5", 0.2):
+        raw = _cfg(seeds=[0], g=["id", "random:11"], kinds=["sum", "prod"],
+                   chains=["lemma", "composite", "eplus", "phi"], eps=eps,
+                   theorems=["Vinh_1_2", "Cor_1_8", "T_1_9"])
+        res1 = run_sweep(raw, workers=1)
+        assert len(res1["report"]["chains"]) == 4 * 5, eps
+        for workers in (2, 3):
+            res = run_sweep(raw, workers=workers)
+            assert report_json(res["report"]) == report_json(res1["report"])
+            assert res["meta"]["workers"] == workers
 
 
 def test_sweep_aggregates_and_csv():

@@ -233,6 +233,12 @@ def test_count_N_singleton_and_badp():
     outside = generate(F7, "explicit", elements=[1])
     with pytest.raises(BadP):
         count_N_shifted(s, s, outside)
+    # B - C is empty when B or C is, so any nonempty P lies outside it
+    empty = generate(F7, "explicit", elements=[])
+    for b, c in ((empty, s), (s, empty)):
+        assert count_N_shifted(b, c, empty) == {"N": 0, "mass": 0}
+        with pytest.raises(BadP):
+            count_N_shifted(b, c, zero)
 
 
 def _count_N_broadcast(b, c, pset):
