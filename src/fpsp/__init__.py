@@ -26,7 +26,8 @@ from .functions import (FnTable, f_image, mu, parse_fn_spec,
 from .incidence import (COLLINEAR_CAP, MATERIALIZE_CAP, TRIPLES_CAP,
                         VARIANTS, IncidenceConfig, bilinear_hist,
                         build_proof_config, incidences, make_config,
-                        max_collinear, proof_incidences, rudnev_ratio)
+                        max_collinear, proof_incidences, rudnev_ratio,
+                        structural_collinear)
 from .rng import CounterRng
 from .sets import (FAMILIES, FSet, affine, combine, generate,
                    parse_set_text, read_set_file, subgroup_orders,

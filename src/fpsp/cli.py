@@ -45,7 +45,7 @@ from .functions import f_image, mu, parse_fn_spec
 from .incidence import (COLLINEAR_CAP, MATERIALIZE_CAP, TRIPLES_CAP,
                         VARIANTS, build_proof_config, incidences,
                         make_config, max_collinear, proof_incidences,
-                        rudnev_ratio)
+                        rudnev_ratio, structural_collinear)
 from .sets import (FAMILIES, FSet, _format_lines, _read_lines, affine,
                    combine, generate, read_set_file)
 from .sweep import load_config_file, rows_csv, run_sweep
@@ -163,13 +163,30 @@ def _report_verdict(rep_dict: dict, label: str) -> int:
 # -- subcommand handlers -----------------------------------------------------
 
 
+# The family flags `gen` reads for each family; passing any other is an
+# error.  --p, --family, --zero-free and --out go with every family.
+_GEN_FLAGS = {
+    "interval": ("start", "len"),
+    "ap": ("start", "step", "len"),
+    "gp": ("start", "ratio", "len"),
+    "mul_subgroup": ("order",),
+    "random": ("len", "seed"),
+    "explicit": ("elements",),
+}
+
+
 def _cmd_gen(ns) -> int:
-    elements = None
-    if ns.family == "explicit" and ns.elements is not None:
-        elements = _explicit_elements(ns.elements)
     fam = "mul_subgroup" if ns.family == "subgroup" else ns.family
+    others = set().union(*_GEN_FLAGS.values()) - set(_GEN_FLAGS[fam])
+    stray = ["--" + f for f in sorted(others) if getattr(ns, f) is not None]
+    if stray:
+        raise ParseError("--family %s does not take %s"
+                         % (ns.family, ", ".join(stray)))
+    elements = (None if ns.elements is None
+                else _explicit_elements(ns.elements))
     a = generate(make_field(ns.p), fam, start=ns.start, step=ns.step,
-                 ratio=ns.ratio, order=ns.order, size=ns.len, seed=ns.seed,
+                 ratio=ns.ratio, order=ns.order, size=ns.len,
+                 seed=0 if ns.seed is None else ns.seed,
                  elements=elements, zero_free=ns.zero_free)
     _emit_set(a, ns.out)
     return 0
@@ -250,9 +267,15 @@ def _cmd_incidence(ns) -> int:
             raise ParseError("--variant mode needs --A, --X and --third")
         args = [parse_set_spec(field, s) for s in (ns.A, ns.X, ns.third)]
         args += [parse_fn_spec(field, ns.g), parse_fn_spec(field, ns.h)]
+        # count and max-collinear read the product structure and never
+        # materialize R or S; max-collinear is bounded by --collinear-cap
+        # alone
         if ns.action == "count":
-            # kernel route: no materialization needed for the count
             print(proof_incidences(ns.variant, *args, cap=ns.cap))
+            return 0
+        if ns.action == "max-collinear":
+            print(structural_collinear(ns.variant, *args,
+                                       cap=ns.collinear_cap))
             return 0
         cfg = build_proof_config(ns.variant, *args, cap=ns.cap)
     if ns.action == "count":
@@ -399,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ratio", type=int)
     sp.add_argument("--order", type=int)
     sp.add_argument("--len", type=int)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, help="random family (default 0)")
     sp.add_argument("--elements", help="comma-separated, explicit family")
     sp.add_argument("--zero-free", action="store_true", dest="zero_free")
     sp.add_argument("--out")

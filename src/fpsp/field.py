@@ -11,6 +11,7 @@ Residues are canonical: every element is an int in [0, p).
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -106,19 +107,35 @@ class PrimeField:
     # -- tables ---------------------------------------------------------
 
     def _build_tables(self) -> None:
-        # One sequential O(p) pass; idempotent, so a racing second build is
-        # harmless (it writes identical arrays).
+        # Idempotent, so a racing second build is harmless (it writes
+        # identical arrays).  g^(iB+j) = (g^B)^i g^j with B = ceil(sqrt(p-1)):
+        # two length-B power runs and one outer product, reduced in place.
+        # Every product is below p^2 <= 2^40, so int64 is exact.
         p, g = self.p, self.root
-        powt = np.empty(p - 1, dtype=np.int64)
-        acc = 1
-        for e in range(p - 1):
-            powt[e] = acc
-            acc = acc * g % p
+
+        def powers(base: int, count: int) -> np.ndarray:
+            out = np.empty(count, dtype=np.int64)
+            acc = 1
+            for e in range(count):
+                out[e] = acc
+                acc = acc * base % p
+            return out
+
+        n = p - 1
+        width = math.isqrt(n - 1) + 1
+        rows = -(-n // width)
+        low, high = powers(g, width), powers(pow(g, width, p), rows)
+        grid = np.empty((rows, width), dtype=np.int64)
+        np.multiply(high[:, None], low[None, :], out=grid)
+        grid %= p
+        powt = grid.reshape(-1)[:n]
         dlog = np.full(p, -1, dtype=np.int64)
-        dlog[powt] = np.arange(p - 1, dtype=np.int64)
+        dlog[powt] = np.arange(n, dtype=np.int64)
         inv = np.zeros(p, dtype=np.int64)
-        # x = g^e  =>  x^-1 = g^(p-1-e)
-        inv[powt] = powt[(-(np.arange(p - 1, dtype=np.int64))) % (p - 1)]
+        # x = g^e  =>  x^-1 = g^(p-1-e): g^0 is its own inverse, and the
+        # rest of powt read backwards pairs each g^e with g^(p-1-e)
+        inv[1] = 1
+        inv[powt[1:]] = powt[:0:-1]
         self._pow_table = powt
         self._dlog_table = dlog
         self._inv_table = inv

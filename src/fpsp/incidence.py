@@ -3,8 +3,9 @@
 incidences() is the generic exact counter: blocked dot products in float64
 (every intermediate is an integer below 2^42, so the BLAS path is exact),
 reduced mod p.  max_collinear() canonicalizes pairwise directions per anchor
-point.  rudnev_ratio() reports the observed count against the
-|R|^(1/2)|S| + k|S| shape.
+point; it serves file-mode configs and rudnev_ratio(), and it is the oracle
+for structural_collinear().  rudnev_ratio() reports the observed count
+against the |R|^(1/2)|S| + k|S| shape.
 
 The four proof configurations (sum_E1, sum_E2, prod_E1, prod_E2) all share
 one algebraic skeleton: both the point set and the plane set are products
@@ -15,6 +16,18 @@ squares, O(|PAIRS| * |T|) instead of O(|R| * |S|), and the same kernel with
 multiset pairs is the quadruple-energy histogram used by the verify module.
 bilinear_hist runs the kernel through the sets module's chunked pair
 counter, the enumeration behind combine, rep_fn and f_image too.
+
+The product shape also settles collinearity.  With the point set
+R = T x PAIRS, where each slice t = const is a copy of the planar set
+PAIRS,
+
+    max_collinear(T x PAIRS) = max(|T|, max_collinear(PAIRS)).
+
+A line inside one slice meets R only in that slice's copy of PAIRS.  Any
+other line meets each slice at most once, so it holds at most |T| points,
+and the line through one pair parallel to the t-axis holds exactly |T|.
+structural_collinear() evaluates the right side: O(|PAIRS|^2 log|PAIRS|)
+instead of O(|R|^2 log|R|), and R is never built.
 """
 
 from __future__ import annotations
@@ -230,6 +243,27 @@ def proof_incidences(variant: str, a: FSet, x: FSet, third: FSet, g: FnTable,
     ua, ub = _dedup_pairs(alpha, beta, p)
     hist = bilinear_hist(ua, ub, ts, p, cap)
     return int(np.dot(hist, hist))
+
+
+def structural_collinear(variant: str, a: FSet, x: FSet, third: FSet,
+                         g: FnTable, h: FnTable,
+                         cap: int = COLLINEAR_CAP) -> int:
+    """max_collinear of a proof point set, by the product identity above.
+
+    PAIRS goes into one slice as (0, alpha, beta) and through the generic
+    max_collinear; the E2 shapes store -beta, an affine image that keeps
+    collinearity.  The cap counts |T| * |PAIRS|, the points of R, so this
+    raises SizeCap exactly where materializing R for max_collinear would.
+    """
+    alpha, beta, ts = _proof_pairs(variant, a, x, third, g, h)
+    ua, ub = _dedup_pairs(alpha, beta, a.field.p)
+    n = len(ua) * len(ts)
+    if n > cap:
+        raise SizeCap("max_collinear capped at |R| <= %d, got %d" % (cap, n))
+    if n == 0:
+        raise EmptySet("max_collinear needs at least one point")
+    plane = np.stack([np.zeros_like(ua), ua, ub], axis=1)
+    return max(len(ts), max_collinear(plane, a.field, cap=cap))
 
 
 def build_proof_config(variant: str, a: FSet, x: FSet, third: FSet,

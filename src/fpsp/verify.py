@@ -35,8 +35,7 @@ from .errors import (BadP, BadParams, EmptySet, FieldMismatch,
                      HypothesisViolated, SizeCap, ZeroDivisor, ZeroInA)
 from .functions import FnTable, f_image, make_fn, mu, pointwise_product
 from .incidence import (COLLINEAR_CAP, TRIPLES_CAP, _proof_pairs,
-                        bilinear_hist, build_proof_config, max_collinear,
-                        proof_incidences)
+                        bilinear_hist, proof_incidences, structural_collinear)
 from .sets import FSet, combine
 
 QUAD_VARIANTS = ("E1_sum", "E2_sum", "E3_prod", "E4_prod")
@@ -270,7 +269,11 @@ def lemma_chain_check(a: FSet, b: FSet, c: FSet, g: FnTable, h: FnTable,
     restricts the fiber count to A.  The plain form can genuinely fail
     once mu_A >= 2 and h separates a fiber of g (the vertical direction
     then carries up to mu_A |C| points); it is kept as a falsifiable
-    check rather than weakened silently.
+    check rather than weakened silently.  The line count k_obs comes from
+    incidence.structural_collinear, max(|X_k|, max_collinear(PAIRS)), so
+    R_1 is never built; collinear_cap still counts |X_k| |PAIRS|, the
+    points of R_1, and above it the check becomes a collinear_R1_skipped
+    row.
 
     Report rows carry the final fourth-moment bound
     m^4 min{|f|^3 |C|^2, |f|^2 |C|^3} log|A| / |A| (log base 2, floored
@@ -335,9 +338,8 @@ def lemma_chain_check(a: FSet, b: FSet, c: FSet, g: FnTable, h: FnTable,
                             "empty level set"))
     else:
         try:
-            cfg1 = build_proof_config(kern1, a, xk, c, g, h,
-                                      cap=collinear_cap)
-            k_obs = max_collinear(cfg1.points, field, cap=collinear_cap)
+            k_obs = structural_collinear(kern1, a, xk, c, g, h,
+                                         cap=collinear_cap)
             checks.append(_mk_check(
                 "collinear_R1_literal", "<=", k_obs,
                 max(a.size, c.size, n_k),

@@ -69,6 +69,12 @@ GEN_CASES = {
 }
 
 
+# A valid value for every family flag of gen.
+GEN_FLAG_VALUES = {"--start": "3", "--step": "3", "--ratio": "2",
+                   "--order": "5", "--len": "4", "--seed": "7",
+                   "--elements": "1,2"}
+
+
 def test_gen_stdout_and_errors(capsys):
     code, out, _ = run(capsys, "gen", "--p", "11", "--family", "explicit",
                        "--elements", "5,2")
@@ -84,6 +90,8 @@ def test_gen_stdout_and_errors(capsys):
     # every family: gen writes the set its spec names, and leaving out any
     # required parameter is a usage error with nothing on stdout
     assert set(GEN_CASES) == set(FAMILIES) | {"subgroup"}
+    assert set(GEN_FLAG_VALUES) == {f for flags, _ in GEN_CASES.values()
+                                    for f in flags}
     for family, (flags, spec) in GEN_CASES.items():
         code, out, _ = run(capsys, "gen", "--p", "11", "--family", family,
                            *[v for kv in flags.items() for v in kv])
@@ -98,6 +106,15 @@ def test_gen_stdout_and_errors(capsys):
                                  family, *rest)
             assert (code, out) == (2, "") and "error:" in err, \
                 (family, missing)
+        # a flag of another family is an error that names it
+        for stray, value in GEN_FLAG_VALUES.items():
+            if stray in flags:
+                continue
+            code, out, err = run(capsys, "gen", "--p", "11", "--family",
+                                 family, *[v for kv in flags.items()
+                                           for v in kv], stray, value)
+            assert (code, out) == (2, ""), (family, stray)
+            assert "error:" in err and stray in err, (family, stray)
 
 
 def test_setop_and_affine(capsys):

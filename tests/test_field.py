@@ -67,6 +67,30 @@ def test_primitive_root_generates():
         assert set(powt.tolist()) == set(range(1, p))
 
 
+def _scalar_tables(p, g):
+    """The three tables by one sequential pass: the oracle for the build."""
+    powt = np.empty(p - 1, dtype=np.int64)
+    acc = 1
+    for e in range(p - 1):
+        powt[e] = acc
+        acc = acc * g % p
+    dlog = np.full(p, -1, dtype=np.int64)
+    dlog[powt] = np.arange(p - 1, dtype=np.int64)
+    inv = np.zeros(p, dtype=np.int64)
+    inv[powt] = powt[(-np.arange(p - 1, dtype=np.int64)) % (p - 1)]
+    return powt, dlog, inv
+
+
+def test_tables_match_scalar_build():
+    for p in (3, 5, 101, 65537, 1048573):
+        f = make_field(p)
+        want = _scalar_tables(p, f.root)
+        got = (f.pow_table, f.dlog_table, f.inv_table)
+        for name, w, t in zip(("pow", "dlog", "inv"), want, got):
+            assert t.dtype == np.int64 and t.shape == w.shape, (p, name)
+            assert np.array_equal(t, w), (p, name)
+
+
 def test_dlog_pow_roundtrip():
     f = make_field(257)
     for e in range(256):

@@ -13,9 +13,11 @@ import pytest
 from fpsp.errors import BadParams, EmptySet, SizeCap, ZeroDivisor, ZeroInA
 from fpsp.field import make_field
 from fpsp.functions import make_fn
-from fpsp.incidence import (VARIANTS, bilinear_hist, build_proof_config,
-                            incidences, make_config, max_collinear,
-                            normalize_planes, proof_incidences, rudnev_ratio)
+from fpsp.incidence import (VARIANTS, _dedup_pairs, _proof_pairs,
+                            bilinear_hist, build_proof_config, incidences,
+                            make_config, max_collinear, normalize_planes,
+                            proof_incidences, rudnev_ratio,
+                            structural_collinear)
 from fpsp.rng import CounterRng
 from fpsp.sets import generate
 
@@ -139,6 +141,89 @@ def test_proof_incidences_matches_materialized():
         fast = proof_incidences(variant, a, x, third, g, h)
         cfg = build_proof_config(variant, a, x, third, g, h)
         assert fast == incidences(cfg), (variant, trial)
+
+
+def _generic_collinear(variant, a, x, third, g, h, cap):
+    """The oracle: materialize R and scan it."""
+    cfg = build_proof_config(variant, a, x, third, g, h, cap=cap)
+    return max_collinear(cfg.points, a.field, cap=cap)
+
+
+def _collinear_case(variant, a, x, third, g, h):
+    """Check structural == generic, and the cap at n and n - 1 on both."""
+    alpha, beta, ts = _proof_pairs(variant, a, x, third, g, h)
+    n_pairs = len(_dedup_pairs(alpha, beta, a.field.p)[0])
+    n = n_pairs * len(ts)
+    want = _generic_collinear(variant, a, x, third, g, h, n)
+    assert structural_collinear(variant, a, x, third, g, h, cap=n) == want
+    for route in (structural_collinear, _generic_collinear):
+        with pytest.raises(SizeCap):
+            route(variant, a, x, third, g, h, cap=n - 1)
+    return want, len(ts), n_pairs
+
+
+def test_structural_collinear_matches_generic():
+    rng = CounterRng(5, "structural-vs-generic")
+    by_side = {"slice": 0, "t_axis": 0}
+    fields = {p: make_field(p) for p in (3, 5, 7, 11, 13, 101)}
+    for trial in range(48):
+        variant = VARIANTS[trial % 4]
+        f = fields[(3, 5, 7, 11, 13, 101)[int(rng.below(6))]]
+        p = f.p
+
+        def draw(tag, zero_free, most=6):
+            size = 1 + int(rng.below(min(most, p - 1)))
+            return generate(f, "random", size=size, seed=trial,
+                            instance_id="sc-%s%d" % (tag, trial),
+                            zero_free=zero_free)
+
+        prod = variant.startswith("prod")
+        a = draw("a", True)
+        x = draw("x", prod)
+        third = draw("t", False)
+        # colliding g and separating h stack several pairs on one line
+        g = (make_fn(f, "power", k=2), make_fn(f, "identity"),
+             make_fn(f, "const", c=1))[int(rng.below(3))]
+        h = make_fn(f, "random", seed=trial)
+        k, n_t, n_pairs = _collinear_case(variant, a, x, third, g, h)
+        by_side["slice" if k > n_t else "t_axis"] += 1
+    # both sides of max(|T|, maxcol(PAIRS)) decide some instance
+    assert min(by_side.values()) > 0, by_side
+
+
+def test_structural_collinear_edge_cases():
+    f = F101
+    ex = lambda *v: generate(f, "explicit", elements=v)  # noqa: E731
+    g2, gid = make_fn(f, "power", k=2), make_fn(f, "identity")
+    hr, h1 = make_fn(f, "random", seed=0), make_fn(f, "const", c=1)
+    a, c, x = ex(3, 98, 7), ex(1, 2, 5, 9), ex(2, 4)
+    for variant in VARIANTS:
+        # 0 in C for the E1 shapes (third = C)
+        _collinear_case(variant, a, x, ex(0, 1, 2), g2, hr)
+        # |A| = 1, and |T| = 1 (X for E1, the third set for E2)
+        _collinear_case(variant, ex(3), x, c, g2, hr)
+        _collinear_case(variant, a, ex(4), ex(6), g2, hr)
+        # |PAIRS| = 1: one a and one element on the pair side
+        k, n_t, n_pairs = _collinear_case(variant, ex(3), ex(4), ex(6), gid,
+                                          h1)
+        assert (k, n_t, n_pairs) == (1, 1, 1)
+    for variant in ("sum_E1", "sum_E2"):
+        # 0 in X is allowed for the sum shapes
+        _collinear_case(variant, a, ex(0, 1, 2), c, g2, hr)
+    # the defect witness: one vertical line carries two shifted copies of C
+    k, _, _ = _collinear_case("sum_E1", ex(3, 98), ex(1),
+                              generate(f, "interval", start=1, size=10),
+                              g2, hr)
+    assert k == 20
+    # p = 3: every set is tiny and every collision is forced
+    f3 = make_field(3)
+    one, both = (generate(f3, "explicit", elements=v) for v in ([1], [1, 2]))
+    for variant in VARIANTS:
+        for g in (make_fn(f3, "identity"), make_fn(f3, "power", k=2)):
+            for third in (one, both, generate(f3, "explicit",
+                                              elements=[0, 1, 2])):
+                _collinear_case(variant, both, both, third, g,
+                                make_fn(f3, "identity"))
 
 
 def test_proof_pairs_zero_rules():
