@@ -4,7 +4,8 @@ A PrimeField packages a prime p together with a fixed primitive root g of
 F_p^*.  Three flat tables (powers of g, discrete logs, inverses) are built
 lazily on first use; each is O(p) memory, which is fine under the p <= 2^20
 cap enforced at construction.  The tables make multiplicative structure
-(ratio histograms, subgroups) as cheap as additive structure.
+(ratio histograms, subgroups) as cheap as additive structure.  The tables
+are read-only arrays, so no caller can change them for the next.
 
 Residues are canonical: every element is an int in [0, p).
 """
@@ -136,6 +137,8 @@ class PrimeField:
         # rest of powt read backwards pairs each g^e with g^(p-1-e)
         inv[1] = 1
         inv[powt[1:]] = powt[:0:-1]
+        for table in (powt, dlog, inv):
+            table.flags.writeable = False
         self._pow_table = powt
         self._dlog_table = dlog
         self._inv_table = inv

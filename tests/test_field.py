@@ -91,6 +91,14 @@ def test_tables_match_scalar_build():
             assert np.array_equal(t, w), (p, name)
 
 
+def test_tables_are_read_only():
+    f = make_field(101)
+    for table in (f.pow_table, f.dlog_table, f.inv_table):
+        with pytest.raises(ValueError):
+            table[1] = 0
+    assert f.inv_table[1] == 1 and f.pow_table[1] == f.root
+
+
 def test_dlog_pow_roundtrip():
     f = make_field(257)
     for e in range(256):

@@ -1,7 +1,10 @@
 """Seeded differential fuzz: the transform route (certified float FFT, NTT
 fallback) and the "auto" choice against the enumeration, and the FFT
 against the NTT, over random primes and sizes plus the edge cases p = 3,
-a full field, |A| = 1, 0 in the sets and small sets at p = 1048573."""
+a full field, |A| = 1, 0 in the sets and small sets at p = 1048573; and
+the batched CounterRng draws against a scalar `below` oracle."""
+
+import copy
 
 import numpy as np
 
@@ -94,3 +97,75 @@ def test_transform_and_auto_match_enumeration():
             fft = _convolve_fft(x, y, n)
             assert fft is not None, tag + (n,)
             assert np.array_equal(fft, _convolve_ntt(x, y, n)), tag + (n,)
+
+
+# Spans that reject about a quarter of all 64-bit words (2^62 + 1 and
+# 3 * 2^61 + 1), the int64 edges, and small and field-sized ones.
+RNG_SPANS = (1, 2, 3, 7, 1048573, (1 << 32) + 1, (1 << 62) + 1,
+             3 * (1 << 61) + 1, (1 << 63) - 1, 1 << 63)
+RNG_SIZES = (0, 1, 2, 3, 5, 7, 13, 33, 101)
+
+
+def _integers_oracle(rng, lo, hi, size):
+    return np.array([lo + rng.below(hi - lo) for _ in range(size)],
+                    dtype=np.int64)
+
+
+def _subset_oracle(rng, population, k):
+    """The partial Fisher-Yates of `subset`, one `below` per step."""
+    swapped, picked = {}, []
+    for i in range(k):
+        j = i + rng.below(population - i)
+        picked.append(swapped.get(j, j))
+        swapped[j] = swapped.get(i, i)
+    return np.array(sorted(picked), dtype=np.int64)
+
+
+def _position(rng):
+    """Bytes of the stream consumed so far."""
+    return 32 * rng._counter - len(rng._buf)
+
+
+def test_batched_rng_matches_scalar_oracle():
+    drive = CounterRng(0, "fuzz-rng")
+
+    def pick(seq):
+        return seq[drive.below(len(seq))]
+
+    rejected = 0
+    for trial in range(400):
+        fast, slow = CounterRng(trial, "rng"), CounterRng(trial, "rng")
+        lead = 1 + trial % 31  # leaves 31 .. 1 bytes of the first block
+        assert fast.bytes(lead) == slow.bytes(lead)
+        for step in range(8):
+            op = pick(("bytes", "u64", "below", "integers", "subset"))
+            span, size = pick(RNG_SPANS), pick(RNG_SIZES)
+            start = _position(fast)
+            if op == "bytes":
+                got, want = fast.bytes(size), slow.bytes(size)
+            elif op == "u64":
+                got, want = fast.u64(), slow.u64()
+            elif op == "below":
+                got, want = fast.below(span), slow.below(span)
+            elif op == "integers":
+                lo = pick((0, 1, -5, -(1 << 62), -(1 << 63) + 1))
+                lo = min(lo, (1 << 63) - span)
+                got = fast.integers(lo, lo + span, size)
+                want = _integers_oracle(slow, lo, lo + span, size)
+                assert got.dtype == np.int64
+            elif op == "subset":
+                k = min(size, span)
+                got = fast.subset(span, k)
+                want = _subset_oracle(slow, span, k)
+                assert got.dtype == np.int64
+            if isinstance(got, np.ndarray):
+                got, want = got.tolist(), want.tolist()
+            tag = (trial, step, op, span, size)
+            assert got == want, tag
+            # same stream position: the next 64 bytes agree
+            assert copy.copy(fast).bytes(64) == copy.copy(slow).bytes(64), tag
+            if op == "integers":
+                rejected += (_position(fast) - start) // 8 - size
+            elif op == "subset":
+                rejected += (_position(fast) - start) // 8 - k
+    assert rejected >= 100  # words the batched paths drew and threw away

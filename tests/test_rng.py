@@ -3,9 +3,12 @@
 The golden vector below pins the byte stream across platforms and numpy
 versions; if it ever changes, every recorded sweep and random set in the
 wild silently changes with it, so the file is committed and compared
-verbatim.
+verbatim.  `rng_stream_sha256.txt` pins two large draws the same way: a
+`random:` function table (`integers`) and a zero-free random set
+(`subset`), as SHA-256 of their comma-joined decimal values.
 """
 
+import hashlib
 import os
 
 import numpy as np
@@ -13,11 +16,13 @@ import pytest
 
 from fpsp.errors import BadParams
 from fpsp.field import make_field
+from fpsp.functions import make_fn
 from fpsp.rng import CounterRng
 from fpsp.sets import generate
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
-                      "rng_seed0_id0_p101_n5.txt")
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+GOLDEN = os.path.join(GOLDEN_DIR, "rng_seed0_id0_p101_n5.txt")
+STREAM_DIGESTS = os.path.join(GOLDEN_DIR, "rng_stream_sha256.txt")
 
 
 def test_golden_vector_seed0_id0():
@@ -27,6 +32,34 @@ def test_golden_vector_seed0_id0():
     with open(GOLDEN) as fh:
         want = [int(line) for line in fh if line.strip()]
     assert got == want, "pinned (seed=0, id=0, p=101, n=5) draw moved: %r" % got
+
+
+def _digest(values):
+    return hashlib.sha256(",".join(map(str, values.tolist())).encode()
+                          ).hexdigest()
+
+
+def test_golden_stream_digests():
+    with open(STREAM_DIGESTS) as fh:
+        want = dict(line.split() for line in fh if line.strip())
+    got = {
+        "make_fn_random11_p65537":
+            _digest(make_fn(make_field(65537), "random", seed=11).values),
+        "generate_random_p1048573_n5000_zero_free":
+            _digest(generate(make_field(1048573), "random", size=5000,
+                             seed=0, zero_free=True).elements()),
+    }
+    assert got == want
+
+
+def test_stream_is_sha256_of_key_and_counter():
+    blocks = b"".join(hashlib.sha256(b"fpsp|3|x|%d" % c).digest()
+                      for c in range(5))
+    r = CounterRng(3, "x")
+    assert r.bytes(5) == blocks[:5]
+    assert r.u64() == int.from_bytes(blocks[5:13], "little")
+    assert r.bytes(100) == blocks[13:113]
+    assert r._counter == 4 and r._buf == blocks[113:128]
 
 
 def test_same_key_same_stream():
@@ -59,6 +92,8 @@ def test_below_range_and_errors():
             assert 0 <= r.below(n) < n
     with pytest.raises(BadParams):
         r.below(0)
+    with pytest.raises(BadParams):
+        r.below((1 << 64) + 1)  # no 64-bit word is below 0: would spin
 
 
 def test_below_is_unbiased_mod_small():
@@ -87,6 +122,28 @@ def test_integers_and_subset():
         assert s.min(initial=0) >= 0 and s.max(initial=0) < 50
     with pytest.raises(BadParams):
         r.subset(5, 6)
+
+
+def test_integers_validates_before_drawing():
+    r = CounterRng(5, "val")
+    for args in ((0, 5, -1), (0, (1 << 63) + 1, 3), (-(1 << 63) - 1, 0, 3)):
+        with pytest.raises(BadParams):
+            r.integers(*args)
+    with pytest.raises(BadParams):
+        r.subset((1 << 63) + 1, 0)
+    assert r._counter == 0 and r._buf == b""  # nothing was drawn
+    assert r.integers(0, 5, 0).dtype == np.int64
+
+
+def test_integers_int64_extremes():
+    # the whole int64 range (span 2^64, no rejection) and its two ends
+    lo, hi = -(1 << 63), 1 << 63
+    for a, b in ((lo, hi), (lo, lo + 3), (hi - 3, hi), (0, hi)):
+        fast, slow = CounterRng(8, "ext"), CounterRng(8, "ext")
+        got = fast.integers(a, b, 41)
+        want = [a + slow.below(b - a) for _ in range(41)]
+        assert got.dtype == np.int64 and got.tolist() == want, (a, b)
+        assert fast.bytes(64) == slow.bytes(64)
 
 
 def test_subset_full_population():
