@@ -78,15 +78,20 @@ def _is_integral(n) -> bool:
 
 
 def moment(r: RepFn, n) -> int | float:
-    """E_n = sum_x r(x)^n.  Exact int for integral n >= 1 (counts^n can
-    exceed int64, so the reduction runs over Python ints); float via fsum
-    for fractional n, enumerating values ascending."""
+    """E_n = sum_x r(x)^n.  Exact int for integral n >= 1: the sum runs
+    over the distinct count values v as v^n * #{x : r(x) = v}, in Python
+    ints, since counts^n can exceed int64.  Float via fsum for fractional
+    n, over every nonzero count: grouping would round each v^n * #{...}
+    product and could change the result."""
     if n < 1:
         raise BadExponent("moment needs n >= 1, got %r" % (n,))
     nz = r.counts[r.counts > 0]
     if _is_integral(n):
         k = int(n)
-        return sum(int(cnt) ** k for cnt in nz.tolist())
+        mult = np.bincount(nz)  # mult[v] = #{x : r(x) = v}
+        vals = np.flatnonzero(mult)
+        return sum(v ** k * c
+                   for v, c in zip(vals.tolist(), mult[vals].tolist()))
     e = float(n)
     return math.fsum(float(cnt) ** e for cnt in nz.tolist())
 

@@ -6,7 +6,9 @@ The two-variable maps under study all have the shape
 
 so a function is just a flat value table over F_p^* (index 0 unused).  The
 key structural quantity is the multiplicity mu(g): the largest fiber size
-max_x |g^{-1}(x)|, optionally restricted to a domain set.  Constructors
+max_x |g^{-1}(x)|, optionally restricted to a domain set.  Its
+whole-domain value is kept on the table, and mu(g*h) on g, as ints, so a
+verification run counts each table's fibers once.  Constructors
 reject any table that would take the value 0 on F_p^*.  The image f(A,B)
 is the support of the sets module's chunked pair counter, since
 g(a)(h(a)+b) = g(a) b + g(a)h(a); set and table files share that module's
@@ -14,6 +16,8 @@ line format.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -27,7 +31,8 @@ from .sets import FSet, _format_lines, _pair_count, _read_lines
 class FnTable:
     """A function F_p^* -> F_p^* as a flat lookup table."""
 
-    __slots__ = ("field", "values", "label")
+    __slots__ = ("field", "values", "label", "_mu", "_mu_products",
+                 "__weakref__")
 
     def __init__(self, field: PrimeField, values: np.ndarray, label: str = ""):
         p = field.p
@@ -41,6 +46,8 @@ class FnTable:
         self.values = vals
         self.values.flags.writeable = False
         self.label = label
+        self._mu = None  # mu over all of F_p^*, once computed
+        self._mu_products: dict = {}  # id(h) -> (weakref(h), mu(self*h))
 
     def __call__(self, x: int) -> int:
         x %= self.field.p
@@ -165,19 +172,53 @@ def read_fn_file(path: str, field: PrimeField) -> FnTable:
     return make_fn(field, "table", table=np.array(vals, dtype=np.int64))
 
 
-def mu(fn: FnTable, domain: FSet | None = None) -> int:
-    """Largest fiber size of fn over the domain (default all of F_p^*)."""
-    p = fn.field.p
-    if domain is None:
-        dom = np.arange(1, p, dtype=np.int64)
-    else:
-        if domain.field != fn.field:
-            raise FieldMismatch("domain over a different field")
-        dom = domain.elements()
-        dom = dom[dom > 0]
-    if len(dom) == 0:
+def _fiber_max(vals: np.ndarray) -> int:
+    """Largest number of equal entries in vals (0 when vals is empty),
+    counted over the values themselves, not over a length-p table."""
+    if len(vals) == 0:
         return 0
-    return int(np.bincount(fn.values[dom], minlength=p).max())
+    return int(np.unique(vals, return_counts=True)[1].max())
+
+
+def _domain(fn: FnTable, domain: FSet) -> np.ndarray:
+    """The elements of domain inside F_p^*, where tables are defined."""
+    if domain.field != fn.field:
+        raise FieldMismatch("domain over a different field")
+    dom = domain.elements()
+    return dom[dom > 0]
+
+
+def mu(fn: FnTable, domain: FSet | None = None) -> int:
+    """Largest fiber size of fn over the domain (default all of F_p^*).
+
+    The whole-domain value is one bincount over the table, computed once
+    per table and kept on it (tables are read-only).  On a domain A the
+    fibers are counted over the |A| values fn takes there."""
+    if domain is not None:
+        return _fiber_max(fn.values[_domain(fn, domain)])
+    if fn._mu is None:
+        fn._mu = int(np.bincount(fn.values[1:]).max())
+    return fn._mu
+
+
+def mu_product(g: FnTable, h: FnTable, domain: FSet | None = None) -> int:
+    """mu(g*h, domain), equal to mu(pointwise_product(g, h), domain).
+
+    On a domain A the fibers are counted over the |A| products g(a)h(a).
+    The whole-domain value builds the product table once per (g, h) pair;
+    only the int is kept, on g, so no second dense table outlives the
+    call."""
+    if g.field != h.field:
+        raise FieldMismatch("tables over different fields")
+    if domain is not None:
+        dom = _domain(g, domain)
+        return _fiber_max(g.values[dom] * h.values[dom] % g.field.p)
+    # keyed by id(h) with a weak reference to h: a dead h's id may be reused
+    hit = g._mu_products.get(id(h))
+    if hit is None or hit[0]() is not h:
+        hit = (weakref.ref(h), mu(pointwise_product(g, h)))
+        g._mu_products[id(h)] = hit
+    return hit[1]
 
 
 def pointwise_product(g: FnTable, h: FnTable) -> FnTable:

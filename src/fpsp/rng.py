@@ -16,13 +16,13 @@ A 64-bit word is 8 little-endian bytes; `below(n)` draws words until one
 falls below the largest multiple of n that fits in 2^64 and returns it
 mod n.
 
-`integers` and `subset` give the results of a `below` loop, bit for bit,
-without one Python call per word: they hash the blocks for all the words
-still needed in one batch, read them with `np.frombuffer`, and reject with
-one vectorised comparison; only the shortfall left by rejected words is
-drawn again.  All of that arithmetic stays in uint64 with explicit uint64
-scalars, so numpy 1.x value-based casting and numpy 2 (NEP 50) alike keep
-it in uint64 and never promote it to float64.
+`integers`, `subset` and `shuffle` give the results of a `below` loop, bit
+for bit, without one Python call per word: they hash the blocks for all
+the words still needed in one batch, read them with `np.frombuffer`, and
+reject with one vectorised comparison; only the shortfall left by rejected
+words is drawn again.  All of that arithmetic stays in uint64 with
+explicit uint64 scalars, so numpy 1.x value-based casting and numpy 2
+(NEP 50) alike keep it in uint64 and never promote it to float64.
 """
 
 from __future__ import annotations
@@ -118,12 +118,32 @@ class CounterRng:
             raise BadParams("population %d does not fit in int64"
                             % population)
         spans = np.uint64(population) - np.arange(k, dtype=np.uint64)
+        swapped: dict[int, int] = {}
+        picked = []
+        for i, off in enumerate(self._below_each(spans).tolist()):
+            j = i + off
+            picked.append(swapped.get(j, j))
+            swapped[j] = swapped.get(i, i)
+        return np.sort(np.array(picked, dtype=np.int64))
+
+    def shuffle(self, arr: np.ndarray) -> None:
+        """In-place Fisher-Yates; step i (from the top) swaps arr[i] with
+        arr[below(i + 1)]."""
+        n = len(arr)
+        offs = self._below_each(np.arange(n, 1, -1, dtype=np.uint64))
+        for i, j in zip(range(n - 1, 0, -1), offs.tolist()):
+            arr[i], arr[j] = arr[j], arr[i]
+
+    def _below_each(self, spans: np.ndarray) -> np.ndarray:
+        """below(spans[i]) for each uint64 span in order, as a uint64 array:
+        the same values and stream position as a `below` loop."""
+        count = len(spans)
         # step i accepts x <= tops[i], i.e. x < 2^64 - (2^64 mod spans[i])
         tops = _U64_MAX - (_U64_MAX % spans + np.uint64(1)) % spans
-        accepted = np.empty(k, dtype=np.uint64)
+        accepted = np.empty(count, dtype=np.uint64)
         done = 0
-        while done < k:
-            words = self._words(k - done)
+        while done < count:
+            words = self._words(count - done)
             # a rejected word shifts every later word on by one step
             while words.size:
                 ok = words <= tops[done:done + words.size]
@@ -131,16 +151,4 @@ class CounterRng:
                 accepted[done:done + run] = words[:run]
                 done += run
                 words = words[run + 1:]
-        swapped: dict[int, int] = {}
-        picked = []
-        for i, off in enumerate((accepted % spans).tolist()):
-            j = i + off
-            picked.append(swapped.get(j, j))
-            swapped[j] = swapped.get(i, i)
-        return np.sort(np.array(picked, dtype=np.int64))
-
-    def shuffle(self, arr: np.ndarray) -> None:
-        """In-place Fisher-Yates."""
-        for i in range(len(arr) - 1, 0, -1):
-            j = self.below(i + 1)
-            arr[i], arr[j] = arr[j], arr[i]
+        return accepted % spans

@@ -47,7 +47,7 @@ class FSet:
         self.field = field
         self.mask = mask.astype(bool)
         self.mask.flags.writeable = False
-        self._size = int(self.mask.sum())
+        self._size = int(np.count_nonzero(self.mask))
         self._elems = None
 
     @classmethod
@@ -190,7 +190,7 @@ def _pair_count(alpha, t: np.ndarray, beta: np.ndarray | None, p: int,
     gives the rows); beta is a per-row array, or None for no shift.  Rows
     are enumerated in chunks of about 4e6 cells, so memory stays bounded.
     """
-    out = np.zeros(p, dtype=bool if support else np.int64)
+    out = np.zeros(p, dtype=bool) if support else None
     rows = len(alpha) if np.ndim(alpha) else len(beta)
     chunk = max(1, 4_000_000 // max(len(t), 1))
     shared = None if np.ndim(alpha) else alpha * t
@@ -206,10 +206,15 @@ def _pair_count(alpha, t: np.ndarray, beta: np.ndarray | None, p: int,
         vals %= p
         if support:
             out[vals.ravel()] = True
+        elif out is None:
+            # The first chunk's bincount is the output: no zeroed length-p
+            # array is touched before it.
+            out = np.bincount(vals.ravel(), minlength=p).astype(np.int64,
+                                                                copy=False)
         else:
             out += np.bincount(vals.ravel(), minlength=p)
         del vals
-    return out
+    return np.zeros(p, dtype=np.int64) if out is None else out
 
 
 def _pair_transform(x: FSet, y: FSet, op: str) -> np.ndarray:

@@ -33,7 +33,7 @@ from .energy import (energy_popular, level_counts, level_set, moment,
                      select_dyadic_k)
 from .errors import (BadP, BadParams, EmptySet, FieldMismatch,
                      HypothesisViolated, SizeCap, ZeroDivisor, ZeroInA)
-from .functions import FnTable, f_image, make_fn, mu, pointwise_product
+from .functions import FnTable, f_image, make_fn, mu, mu_product
 from .incidence import (COLLINEAR_CAP, TRIPLES_CAP, _proof_pairs,
                         bilinear_hist, proof_incidences, structural_collinear)
 from .sets import FSet, combine
@@ -289,9 +289,10 @@ def lemma_chain_check(a: FSet, b: FSet, c: FSet, g: FnTable, h: FnTable,
     var1 = "E1_sum" if kind == "sum" else "E3_prod"
     var2 = "E2_sum" if kind == "sum" else "E4_prod"
     kern1, kern2 = _KERNEL_OF[var1], _KERNEL_OF[var2]
-    mfn = g if kind == "sum" else pointwise_product(g, h)
-    m = mu(mfn)
-    mu_a = mu(mfn, a)
+    if kind == "sum":
+        m, mu_a = mu(g), mu(g, a)
+    else:
+        m, mu_a = mu_product(g, h), mu_product(g, h, a)
     fimg = f_image(g, h, a, b)
     r = rep_fn(b, c, "difference" if kind == "sum" else "ratio")
     k_sel = select_dyadic_k(r) if k == "auto" else int(k)
@@ -781,7 +782,7 @@ def theorem_ratio(theorem_id: str, inst: ThmInstance,
         fimg = f_image(g, h, a, b)
         if theorem_id in ("HH_1_1", "PM_1_3"):
             bc = combine(b, c, "prod")
-            m = mu(pointwise_product(g, h))
+            m = mu_product(g, h)
         else:
             bc = combine(b, c, "sum")
             m = mu(g)
@@ -820,8 +821,7 @@ def theorem_ratio(theorem_id: str, inst: ThmInstance,
                    * nd ** (1 / 18) / m ** (8 / 9))
         elif theorem_id == "T_1_9":
             bc = combine(b, c, "prod")
-            m = max(mu(pointwise_product(g, h)),
-                    mu(pointwise_product(g2, h2)))
+            m = max(mu_product(g, h), mu_product(g2, h2))
             rhs = (nc ** (5 / 18) * nb ** (13 / 18) * na ** (1 / 6)
                    * nd ** (1 / 18) / m ** (8 / 9))
         else:  # Warren shape: no multiplicity factor
@@ -845,7 +845,7 @@ def theorem_ratio(theorem_id: str, inst: ThmInstance,
             extras["n_diffset"] = other.size
             extras["lhs_diff"] = max(fimg.size, other.size)
         else:
-            m = mu(pointwise_product(g, h))
+            m = mu_product(g, h)
             primary = combine(a, a, "prod")
         lhs = max(fimg.size, primary.size)
         rhs = na ** (11 / 9)
@@ -867,7 +867,7 @@ def theorem_ratio(theorem_id: str, inst: ThmInstance,
                                   * na ** (2 / 9) / m ** (8 / 9))
             extras["ratio_diff"] = extras["lhs_diff"] / extras["rhs_diff"]
         else:
-            m = mu(pointwise_product(g, h))
+            m = mu_product(g, h)
             bc = combine(b, c, "prod")
             rhs = (nc ** (5 / 18) * nb ** (13 / 18) * na ** (2 / 9)
                    / m ** (8 / 9))

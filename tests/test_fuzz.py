@@ -1,18 +1,24 @@
 """Seeded differential fuzz: the transform route (certified float FFT, NTT
 fallback) and the "auto" choice against the enumeration, and the FFT
 against the NTT, over random primes and sizes plus the edge cases p = 3,
-a full field, |A| = 1, 0 in the sets and small sets at p = 1048573; and
-the batched CounterRng draws against a scalar `below` oracle."""
+a full field, |A| = 1, 0 in the sets and small sets at p = 1048573; the
+batched CounterRng draws against a scalar `below` oracle; and the fast
+paths of the per-instance quantities (grouped moments, mu over gathered
+values, the cached mu(g*h), the chunked pair counter) against their
+direct forms."""
 
 import copy
+import math
+from fractions import Fraction
 
 import numpy as np
 
 from fpsp.convolve import _convolve_fft, _convolve_ntt
-from fpsp.energy import rep_fn
+from fpsp.energy import RepFn, moment, rep_fn
 from fpsp.field import is_prime, make_field
+from fpsp.functions import make_fn, mu, mu_product, pointwise_product
 from fpsp.rng import CounterRng
-from fpsp.sets import FSet, combine, generate
+from fpsp.sets import FSet, _pair_count, combine, generate
 
 P_LARGE = 1048573
 NTT_MAX_P = 5000  # the NTT oracle is slow past a few thousand points
@@ -169,3 +175,143 @@ def test_batched_rng_matches_scalar_oracle():
             elif op == "subset":
                 rejected += (_position(fast) - start) // 8 - k
     assert rejected >= 100  # words the batched paths drew and threw away
+
+
+def _shuffle_oracle(rng, arr):
+    """The Fisher-Yates of `shuffle`, one `below` per step."""
+    for i in range(len(arr) - 1, 0, -1):
+        j = rng.below(i + 1)
+        arr[i], arr[j] = arr[j], arr[i]
+
+
+def test_batched_shuffle_matches_scalar_oracle():
+    for trial, n in enumerate((0, 1, 2, 3, 5, 8, 33, 101, 1000, 0, 1, 7)):
+        fast, slow = CounterRng(trial, "shuffle"), CounterRng(trial, "shuffle")
+        lead = trial % 32  # start anywhere in a block
+        assert fast.bytes(lead) == slow.bytes(lead)
+        base = fast.integers(-1000, 1000, n)
+        assert np.array_equal(base, slow.integers(-1000, 1000, n))
+        got, want = base.copy(), base.copy()
+        fast.shuffle(got)
+        _shuffle_oracle(slow, want)
+        assert got.tolist() == want.tolist(), (trial, n)
+        assert sorted(got.tolist()) == sorted(base.tolist())
+        # same stream position: the next 64 bytes agree
+        assert fast.bytes(64) == slow.bytes(64), (trial, n)
+
+
+def _fuzz_primes(rng, trials):
+    for _ in range(trials):
+        p = 3 + int(rng.below(2000))
+        while not is_prime(p):
+            p += 1
+        yield make_field(p)
+
+
+def test_grouped_moment_matches_per_element_sum():
+    rng = CounterRng(0, "fuzz-moment")
+    f = make_field(1009)
+    # counts up to 3e5: their 4th powers (up to 8.1e21) exceed 2^63
+    for trial in range(30):
+        top = (3, 50, 300_000)[trial % 3]
+        counts = rng.integers(0, top + 1, f.p)
+        if trial % 5 == 0:
+            counts[:] = 0
+        r = RepFn(f, "difference", counts, 1, 1)
+        elems = counts[counts > 0].tolist()
+        if top > 1 << 16 and elems:
+            assert max(elems) ** 4 > 1 << 63
+        for n in (1, 2, 3, 4, Fraction(8, 2)):
+            want = sum(int(v) ** int(n) for v in elems)
+            got = moment(r, n)
+            assert type(got) is int and got == want, (trial, n)
+        assert moment(r, 1.5) == math.fsum(float(v) ** 1.5 for v in elems)
+    for f, b, c in _cases():
+        if b.size and c.size:
+            r = rep_fn(b, c, "difference")
+            for n in (1, 2, 3, 4):
+                want = sum(int(v) ** n for v in r.counts.tolist())
+                assert moment(r, n) == want, (f.p, n)
+
+
+def _mu_oracle(fn, domain=None):
+    """The length-p bincount form of mu."""
+    p = fn.field.p
+    dom = np.arange(1, p) if domain is None else domain.elements()
+    dom = dom[dom > 0]
+    if len(dom) == 0:
+        return 0
+    return int(np.bincount(fn.values[dom], minlength=p).max())
+
+
+def _fuzz_tables(f, rng, tag):
+    seed = int(rng.below(1 << 30))
+    return [make_fn(f, "random", seed=seed, instance_id=tag),
+            make_fn(f, "power", k=2 + int(rng.below(12))),
+            make_fn(f, "identity"), make_fn(f, "const", c=f.p - 1)]
+
+
+def _fuzz_domains(f, rng, tag):
+    empty = generate(f, "explicit", elements=[])
+    zero = generate(f, "explicit", elements=[0])
+    full = generate(f, "explicit", elements=range(f.p))
+    some = _random_set(f, rng, 1 + int(rng.below(f.p - 1)), tag)
+    with_zero = FSet(f, some.mask | (np.arange(f.p) == 0))
+    return [empty, zero, full, some, with_zero]
+
+
+def test_mu_matches_bincount_and_product_oracle():
+    rng = CounterRng(0, "fuzz-mu")
+    for trial, f in enumerate(_fuzz_primes(rng, 12)):
+        tables = _fuzz_tables(f, rng, "mu-g%d" % trial)
+        domains = _fuzz_domains(f, rng, "mu-d%d" % trial)
+        for g in tables:
+            for dom in (None, *domains):
+                assert mu(g, dom) == _mu_oracle(g, dom), (f.p, g, dom)
+                assert mu(g, dom) == _mu_oracle(g, dom)  # cached value
+            for h in tables:
+                gh = pointwise_product(g, h)
+                for dom in (None, *domains):
+                    want = _mu_oracle(gh, dom)
+                    assert mu_product(g, h, dom) == want, (f.p, g, h, dom)
+                    assert mu_product(g, h, dom) == want  # cached value
+
+
+def test_mu_product_cache_follows_each_h():
+    # A fresh h each round, dropped before the next: a reused id must not
+    # hand back the product multiplicity of a dead table.
+    f = make_field(211)
+    g = make_fn(f, "power", k=6)
+    for seed in range(40):
+        h = make_fn(f, "random", seed=seed, instance_id="mu-h")
+        want = _mu_oracle(pointwise_product(g, h))
+        assert mu_product(g, h) == want, seed
+        del h
+
+
+def _pair_count_oracle(alpha, t, beta, p, support):
+    rows = len(alpha) if np.ndim(alpha) else len(beta)
+    want = np.zeros(p, dtype=np.int64)
+    for i in range(rows):
+        a = alpha[i] if np.ndim(alpha) else alpha
+        b = 0 if beta is None else beta[i]
+        np.add.at(want, (a * t + b) % p, 1)
+    return want > 0 if support else want
+
+
+def test_pair_count_matches_add_at_loop():
+    rng = CounterRng(0, "fuzz-pair-count")
+    p = 1009
+    long_t = 2_000_001  # one row per chunk: several chunks
+    for rows, width in ((0, 7), (5, 0), (1, 1), (7, 40), (300, 50),
+                        (3, long_t)):
+        t = rng.integers(0, p, width)
+        alphas = rng.integers(0, p, rows)
+        betas = rng.integers(0, p, rows)
+        for alpha, beta in ((alphas, betas), (alphas, None), (1, betas),
+                            (p - 1, betas)):
+            for support in (False, True):
+                got = _pair_count(alpha, t, beta, p, support)
+                want = _pair_count_oracle(alpha, t, beta, p, support)
+                assert got.dtype == want.dtype, (rows, width, support)
+                assert np.array_equal(got, want), (rows, width, support)

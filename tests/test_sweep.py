@@ -1,14 +1,17 @@
 """Sweep config validation, grid order, and report determinism."""
 
+import hashlib
 import json
+from collections import Counter
 
 import pytest
 
+from fpsp import functions, verify
 from fpsp.errors import ConfigError
 from fpsp.field import make_field
-from fpsp.sweep import (SweepConfig, build_instance_sets, load_config_file,
-                        report_json, rows_csv, run_sweep)
-from fpsp.verify import CSV_HEADER
+from fpsp.sweep import (SweepConfig, _instance_payload, build_instance_sets,
+                        load_config_file, report_json, rows_csv, run_sweep)
+from fpsp.verify import CSV_HEADER, THEOREMS
 
 BASE = {
     "primes": [101],
@@ -164,3 +167,28 @@ def test_load_config_file(tmp_path):
         load_config_file(str(bad))
     with pytest.raises(ConfigError):
         load_config_file(str(tmp_path / "absent.json"))
+
+
+def test_instance_evaluates_whole_domain_mu_once_per_table(monkeypatch):
+    # Every chain and all 15 rows on one instance with two random tables:
+    # mu(g) and mu(g*h) are asked for many times but evaluated once each.
+    cfg = SweepConfig.from_dict(_cfg(
+        primes=[1009], families=["random"], sizes=[[8, 16, 8]], seeds=[0],
+        g=["random:11"], h=["random:12"], kinds=["sum", "prod"],
+        chains=["lemma", "composite", "eplus"], theorems=list(THEOREMS)))
+    real_mu = functions.mu
+    asked, evaluated = [0], Counter()
+
+    def counting_mu(fn, domain=None):
+        if domain is None:
+            asked[0] += 1
+            if fn._mu is None:
+                evaluated[hashlib.sha256(fn.values).hexdigest()] += 1
+        return real_mu(fn, domain)
+
+    monkeypatch.setattr(functions, "mu", counting_mu)
+    monkeypatch.setattr(verify, "mu", counting_mu)
+    _instance_payload(cfg, cfg.descriptors()[0])
+    assert len(evaluated) == 2  # g and g*h
+    assert max(evaluated.values()) == 1, evaluated
+    assert asked[0] > 10
