@@ -5,7 +5,11 @@ The central object is the exact histogram r_{B?C}(x): how many pairs
 pair-count routes in the sets module, shared with combine: a chunked
 enumeration ("naive") and a certified FFT convolution ("transform"), and
 "auto" takes the transform once |B||C| > p log2 p.  They must agree bit
-for bit and serve as each other's oracle.
+for bit and serve as each other's oracle.  A RepFn keeps the histogram as
+a sets.Hist, and everything below reads its sparse form: the sorted
+support and the positive counts on it.  Small histograms (at most p/8
+pairs, the sets module's measured crossover) never exist as a length-p
+array; the dense `RepFn.counts` is built only when a caller asks for it.
 
 On top of the histogram sit the moment energies E_n = sum_x r(x)^n (exact
 big integers for integer n, floats for fractional n), level sets
@@ -25,33 +29,42 @@ import numpy as np
 from .errors import (BadEpsilon, BadExponent, BadParams, EmptySet,
                      FieldMismatch, ZeroDivisor)
 from .field import PrimeField
-from .sets import FSet, _pair_counts
+from .sets import FSet, Hist, _pair_counts
 
 KINDS = ("difference", "ratio", "sum")
 
 
-@dataclass(frozen=True)
 class RepFn:
     """Exact histogram of a representation function over F_p.
 
-    counts[x] = number of (b, c) in B x C with b ? c = x.  For the ratio
-    kind, index 0 is structurally zero.  mass = |B| * |C| always.
+    hist holds r(x) = number of (b, c) in B x C with b ? c = x, as a
+    sets.Hist; counts is the dense length-p int64 array r, built on first
+    use.  The constructor takes either.  For the ratio kind, index 0 is
+    structurally zero.  mass = |B| * |C| always.
     """
-    field: PrimeField
-    kind: str
-    counts: np.ndarray
-    size_b: int
-    size_c: int
+
+    __slots__ = ("field", "kind", "hist", "size_b", "size_c")
+
+    def __init__(self, field: PrimeField, kind: str,
+                 counts: Hist | np.ndarray, size_b: int, size_c: int):
+        self.field, self.kind = field, kind
+        self.hist = counts if isinstance(counts, Hist) else Hist(
+            field.p, dense=np.asarray(counts, dtype=np.int64))
+        self.size_b, self.size_c = size_b, size_c
+
+    @property
+    def counts(self) -> np.ndarray:
+        return self.hist.dense
 
     @property
     def mass(self) -> int:
         return self.size_b * self.size_c
 
     def support(self) -> FSet:
-        return FSet(self.field, self.counts > 0)
+        return self.hist.support(self.field)
 
     def support_size(self) -> int:
-        return int((self.counts > 0).sum())
+        return len(self.hist.values)
 
 
 _OP_OF = {"difference": "diff", "ratio": "ratio", "sum": "sum"}
@@ -65,8 +78,8 @@ def rep_fn(b: FSet, c: FSet, kind: str, method: str = "auto") -> RepFn:
         raise BadParams("unknown rep kind %r" % kind)
     if kind == "ratio" and (not b.is_zero_free or not c.is_zero_free):
         raise ZeroDivisor("ratio histogram needs both sets inside F_p^*")
-    counts = _pair_counts(b, c, _OP_OF[kind], method, "naive")
-    return RepFn(b.field, kind, counts, b.size, c.size)
+    hist = _pair_counts(b, c, _OP_OF[kind], method, "naive")
+    return RepFn(b.field, kind, hist, b.size, c.size)
 
 
 def _is_integral(n) -> bool:
@@ -85,7 +98,7 @@ def moment(r: RepFn, n) -> int | float:
     product and could change the result."""
     if n < 1:
         raise BadExponent("moment needs n >= 1, got %r" % (n,))
-    nz = r.counts[r.counts > 0]
+    nz = r.hist.counts
     if _is_integral(n):
         k = int(n)
         mult = np.bincount(nz)  # mult[v] = #{x : r(x) = v}
@@ -107,13 +120,13 @@ def level_set(r: RepFn, k: int) -> LevelSet:
     """X_k = {x : r(x) >= k} with its size n_k."""
     if k < 1:
         raise BadParams("level_set needs k >= 1")
-    mask = r.counts >= k
-    return LevelSet(k, FSet(r.field, mask), int(mask.sum()))
+    x = FSet._from_sorted(r.field, r.hist.values[r.hist.counts >= k])
+    return LevelSet(k, x, x.size)
 
 
 def level_counts(r: RepFn) -> np.ndarray:
     """n_k for k = 0..max count: n[k] = |{x : r(x) >= k}| (n[0] = p)."""
-    nz = r.counts[r.counts > 0]
+    nz = r.hist.counts
     top = int(nz.max()) if len(nz) else 0
     hist = np.bincount(nz, minlength=top + 1)
     n = np.zeros(top + 1, dtype=np.int64)
@@ -146,11 +159,9 @@ def popular_diff(b: FSet, c: FSet) -> FSet:
     exactly as 2 * r(x) * |B-C| >= |B||C|."""
     if b.size == 0 or c.size == 0:
         raise EmptySet("popular_diff needs nonempty sets")
-    r = rep_fn(b, c, "difference")
-    supp = r.support_size()
-    mask = 2 * r.counts * supp >= r.mass
-    mask &= r.counts > 0
-    return FSet(b.field, mask)
+    hist = rep_fn(b, c, "difference").hist
+    keep = 2 * hist.counts * len(hist.values) >= b.size * c.size
+    return FSet._from_sorted(b.field, hist.values[keep])
 
 
 def normalize_eps(eps: Fraction | float | None, size: int) -> Fraction:
@@ -182,20 +193,17 @@ def popular_sum_core(c: FSet, eps: Fraction | float | None = None
         raise EmptySet("popular_sum_core needs a nonempty set")
     eps = normalize_eps(eps, c.size)
     p = c.field.p
-    r = rep_fn(c, c, "sum")
-    supp = r.support_size()
+    hist = rep_fn(c, c, "sum").hist
     num, den = eps.numerator, eps.denominator
     # r(x) * |C+C| >= eps * |C|^2  <=>  r(x) * |C+C| * den >= num * |C|^2
-    pmask = (r.counts * supp * den >= num * c.size * c.size) & (r.counts > 0)
-    pset = FSet(c.field, pmask)
+    keep = hist.counts * len(hist.values) * den >= num * c.size * c.size
+    pset = FSet._from_sorted(c.field, hist.values[keep])
     ce = c.elements()
-    good = np.zeros(p, dtype=bool)
     # |{c'': c'+c'' in P}| >= (1-eps)|C|  <=>  den*count >= (den-num)*|C|
-    for cp in ce.tolist():
-        cnt = int(pmask[(cp + ce) % p].sum())
-        if den * cnt >= (den - num) * c.size:
-            good[cp] = True
-    return pset, FSet(c.field, good)
+    good = [cp for cp in ce.tolist()
+            if den * int(pset.mask[(cp + ce) % p].sum())
+            >= (den - num) * c.size]
+    return pset, FSet._from_sorted(c.field, np.array(good, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -208,13 +216,14 @@ class DyadicBucket:
 def dyadic_buckets(r: RepFn) -> list[DyadicBucket]:
     """Nonempty buckets {x : Delta <= r(x) < 2*Delta} for Delta = 1,2,4,..."""
     out = []
-    nz_max = int(r.counts.max())
+    counts = r.hist.counts
+    top = int(counts.max()) if len(counts) else 0
     delta = 1
-    while delta <= nz_max:
-        mask = (r.counts >= delta) & (r.counts < 2 * delta)
-        sz = int(mask.sum())
-        if sz:
-            out.append(DyadicBucket(delta, FSet(r.field, mask), sz))
+    while delta <= top:
+        sel = r.hist.values[(counts >= delta) & (counts < 2 * delta)]
+        if len(sel):
+            out.append(DyadicBucket(delta, FSet._from_sorted(r.field, sel),
+                                    len(sel)))
         delta *= 2
     return out
 

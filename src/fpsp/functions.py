@@ -10,9 +10,10 @@ max_x |g^{-1}(x)|, optionally restricted to a domain set.  Its
 whole-domain value is kept on the table, and mu(g*h) on g, as ints, so a
 verification run counts each table's fibers once.  Constructors
 reject any table that would take the value 0 on F_p^*.  The image f(A,B)
-is the support of the sets module's chunked pair counter, since
-g(a)(h(a)+b) = g(a) b + g(a)h(a); set and table files share that module's
-line format.
+is the support of the sets module's pair counter, since
+g(a)(h(a)+b) = g(a) b + g(a)h(a), in its sparse form for small |A||B|;
+_unit_image is the same count for g = +-x, h = +-1, with no table at all.
+Set and table files share the sets module's line format.
 """
 
 from __future__ import annotations
@@ -230,6 +231,17 @@ def pointwise_product(g: FnTable, h: FnTable) -> FnTable:
     return FnTable(g.field, vals, lab)
 
 
+def _image(a: FSet, b: FSet, ga: np.ndarray, gha: np.ndarray) -> FSet:
+    """{ga_i * y + gha_i : i, y in B}, the rows i running over A's elements
+    (g(a) and g(a)h(a) as arrays), after f_image's checks on A and B."""
+    if not a.is_zero_free:
+        raise ZeroInA("0 in A")
+    if not b.is_zero_free:
+        raise BadParams("0 in B; the maps need B inside F_p^*")
+    return _pair_count(ga, b.elements(), gha, a.field.p,
+                       support=True).support(a.field)
+
+
 def f_image(g: FnTable, h: FnTable, a: FSet, b: FSet) -> FSet:
     """The image set f(A,B) = {g(a)(h(a)+b) : a in A, b in B}.
 
@@ -239,14 +251,17 @@ def f_image(g: FnTable, h: FnTable, a: FSet, b: FSet) -> FSet:
     """
     if g.field != h.field or g.field != a.field or a.field != b.field:
         raise FieldMismatch("mixed fields in f_image")
-    if not a.is_zero_free:
-        raise ZeroInA("0 in A")
-    if not b.is_zero_free:
-        raise BadParams("0 in B; the maps need B inside F_p^*")
-    p = a.field.p
     ae = a.elements()
     ga = g.values[ae]
     # g(a)(h(a) + b) = g(a) * b + g(a)h(a)
-    mask = _pair_count(ga, b.elements(), ga * h.values[ae] % p, p,
-                       support=True)
-    return FSet(a.field, mask)
+    return _image(a, b, ga, ga * h.values[ae] % a.field.p)
+
+
+def _unit_image(a: FSet, b: FSet, sign: int) -> FSet:
+    """{a(1 + sign*b) : a in A, b in B} for sign = 1 or -1: f_image with
+    g = x, h = 1 (sign 1) or g = -x, h = -1 (sign -1), and the same checks,
+    without building either length-p table."""
+    if a.field != b.field:
+        raise FieldMismatch("mixed fields in f_image")
+    ae = a.elements()
+    return _image(a, b, sign * ae % a.field.p, ae)

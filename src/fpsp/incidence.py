@@ -14,8 +14,11 @@ a plane exactly when one bilinear kernel (alpha*t + beta mod p) collides.
 That turns incidence counting for these configs into a histogram sum of
 squares, O(|PAIRS| * |T|) instead of O(|R| * |S|), and the same kernel with
 multiset pairs is the quadruple-energy histogram used by the verify module.
-bilinear_hist runs the kernel through the sets module's chunked pair
-counter, the enumeration behind combine, rep_fn and f_image too.
+bilinear_hist runs the kernel through the sets module's pair counter, the
+enumeration behind combine, rep_fn and f_image too, and returns its
+sets.Hist.  Up to p/8 cells (the sets module's measured crossover) the
+sums of squares run over the sparse counts and no length-p array is
+built; above, over the chunked dense bincount as it stands.
 
 The product shape also settles collinearity.  With the point set
 R = T x PAIRS, where each slice t = const is a copy of the planar set
@@ -40,7 +43,7 @@ from .errors import (BadParams, EmptySet, FieldMismatch, SizeCap, ZeroDivisor,
                      ZeroInA)
 from .field import PrimeField
 from .functions import FnTable
-from .sets import FSet, _pair_count
+from .sets import FSet, Hist, _pair_count
 
 VARIANTS = ("sum_E1", "sum_E2", "prod_E1", "prod_E2")
 
@@ -221,8 +224,10 @@ def _dedup_pairs(alpha: np.ndarray, beta: np.ndarray,
 
 
 def bilinear_hist(alpha: np.ndarray, beta: np.ndarray, ts: np.ndarray,
-                  p: int, cap: int = TRIPLES_CAP) -> np.ndarray:
-    """Histogram of (alpha_i * t_j + beta_i) mod p over all (i, j)."""
+                  p: int, cap: int = TRIPLES_CAP) -> Hist:
+    """Histogram of (alpha_i * t_j + beta_i) mod p over all (i, j), as a
+    sets.Hist: read `values` and `counts`, or `dense` for the length-p
+    array."""
     work = len(alpha) * len(ts)
     if work > cap:
         raise SizeCap("kernel histogram needs %d cells, cap is %d"
@@ -241,8 +246,7 @@ def proof_incidences(variant: str, a: FSet, x: FSet, third: FSet, g: FnTable,
     alpha, beta, ts = _proof_pairs(variant, a, x, third, g, h)
     p = a.field.p
     ua, ub = _dedup_pairs(alpha, beta, p)
-    hist = bilinear_hist(ua, ub, ts, p, cap)
-    return int(np.dot(hist, hist))
+    return bilinear_hist(ua, ub, ts, p, cap).sum_squares()
 
 
 def structural_collinear(variant: str, a: FSet, x: FSet, third: FSet,

@@ -18,6 +18,8 @@ ride on the shared bilinear kernel alpha*t + beta from the incidence
 module: the energy is the second moment of the kernel histogram taken
 with pair multiplicity, the incidence count is the same second moment
 after deduplication, and E <= m^2 I is a termwise multiplicity bound.
+When no pair repeats the two histograms coincide, E = I, and the lemma
+chain enumerates the kernel once.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ from .energy import (energy_popular, level_counts, level_set, moment,
                      select_dyadic_k)
 from .errors import (BadP, BadParams, EmptySet, FieldMismatch,
                      HypothesisViolated, SizeCap, ZeroDivisor, ZeroInA)
-from .functions import FnTable, f_image, make_fn, mu, mu_product
-from .incidence import (COLLINEAR_CAP, TRIPLES_CAP, _proof_pairs,
-                        bilinear_hist, proof_incidences, structural_collinear)
+from .functions import FnTable, _unit_image, f_image, mu, mu_product
+from .incidence import (COLLINEAR_CAP, TRIPLES_CAP, _dedup_pairs,
+                        _proof_pairs, bilinear_hist, structural_collinear)
 from .sets import FSet, combine
 
 QUAD_VARIANTS = ("E1_sum", "E2_sum", "E3_prod", "E4_prod")
@@ -157,8 +159,23 @@ def quad_energy(variant: str, a: FSet, x: FSet, third: FSet, g: FnTable,
     if variant not in QUAD_VARIANTS:
         raise BadParams("unknown quad-energy variant %r" % variant)
     alpha, beta, ts = _proof_pairs(_KERNEL_OF[variant], a, x, third, g, h)
-    hist = bilinear_hist(alpha, beta, ts, a.field.p, cap)
-    return int(np.dot(hist, hist))
+    return bilinear_hist(alpha, beta, ts, a.field.p, cap).sum_squares()
+
+
+def _energy_and_incidences(kernel: str, a: FSet, x: FSet, third: FSet,
+                           g: FnTable, h: FnTable,
+                           cap: int) -> tuple[int, int]:
+    """(quad_energy, proof_incidences) of one kernel: the sums of squares
+    of its histogram over the pairs with and without multiplicity.  When
+    no pair repeats (g injective on A, say) the two histograms are the
+    same, and the cells are enumerated once."""
+    alpha, beta, ts = _proof_pairs(kernel, a, x, third, g, h)
+    p = a.field.p
+    energy = bilinear_hist(alpha, beta, ts, p, cap).sum_squares()
+    ua, ub = _dedup_pairs(alpha, beta, p)
+    if len(ua) == len(alpha):
+        return energy, energy
+    return energy, bilinear_hist(ua, ub, ts, p, cap).sum_squares()
 
 
 def quad_energy_brute(variant: str, a: FSet, x: FSet, third: FSet,
@@ -215,10 +232,7 @@ def solution_count_M(a: FSet, b: FSet, c: FSet, x: FSet, kind: str) -> int:
     if kind == "prod" and not x.is_zero_free:
         raise ZeroDivisor("prod kind needs 0 not in X")
     r = rep_fn(b, c, "difference" if kind == "sum" else "ratio")
-    xe = x.elements()
-    if len(xe) == 0:
-        return 0
-    return a.size * int(r.counts[xe].sum())
+    return a.size * int(r.hist.at(x.elements()).sum())
 
 
 def solution_count_M_brute(a: FSet, b: FSet, c: FSet, x: FSet,
@@ -300,10 +314,8 @@ def lemma_chain_check(a: FSet, b: FSet, c: FSet, g: FnTable, h: FnTable,
     xk, n_k = lv.x, lv.n_k
 
     bigm = solution_count_M(a, b, c, xk, kind)
-    e1 = quad_energy(var1, a, xk, c, g, h, cap=triples_cap)
-    e2 = quad_energy(var2, a, xk, fimg, g, h, cap=triples_cap)
-    i1 = proof_incidences(kern1, a, xk, c, g, h, cap=triples_cap)
-    i2 = proof_incidences(kern2, a, xk, fimg, g, h, cap=triples_cap)
+    e1, i1 = _energy_and_incidences(kern1, a, xk, c, g, h, triples_cap)
+    e2, i2 = _energy_and_incidences(kern2, a, xk, fimg, g, h, triples_cap)
     e4 = moment(r, 4)
     nlev = level_counts(r)
     recon = sum((j ** 4 - (j - 1) ** 4) * int(nlev[j])
@@ -377,7 +389,8 @@ def count_N_shifted(b: FSet, c: FSet, pset: FSet) -> dict:
     be, ce = b.elements(), c.elements()
     p = b.field.p
     # Rows of B in chunks of about 4e6 cells, so memory stays bounded; the
-    # same pass collects the support of B - C for the containment check.
+    # same pass marks the support of B - C, and P within B - C is read at
+    # the elements of P only, so no length-p array is scanned.
     seen = np.zeros(p, dtype=bool)
     nvec = np.zeros(len(ce), dtype=np.int64)
     chunk = max(1, 4_000_000 // max(len(ce), 1))
@@ -387,7 +400,7 @@ def count_N_shifted(b: FSet, c: FSet, pset: FSet) -> dict:
         seen[diffs] = True
         nvec += pset.mask[diffs].sum(axis=0)
         del diffs
-    if bool((pset.mask & ~seen).any()):
+    if not seen[pset.elements()].all():
         raise BadP("P is not contained in B - C")
     mass = int(nvec.sum())
     return {"N": b.size * int(np.dot(nvec, nvec)), "mass": mass}
@@ -423,10 +436,10 @@ def holder_weighted_sum(b: FSet, c: FSet) -> dict:
     on big integers; the float rhs is reported alongside for reading."""
     rb = rep_fn(b, b, "difference")
     rc = rep_fn(c, c, "difference")
-    both = (rb.counts > 0) & (rc.counts > 0)
-    lhs = sum(int(u) ** 3 * int(v)
-              for u, v in zip(rb.counts[both].tolist(),
-                              rc.counts[both].tolist()))
+    _, ib, ic = np.intersect1d(rb.hist.values, rc.hist.values,
+                               assume_unique=True, return_indices=True)
+    lhs = sum(u ** 3 * v for u, v in zip(rb.hist.counts[ib].tolist(),
+                                         rc.hist.counts[ic].tolist()))
     e4b = int(moment(rb, 4))
     e4c = int(moment(rc, 4))
     holds = lhs ** 4 <= e4b ** 3 * e4c
@@ -606,9 +619,7 @@ def phi_chain(b: FSet, c: FSet, eps=None, cap: int = PHI_CAP) -> ChainReport:
     eps = normalize_eps(eps, c.size)
     num, den = eps.numerator, eps.denominator
     pset, core = popular_sum_core(c, eps)
-    rsum = rep_fn(c, c, "sum")
-    pe = pset.elements()
-    kept = int(rsum.counts[pe].sum()) if len(pe) else 0
+    kept = int(rep_fn(c, c, "sum").hist.at(pset.elements()).sum())
     checks = [
         _mk_check("popular_sum_pairs", ">=", den * kept,
                   (den - num) * c.size * c.size,
@@ -626,7 +637,7 @@ def phi_chain(b: FSet, c: FSet, eps=None, cap: int = PHI_CAP) -> ChainReport:
         return ChainReport(instance, checks, rows)
     rcore = rep_fn(core, core, "difference")
     delta, pprime = energy_popular(rcore, Fraction(4, 3))
-    on_bucket = rcore.counts[pprime.elements()]
+    on_bucket = rcore.hist.at(pprime.elements())
     checks.append(_mk_check("bucket_low", ">=", int(on_bucket.min()), delta,
                             "dyadic bucket lower edge"))
     checks.append(_mk_check("bucket_high", "<=", int(on_bucket.max()),
@@ -739,8 +750,7 @@ def theorem_ratio(theorem_id: str, inst: ThmInstance,
     if theorem_id not in THEOREMS:
         raise BadParams("unknown theorem id %r" % theorem_id)
     a = inst.a
-    field = a.field
-    p = field.p
+    p = a.field.p
     b = inst.b if inst.b is not None else a
     c = inst.c if inst.c is not None else a
     d = inst.d if inst.d is not None else a
@@ -800,14 +810,11 @@ def theorem_ratio(theorem_id: str, inst: ThmInstance,
             hyp_ok = le58(na) and le58(nb) and le58(nc)
     elif theorem_id in ("T_1_5", "T_1_6", "T_1_9", "Cor_1_11_Warren"):
         if theorem_id == "Cor_1_11_Warren":
-            g = make_fn(field, "identity")
-            h = make_fn(field, "const", c=1)
-            g2 = make_fn(field, "affine", u=p - 1, v=0)
-            h2 = make_fn(field, "const", c=p - 1)
+            # f(A, B) with g = x, h = 1 and f(D, C) with g = -x, h = -1
+            f1, f2 = _unit_image(a, b, 1), _unit_image(d, c, -1)
         else:
             _need(inst, "g", "h")
-        f1 = f_image(g, h, a, b)
-        f2 = f_image(g2, h2, d, c)
+            f1, f2 = f_image(g, h, a, b), f_image(g2, h2, d, c)
         if theorem_id == "T_1_5":
             bc = combine(b, c, "diff")
             m = max(mu(g), mu(g2))

@@ -190,7 +190,8 @@ def test_f_image_matches_brute_loop():
         ga = g.values[a.elements()]
         hist = bilinear_hist(ga, ga * h.values[a.elements()] % 101,
                              b.elements(), 101)
-        assert np.array_equal(hist > 0, img.mask), trial
+        assert np.array_equal(hist.values, img.elements()), trial
+        assert np.array_equal(hist.dense > 0, img.mask), trial
 
 
 def test_f_image_memory_bounded():

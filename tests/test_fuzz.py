@@ -2,23 +2,37 @@
 fallback) and the "auto" choice against the enumeration, and the FFT
 against the NTT, over random primes and sizes plus the edge cases p = 3,
 a full field, |A| = 1, 0 in the sets and small sets at p = 1048573; the
-batched CounterRng draws against a scalar `below` oracle; and the fast
-paths of the per-instance quantities (grouped moments, mu over gathered
-values, the cached mu(g*h), the chunked pair counter) against their
-direct forms."""
+batched CounterRng draws against a scalar `below` oracle; the fast paths
+of the per-instance quantities (grouped moments, mu over gathered values,
+the cached mu(g*h)) against their direct forms; and the pair counter's
+sparse and dense routes, with every consumer of its counts, against
+np.add.at histograms and the dense computations they replaced."""
 
 import copy
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
+from fpsp import sets
 from fpsp.convolve import _convolve_fft, _convolve_ntt
-from fpsp.energy import RepFn, moment, rep_fn
+from fpsp.energy import (RepFn, dyadic_buckets, energy_popular, level_counts,
+                         level_set, moment, popular_diff, popular_sum_core,
+                         rep_fn, select_dyadic_k)
+from fpsp.errors import BadP, EmptySet
 from fpsp.field import is_prime, make_field
-from fpsp.functions import make_fn, mu, mu_product, pointwise_product
+from fpsp.functions import (_unit_image, f_image, make_fn, mu, mu_product,
+                            pointwise_product)
+from fpsp.incidence import (TRIPLES_CAP, _dedup_pairs, _proof_pairs,
+                            bilinear_hist, proof_incidences)
 from fpsp.rng import CounterRng
 from fpsp.sets import FSet, _pair_count, combine, generate
+from fpsp.verify import (_KERNEL_OF, _energy_and_incidences,
+                         count_N_shifted, count_X, holder_weighted_sum,
+                         quad_energy, solution_count_M,
+                         solution_count_M_brute)
 
 P_LARGE = 1048573
 NTT_MAX_P = 5000  # the NTT oracle is slow past a few thousand points
@@ -289,29 +303,321 @@ def test_mu_product_cache_follows_each_h():
         del h
 
 
-def _pair_count_oracle(alpha, t, beta, p, support):
+def _pair_count_oracle(alpha, t, beta, p):
     rows = len(alpha) if np.ndim(alpha) else len(beta)
     want = np.zeros(p, dtype=np.int64)
     for i in range(rows):
         a = alpha[i] if np.ndim(alpha) else alpha
         b = 0 if beta is None else beta[i]
         np.add.at(want, (a * t + b) % p, 1)
-    return want > 0 if support else want
+    return want
+
+
+def _same_hist(got, want, support, tag):
+    """A Hist against a dense oracle histogram, bit for bit, in both forms
+    and at points on and off the support."""
+    nz = np.flatnonzero(want)
+    assert got.values.dtype == np.int64, tag
+    assert np.array_equal(got.values, nz), tag
+    if support:
+        assert got.counts is None, tag
+        return
+    assert got.counts.dtype == np.int64, tag
+    assert np.array_equal(got.counts, want[nz]), tag
+    assert got.dense.dtype == np.int64, tag
+    assert np.array_equal(got.dense, want), tag
+    xs = np.r_[nz, np.arange(0, len(want), max(1, len(want) // 97))]
+    assert np.array_equal(got.at(xs), want[xs]), tag
 
 
 def test_pair_count_matches_add_at_loop():
     rng = CounterRng(0, "fuzz-pair-count")
-    p = 1009
     long_t = 2_000_001  # one row per chunk: several chunks
-    for rows, width in ((0, 7), (5, 0), (1, 1), (7, 40), (300, 50),
-                        (3, long_t)):
-        t = rng.integers(0, p, width)
-        alphas = rng.integers(0, p, rows)
-        betas = rng.integers(0, p, rows)
-        for alpha, beta in ((alphas, betas), (alphas, None), (1, betas),
-                            (p - 1, betas)):
-            for support in (False, True):
-                got = _pair_count(alpha, t, beta, p, support)
-                want = _pair_count_oracle(alpha, t, beta, p, support)
-                assert got.dtype == want.dtype, (rows, width, support)
-                assert np.array_equal(got, want), (rows, width, support)
+    # (rows, width) on both sides of the p/8 crossover: at p = 1009, 126
+    # cells sort and 128 take the bincount; at p = 1048573, 131071 and
+    # 131072
+    shapes = {1009: ((0, 7), (5, 0), (1, 1), (9, 14), (8, 16), (7, 40),
+                     (300, 50), (3, long_t)),
+              P_LARGE: ((0, 0), (1, 1), (1, 131071), (512, 256))}
+    for p, dims in shapes.items():
+        for rows, width in dims:
+            t = rng.integers(0, p, width)
+            alphas = rng.integers(0, p, rows)
+            betas = rng.integers(0, p, rows)
+            if rows >= 2 and width:
+                # values landing on 0: a zero row, and a row through 0
+                alphas[0] = betas[0] = 0
+                betas[1] = -alphas[1] * t[0] % p
+            sparse = sets.SPARSE_DIV * rows * width <= p
+            for alpha, beta in ((alphas, betas), (alphas, None), (1, betas),
+                                (p - 1, betas)):
+                want = _pair_count_oracle(alpha, t, beta, p)
+                for support in (False, True):
+                    got = _pair_count(alpha, t, beta, p, support)
+                    tag = (p, rows, width, support)
+                    assert (got._dense is None) == (sparse or support), tag
+                    _same_hist(got, want, support, tag)
+
+
+# SPARSE_DIV settings: every kernel call sorts, the measured rule, and
+# every call with at least one cell takes the dense bincount.
+ROUTES = (0, sets.SPARSE_DIV, 1 << 62)
+
+
+def _explicit(f, elems):
+    return generate(f, "explicit", elements=elems)
+
+
+def _kernel_cases():
+    """(field, A, B, C): A inside F_p^*, B and C any sets, including the
+    full field at p = 3, |A| = 1, 0 in B, an empty C, ties on the
+    popularity bars, and sizes on both sides of the p/8 crossover at
+    p = 1009 and p = 1048573."""
+    rng = CounterRng(0, "fuzz-kernel-cases")
+    f = make_field(3)
+    full, star = _explicit(f, range(3)), _explicit(f, [1, 2])
+    yield f, _explicit(f, [2]), full, full
+    yield f, star, full, star
+    f = make_field(7)
+    yield f, _explicit(f, [3]), _explicit(f, [0, 1, 5]), _explicit(f, [])
+    # 2 r(x) |B-C| = |B||C| at x = 2: a tie on the popular-difference bar
+    yield f, _explicit(f, [3]), _explicit(f, range(3)), _explicit(f, range(4))
+    # r(x) |C+C| = |C|^2 / 2 for C = {0, 1, 2, 4}: a tie on the popular-sum
+    # bar at eps = 1/2
+    f = make_field(11)
+    quad = _explicit(f, [0, 1, 2, 4])
+    yield f, _explicit(f, [5]), quad, quad
+    for trial, (na, nb, nc) in enumerate(((1, 5, 6), (3, 7, 9), (2, 12, 20),
+                                          (6, 30, 25))):
+        f = make_field(1009)
+        a = _random_set(f, rng, na, "k-a%d" % trial)
+        a = _nonzero(a) if a.size > 1 else _explicit(f, [1 + trial])
+        b = _random_set(f, rng, nb, "k-b%d" % trial)
+        b = FSet(f, b.mask | (np.arange(f.p) == 0))  # 0 in B
+        yield f, a, b, _random_set(f, rng, nc, "k-c%d" % trial)
+    f = make_field(P_LARGE)
+    yield (f, _nonzero(_random_set(f, rng, 3, "kl-a")),
+           _random_set(f, rng, 60, "kl-b"), _random_set(f, rng, 80, "kl-c"))
+    # 160000 cells, with the small supports of intervals
+    yield (f, _explicit(f, [7, 11]), generate(f, "interval", start=1, size=400),
+           generate(f, "interval", start=5000, size=400))
+
+
+def _rep_oracle(b, c, kind):
+    f = b.field
+    be, ce = b.elements(), c.elements()
+    if kind == "difference":
+        vals = be[:, None] - ce
+    elif kind == "sum":
+        vals = be[:, None] + ce
+    else:
+        vals = be[:, None] * f.inv_table[ce]
+    want = np.zeros(f.p, dtype=np.int64)
+    np.add.at(want, vals.ravel() % f.p, 1)
+    return want
+
+
+def _same_set(got, mask, tag):
+    assert got.size == int(mask.sum()), tag
+    assert np.array_equal(got.mask, mask), tag
+    assert np.array_equal(got.elements(), np.flatnonzero(mask)), tag
+
+
+def _check_rep_consumers(r, w, tag):
+    """Every energy consumer of r against its dense form on w = r as a
+    length-p array, as the consumers computed before the sparse route."""
+    f = r.field
+    nz = w[w > 0]
+    assert np.array_equal(r.counts, w), tag
+    _same_set(r.support(), w > 0, tag)
+    assert r.support_size() == len(nz), tag
+    # E_n over the count values v with their multiplicities (the exact
+    # grouped sum is pinned against the per-element one above)
+    vals, mult = np.unique(nz, return_counts=True)
+    groups = list(zip(vals.tolist(), mult.tolist()))
+    for n in (1, 2, 3, 4):
+        assert moment(r, n) == sum(v ** n * m for v, m in groups), tag
+    for n in (Fraction(4, 3), 1.5) if len(nz) <= 50_000 else ():
+        e = float(n)  # a per-element Python sum: skipped on huge supports
+        terms = itertools.chain.from_iterable([float(v) ** e] * m
+                                              for v, m in groups)
+        assert moment(r, n) == math.fsum(terms), tag
+    top = int(w.max())
+    for k in sorted({1, 2, 3, top // 2 + 1, top, top + 1} - {0}):
+        lv = level_set(r, k)
+        _same_set(lv.x, w >= k, tag + (k,))
+        assert lv.n_k == int((w >= k).sum()), tag + (k,)
+    srt = np.sort(nz)  # #{x : r(x) >= k} = |nz| - #{v in nz : v < k}
+    want_n = [f.p] + (len(srt) - np.searchsorted(srt, np.arange(1, top + 1))
+                      ).tolist()
+    assert level_counts(r).tolist() == want_n, tag
+    buckets = dyadic_buckets(r)
+    want_b = [(d, (w >= d) & (w < 2 * d))
+              for d in (1 << j for j in range(top.bit_length()))]
+    want_b = [(d, m) for d, m in want_b if m.any()]
+    assert [bk.delta for bk in buckets] == [d for d, _ in want_b], tag
+    for bk, (d, m) in zip(buckets, want_b):
+        _same_set(bk.members, m, tag + (d,))
+        assert bk.size == int(m.sum()), tag
+    if top == 0:
+        for fn in (select_dyadic_k, energy_popular):
+            with pytest.raises(EmptySet):
+                fn(r)
+        return
+    dyadic = [1 << j for j in range(top.bit_length())]
+    scores = [k ** 4 * want_n[k] for k in dyadic]
+    assert select_dyadic_k(r) == dyadic[scores.index(max(scores))], tag
+    for n, key in ((Fraction(4, 3), lambda d, m: int(m.sum()) ** 3 * d ** 4),
+                   (1.5, lambda d, m: int(m.sum()) * d ** 1.5)):
+        keys = [key(d, m) for d, m in want_b]
+        d, m = want_b[keys.index(max(keys))]
+        delta, members = energy_popular(r, n)
+        assert delta == d, tag
+        _same_set(members, m, tag)
+
+
+def _popular_sum_core_oracle(c, eps):
+    w = _rep_oracle(c, c, "sum")
+    supp = int((w > 0).sum())
+    num, den = eps.numerator, eps.denominator
+    pmask = (w * supp * den >= num * c.size * c.size) & (w > 0)
+    ce = c.elements()
+    good = np.zeros(c.field.p, dtype=bool)
+    for cp in ce.tolist():
+        if den * int(pmask[(cp + ce) % c.field.p].sum()) >= \
+                (den - num) * c.size:
+            good[cp] = True
+    return pmask, good
+
+
+def _count_N_oracle(b, c, pmask):
+    p = b.field.p
+    diffs = (b.elements()[:, None] - c.elements()) % p
+    seen = np.zeros(p, dtype=bool)
+    seen[diffs] = True
+    nvec = pmask[diffs].sum(axis=0)
+    if (pmask & ~seen).any():
+        return None
+    return {"N": b.size * int(np.dot(nvec, nvec)), "mass": int(nvec.sum())}
+
+
+def test_rep_consumers_match_dense_oracle(monkeypatch):
+    """rep_fn and every consumer of its histogram, with the kernel forced
+    to the sort, at its measured rule, forced to the dense bincount, and
+    through the transform, against the dense computation."""
+    for i, (f, a, b, c) in enumerate(_kernel_cases()):
+        bz, cz = _nonzero(b), _nonzero(c)
+        methods = ("naive", "transform") if f.p <= 1009 else ("naive",)
+        for div in ROUTES:
+            monkeypatch.setattr(sets, "SPARSE_DIV", div)
+            for kind, x, y in (("difference", b, c), ("sum", b, c),
+                               ("ratio", bz, cz), ("sum", c, c)):
+                w = _rep_oracle(x, y, kind)
+                for method in methods:
+                    tag = (i, f.p, div, kind, method)
+                    _check_rep_consumers(rep_fn(x, y, kind, method), w, tag)
+            tag = (i, f.p, div)
+            if b.size == 0 or c.size == 0:
+                with pytest.raises(EmptySet):
+                    popular_diff(b, c)
+                continue
+            w = _rep_oracle(b, c, "difference")
+            pmask = (2 * w * int((w > 0).sum()) >= b.size * c.size) & (w > 0)
+            pset = popular_diff(b, c)
+            _same_set(pset, pmask, tag)
+            assert count_N_shifted(b, c, pset) == _count_N_oracle(b, c,
+                                                                  pmask), tag
+            stray = FSet(f, pmask | (np.arange(f.p) == f.p - 1))
+            want = _count_N_oracle(b, c, stray.mask)
+            if want is None:
+                with pytest.raises(BadP):
+                    count_N_shifted(b, c, stray)
+            else:
+                assert count_N_shifted(b, c, stray) == want, tag
+            d = combine(b, b, "diff")
+            if pset.size * d.size <= 10 ** 6:
+                rpd = _rep_oracle(pset, d, "difference")
+                assert count_X(pset, b) == int(np.dot(rpd, rpd)), tag
+            wb, wc = _rep_oracle(b, b, "difference"), _rep_oracle(c, c,
+                                                                  "difference")
+            both = (wb > 0) & (wc > 0)
+            assert holder_weighted_sum(b, c)["lhs"] == sum(
+                u ** 3 * v for u, v in zip(wb[both].tolist(),
+                                           wc[both].tolist())), tag
+            for kind, (x, y) in (("sum", (b, c)), ("prod", (bz, cz))):
+                if x.size and y.size:
+                    for xs in (level_set(rep_fn(x, y, "difference" if kind
+                                                == "sum" else "ratio"),
+                                         1).x, _nonzero(c)):
+                        assert solution_count_M(a, x, y, xs, kind) == \
+                            solution_count_M_brute(a, x, y, xs, kind), tag
+            for eps in (Fraction(1, 5), Fraction(1, 2)):
+                want_p, want_core = _popular_sum_core_oracle(c, eps)
+                got_p, got_core = popular_sum_core(c, eps)
+                _same_set(got_p, want_p, tag + (eps,))
+                _same_set(got_core, want_core, tag + (eps,))
+
+
+def _image_oracle(ga, gha, b):
+    p = b.field.p
+    want = np.zeros(p, dtype=bool)
+    want[(ga[:, None] * b.elements() + gha[:, None]) % p] = True
+    return want
+
+
+def test_kernel_consumers_match_dense_oracle(monkeypatch):
+    """combine, f_image, _unit_image, bilinear_hist and the two sums of
+    squares over it on every route of the kernel, against np.add.at and
+    brute set operations.  The lemma chain's shared enumeration of both
+    sums must match the two separate calls, with and without repeated
+    kernel pairs (g = h = 1 repeats a pair whenever |A| >= 2)."""
+    inverse = {kernel: energy for energy, kernel in _KERNEL_OF.items()}
+    repeats = 0
+    for i, (f, a, b, c) in enumerate(_kernel_cases()):
+        p = f.p
+        if p < P_LARGE:
+            g = make_fn(f, "random", seed=i, instance_id="kc-g")
+            h = make_fn(f, "random", seed=i, instance_id="kc-h")
+        else:  # a random table takes 0.3 s to draw at this p
+            g, h = make_fn(f, "power", k=3 + i), make_fn(f, "power", k=2)
+        one = make_fn(f, "const", c=1)
+        bz, cz = _nonzero(b), _nonzero(c)
+        ae = a.elements()
+        for div in ROUTES:
+            monkeypatch.setattr(sets, "SPARSE_DIV", div)
+            tag = (i, p, div)
+            be = b.elements()[:, None]
+            for op, y in (("sum", c.elements()), ("diff", -c.elements()),
+                          ("prod", c.elements()),
+                          ("ratio", f.inv_table[cz.elements()])):
+                want = np.zeros(p, dtype=bool)
+                want[(be + y if op in ("sum", "diff") else be * y) % p] = True
+                _same_set(combine(b, cz if op == "ratio" else c, op,
+                                  method="pairwise"), want, tag + (op,))
+            ga = g.values[ae]
+            _same_set(f_image(g, h, a, bz),
+                      _image_oracle(ga, ga * h.values[ae] % p, bz), tag)
+            for sign in (1, -1):
+                _same_set(_unit_image(a, bz, sign),
+                          _image_oracle(sign * ae % p, ae, bz), tag + (sign,))
+            for variant, third in (("sum_E1", c), ("prod_E1", c),
+                                   ("sum_E2", bz), ("prod_E2", bz)):
+                x = cz if variant.startswith("prod") else c
+                alpha, beta, ts = _proof_pairs(variant, a, x, third, g, h)
+                want = _pair_count_oracle(alpha, ts, beta, p)
+                _same_hist(bilinear_hist(alpha, beta, ts, p), want, False,
+                           tag + (variant,))
+                assert quad_energy(inverse[variant], a, x, third, g, h) == \
+                    int(np.dot(want, want)), tag + (variant,)
+                ua, ub = _dedup_pairs(alpha, beta, p)
+                want = _pair_count_oracle(ua, ts, ub, p)
+                assert proof_incidences(variant, a, x, third, g, h) == \
+                    int(np.dot(want, want)), tag + (variant,)
+                for gg, hh in ((g, h), (one, one)):
+                    both = (quad_energy(inverse[variant], a, x, third, gg, hh),
+                            proof_incidences(variant, a, x, third, gg, hh))
+                    assert _energy_and_incidences(
+                        variant, a, x, third, gg, hh, TRIPLES_CAP) == both, \
+                        tag + (variant,)
+                    repeats += both[0] != both[1]
+    assert repeats > 0

@@ -252,7 +252,7 @@ def test_bilinear_hist_mass_and_cap():
     beta = np.array([0, 5, 9], dtype=np.int64)
     ts = np.array([1, 2, 3, 4], dtype=np.int64)
     hist = bilinear_hist(alpha, beta, ts, 101)
-    assert int(hist.sum()) == 12
+    assert int(hist.counts.sum()) == 12 == int(hist.dense.sum())
     with pytest.raises(SizeCap):
         bilinear_hist(alpha, beta, ts, 101, cap=11)
 

@@ -2,13 +2,17 @@
 
 import hashlib
 import json
+import pathlib
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from fpsp import functions, verify
+from fpsp.energy import rep_fn
 from fpsp.errors import ConfigError
 from fpsp.field import make_field
+from fpsp.sets import generate
 from fpsp.sweep import (SweepConfig, _instance_payload, build_instance_sets,
                         load_config_file, report_json, rows_csv, run_sweep)
 from fpsp.verify import CSV_HEADER, THEOREMS
@@ -192,3 +196,58 @@ def test_instance_evaluates_whole_domain_mu_once_per_table(monkeypatch):
     assert len(evaluated) == 2  # g and g*h
     assert max(evaluated.values()) == 1, evaluated
     assert asked[0] > 10
+
+
+GOLDEN_SWEEPS = (pathlib.Path(__file__).parent / "golden"
+                 / "sweep_p1048573_sha256.txt")
+
+
+def _large_p_cfg(family, sizes):
+    return {"primes": [1048573], "families": [family], "sizes": [sizes],
+            "seeds": [0], "g": ["id"], "h": ["const:1"],
+            "chains": ["lemma", "composite", "eplus", "phi"], "eps": "1/5",
+            "theorems": list(THEOREMS)}
+
+
+def test_golden_sweep_reports_p1048573():
+    # SHA-256 of report_json for two small grids at p = 1048573, where the
+    # kernel's sparse route carries nearly every count (at p = 101 it
+    # barely triggers).  The pins were taken before the sparse route
+    # existed, so they hold it to the dense route's bytes.
+    want = dict(line.split() for line in
+                GOLDEN_SWEEPS.read_text().splitlines() if line.strip())
+    got = {}
+    for family, sizes in (("interval", [8, 16, 8]),
+                          ("mul_subgroup", [8, 32, 16])):
+        blob = report_json(run_sweep(_large_p_cfg(family, sizes),
+                                     workers=1)["report"])
+        got["%s_%s" % (family, "-".join(map(str, sizes)))] = \
+            hashlib.sha256(blob.encode()).hexdigest()
+    assert got == want
+
+
+def test_small_instance_builds_no_length_p_histogram(monkeypatch):
+    # Every count of an 8/16/8 sum-kind instance at p = 1048573 is below
+    # p/8 cells, so no np.bincount of length p may run (mu's bincount
+    # over a whole table passes no minlength and is not a pair count).
+    # The prod kind's E2 kernel reaches 2^17 cells there, just above p/8,
+    # and rightly takes the dense route.
+    p = 1048573
+    real_bincount = np.bincount
+    long_calls = []
+
+    def spy(x, weights=None, minlength=0):
+        if minlength >= p:
+            long_calls.append(len(x))
+        return real_bincount(x, weights, minlength)
+
+    monkeypatch.setattr(np, "bincount", spy)
+    # the spy sees a kernel call above the crossover (400 x 400 cells)
+    f = make_field(p)
+    big = generate(f, "random", size=400, seed=0, zero_free=True)
+    rep_fn(big, big, "difference", method="naive")
+    assert long_calls == [160000]
+    del long_calls[:]
+    cfg = SweepConfig.from_dict(_large_p_cfg("interval", [8, 16, 8]))
+    _instance_payload(cfg, cfg.descriptors()[0])
+    assert long_calls == []

@@ -9,7 +9,7 @@ import pytest
 
 from fpsp.energy import moment, popular_diff, rep_fn
 from fpsp.errors import (BadP, BadParams, EmptySet, HypothesisViolated,
-                         ZeroDivisor)
+                         ZeroDivisor, ZeroInA)
 from fpsp.field import make_field
 from fpsp.functions import f_image, make_fn, mu
 from fpsp.rng import CounterRng
@@ -496,6 +496,36 @@ def test_warren_row_ignores_supplied_maps():
     # first wing is x(1+y) over A x A, i.e. A * (A+1) as sets
     assert row.extras["n_image1"] == combine(affine(a, 1, 1), a,
                                              "prod").size
+
+
+def test_warren_row_matches_table_route():
+    # The row takes {a(1+b)} and {d(1-c)} without tables.  The old route
+    # built g = x, h = 1 and g = -x, h = -1 as length-p tables and ran
+    # f_image; T_1_9 on those tables is that route (its m is then 1).
+    for p in (101, 1009, 1048573):
+        f = make_field(p)
+        tables = dict(g=_id(f), h=_one(f),
+                      g2=make_fn(f, "affine", u=p - 1, v=0),
+                      h2=make_fn(f, "const", c=p - 1))
+        for trial in range(3):
+            a, b, c, d = (generate(f, "random", size=n, seed=trial,
+                                   instance_id="warren|%s" % tag,
+                                   zero_free=True)
+                          for n, tag in ((4, "a"), (9, "b"), (7, "c"),
+                                         (3, "d")))
+            sets = dict(a=a, b=b, c=c, d=d, family="random", seed=trial)
+            got = theorem_ratio("Cor_1_11_Warren", ThmInstance(**sets))
+            old = theorem_ratio("T_1_9", ThmInstance(**sets, **tables))
+            assert got.to_dict() == dict(old.to_dict(),
+                                         theorem="Cor_1_11_Warren"), p
+        zero = generate(f, "explicit", elements=[0, 1])
+        for bad, err in ((dict(a=zero, b=b), ZeroInA),
+                         (dict(a=a, b=zero), BadParams),
+                         (dict(a=a, b=b, c=zero, d=d), BadParams)):
+            with pytest.raises(err):
+                theorem_ratio("Cor_1_11_Warren", ThmInstance(**bad))
+            with pytest.raises(err):
+                theorem_ratio("T_1_9", ThmInstance(**bad, **tables))
 
 
 def test_mu_factor_recorded():
