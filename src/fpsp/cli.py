@@ -68,8 +68,23 @@ def _explicit_elements(text: str) -> list[int]:
         raise ParseError("bad explicit elements in %r" % text)
 
 
+# The family flags `gen` reads for each family, in set-spec order (`--len`
+# is generate's size); passing any other is an error.  --p, --family,
+# --zero-free and --out go with every family.
+_GEN_FLAGS = {
+    "interval": ("start", "len"),
+    "ap": ("start", "step", "len"),
+    "gp": ("start", "ratio", "len"),
+    "mul_subgroup": ("order",),
+    "random": ("len", "seed"),
+    "explicit": ("elements",),
+}
+
+
 def parse_set_spec(field: PrimeField, spec: str) -> FSet:
-    """Build an FSet from a CLI set spec (grammar in the module docstring)."""
+    """Build an FSet from a CLI set spec (grammar in the module docstring).
+
+    A family spec lists the family's _GEN_FLAGS values in order."""
     if spec == "full":
         return generate(field, "explicit", elements=range(field.p))
     if spec == "star":
@@ -81,29 +96,19 @@ def parse_set_spec(field: PrimeField, spec: str) -> FSet:
         return read_set_file(rest, field)
     if head == "explicit":
         return generate(field, "explicit", elements=_explicit_elements(rest))
+    fam = "mul_subgroup" if head == "subgroup" else head
     parts = rest.split(":")
+    if fam == "random" and len(parts) == 1:
+        parts.append("0")  # random:<len> draws with seed 0
     try:
-        if head == "interval":
-            start, n = (int(v) for v in parts)
-            return generate(field, "interval", start=start, size=n)
-        if head == "ap":
-            start, step, n = (int(v) for v in parts)
-            return generate(field, "ap", start=start, step=step, size=n)
-        if head == "gp":
-            start, ratio, n = (int(v) for v in parts)
-            return generate(field, "gp", start=start, ratio=ratio, size=n)
-        if head in ("subgroup", "mul_subgroup"):
-            (order,) = (int(v) for v in parts)
-            return generate(field, "mul_subgroup", order=order)
-        # random:<len>:<seed>, seed defaulting to 0
-        if len(parts) == 1:
-            n, seed = int(parts[0]), 0
-        else:
-            n, seed = (int(v) for v in parts)
-        return generate(field, "random", size=n, seed=seed)
+        values = [int(v) for v in parts]
     except ValueError:
+        values = []
+    if len(values) != len(_GEN_FLAGS[fam]):
         raise ParseError("bad set spec %r (wrong arity or not integers)"
                          % spec)
+    return generate(field, fam, **{"size" if f == "len" else f: v
+                                   for f, v in zip(_GEN_FLAGS[fam], values)})
 
 
 def _emit_set(a: FSet, out: str | None, what: str = "set") -> None:
@@ -141,13 +146,6 @@ def write_rows_file(path: str, p: int, rows: np.ndarray) -> None:
         fh.write(_format_lines(p, rows))
 
 
-def _eps_arg(s: str) -> Fraction:
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError("bad eps %r (want a/b or a decimal)" % s)
-
-
 def _report_verdict(rep_dict: dict, label: str) -> int:
     """Print a chain report as JSON, a summary to stderr; 0 ok / 1 fail."""
     _emit_json(rep_dict)
@@ -163,18 +161,6 @@ def _report_verdict(rep_dict: dict, label: str) -> int:
 # -- subcommand handlers -----------------------------------------------------
 
 
-# The family flags `gen` reads for each family; passing any other is an
-# error.  --p, --family, --zero-free and --out go with every family.
-_GEN_FLAGS = {
-    "interval": ("start", "len"),
-    "ap": ("start", "step", "len"),
-    "gp": ("start", "ratio", "len"),
-    "mul_subgroup": ("order",),
-    "random": ("len", "seed"),
-    "explicit": ("elements",),
-}
-
-
 def _cmd_gen(ns) -> int:
     fam = "mul_subgroup" if ns.family == "subgroup" else ns.family
     others = set().union(*_GEN_FLAGS.values()) - set(_GEN_FLAGS[fam])
@@ -184,7 +170,7 @@ def _cmd_gen(ns) -> int:
                          % (ns.family, ", ".join(stray)))
     elements = (None if ns.elements is None
                 else _explicit_elements(ns.elements))
-    a = generate(make_field(ns.p), fam, start=ns.start, step=ns.step,
+    a = generate(ns.field, fam, start=ns.start, step=ns.step,
                  ratio=ns.ratio, order=ns.order, size=ns.len,
                  seed=0 if ns.seed is None else ns.seed,
                  elements=elements, zero_free=ns.zero_free)
@@ -193,39 +179,28 @@ def _cmd_gen(ns) -> int:
 
 
 def _cmd_setop(ns) -> int:
-    field = make_field(ns.p)
-    a = parse_set_spec(field, ns.A)
     if ns.affine is not None:
         try:
             lam, t = (int(v) for v in ns.affine.split(","))
         except ValueError:
             raise ParseError("--affine wants lam,t")
-        out = affine(a, lam, t)
+        out = affine(ns.A, lam, t)
         _emit_set(out, ns.out, "affine(%d,%d)" % (lam, t))
         return 0
     if ns.op is None or ns.B is None:
         raise ParseError("setop needs either --op with --B, or --affine")
-    b = parse_set_spec(field, ns.B)
-    out = combine(a, b, ns.op)
+    out = combine(ns.A, ns.B, ns.op)
     _emit_set(out, ns.out, "A %s B" % ns.op)
     return 0
 
 
 def _cmd_image(ns) -> int:
-    field = make_field(ns.p)
-    a = parse_set_spec(field, ns.A)
-    b = parse_set_spec(field, ns.B)
-    g = parse_fn_spec(field, ns.g)
-    h = parse_fn_spec(field, ns.h)
-    img = f_image(g, h, a, b)
+    img = f_image(ns.g, ns.h, ns.A, ns.B)
     _emit_set(img, ns.out, "f(A,B)")
     return 0
 
 
 def _cmd_energy(ns) -> int:
-    field = make_field(ns.p)
-    a = parse_set_spec(field, ns.A)
-    b = parse_set_spec(field, ns.B)
     kind = {"diff": "difference", "difference": "difference",
             "ratio": "ratio", "sum": "sum"}.get(ns.op)
     if kind is None:
@@ -234,7 +209,7 @@ def _cmd_energy(ns) -> int:
         n = Fraction(ns.n)
     except (ValueError, ZeroDivisionError):
         raise ParseError("bad --n %r (want an integer or a/b)" % ns.n)
-    r = rep_fn(a, b, kind)
+    r = rep_fn(ns.A, ns.B, kind)
     val = moment(r, int(n) if n.denominator == 1 else n)
     print(val)
     _log("E_%s(%s) over %d support points" % (ns.n, kind, r.support_size()))
@@ -242,15 +217,12 @@ def _cmd_energy(ns) -> int:
 
 
 def _cmd_mu(ns) -> int:
-    field = make_field(ns.p)
-    g = parse_fn_spec(field, ns.g)
-    dom = parse_set_spec(field, ns.A) if ns.A else None
-    print(mu(g, dom))
+    print(mu(ns.g, ns.A))
     return 0
 
 
 def _cmd_incidence(ns) -> int:
-    field = make_field(ns.p)
+    field = ns.field
     if ns.points is not None:
         _, pts = read_rows_file(ns.points, 3, field)
         if ns.planes is not None:
@@ -265,8 +237,7 @@ def _cmd_incidence(ns) -> int:
                              "--variant with sets")
         if ns.A is None or ns.X is None or ns.third is None:
             raise ParseError("--variant mode needs --A, --X and --third")
-        args = [parse_set_spec(field, s) for s in (ns.A, ns.X, ns.third)]
-        args += [parse_fn_spec(field, ns.g), parse_fn_spec(field, ns.h)]
+        args = (ns.A, ns.X, ns.third, ns.g, ns.h)
         # count and max-collinear read the product structure and never
         # materialize R or S; max-collinear is bounded by --collinear-cap
         # alone
@@ -298,12 +269,6 @@ def _cmd_incidence(ns) -> int:
 
 
 def _cmd_verify_lemma(ns) -> int:
-    field = make_field(ns.p)
-    a = parse_set_spec(field, ns.A)
-    b = parse_set_spec(field, ns.B)
-    c = parse_set_spec(field, ns.C) if ns.C else b
-    g = parse_fn_spec(field, ns.g)
-    h = parse_fn_spec(field, ns.h)
     if ns.k == "auto":
         k = "auto"
     else:
@@ -311,65 +276,38 @@ def _cmd_verify_lemma(ns) -> int:
             k = int(ns.k)
         except ValueError:
             raise ParseError("--k wants \"auto\" or an integer")
-    rep = lemma_chain_check(a, b, c, g, h, ns.kind, k=k,
+    rep = lemma_chain_check(ns.A, ns.B, ns.C, ns.g, ns.h, ns.kind, k=k,
                             triples_cap=ns.triples_cap,
                             collinear_cap=ns.collinear_cap)
     return _report_verdict(rep.to_dict(), "lemma-chain[%s]" % ns.kind)
 
 
 def _cmd_verify_nchain(ns) -> int:
-    field = make_field(ns.p)
-    b = parse_set_spec(field, ns.B)
-    c = parse_set_spec(field, ns.C) if ns.C else b
-    pset = parse_set_spec(field, ns.P) if ns.P else None
-    rep = n_chain_check(b, c, pset)
+    rep = n_chain_check(ns.B, ns.C, ns.P)
     return _report_verdict(rep.to_dict(), "n-chain")
 
 
 def _cmd_verify_composite(ns) -> int:
-    field = make_field(ns.p)
-    b = parse_set_spec(field, ns.B)
-    c = parse_set_spec(field, ns.C) if ns.C else b
-    rep = composite_N_check(b, c)
+    rep = composite_N_check(ns.B, ns.C)
     return _report_verdict(rep.to_dict(), "composite")
 
 
 def _cmd_verify_eplus(ns) -> int:
-    field = make_field(ns.p)
-    a = parse_set_spec(field, ns.A)
-    b = parse_set_spec(field, ns.B)
-    c = parse_set_spec(field, ns.C) if ns.C else b
-    g = parse_fn_spec(field, ns.g)
-    h = parse_fn_spec(field, ns.h)
-    rep = eplus_chain(a, b, c, g, h, cap=ns.triples_cap)
+    rep = eplus_chain(ns.A, ns.B, ns.C, ns.g, ns.h, cap=ns.triples_cap)
     return _report_verdict(rep.to_dict(), "eplus")
 
 
 def _cmd_verify_phi(ns) -> int:
-    field = make_field(ns.p)
-    b = parse_set_spec(field, ns.B)
-    c = parse_set_spec(field, ns.C) if ns.C else b
-    eps = _eps_arg(ns.eps) if ns.eps else None
-    rep = phi_chain(b, c, eps=eps)
+    rep = phi_chain(ns.B, ns.C, eps=ns.eps)
     return _report_verdict(rep.to_dict(), "phi")
 
 
 def _cmd_verify_theorem(ns) -> int:
-    field = make_field(ns.p)
-    a = parse_set_spec(field, ns.A)
-
-    def opt_set(spec):
-        return parse_set_spec(field, spec) if spec else None
-
-    def opt_fn(spec):
-        return parse_fn_spec(field, spec) if spec else None
-
-    kwargs = dict(a=a, b=opt_set(ns.B), c=opt_set(ns.C), d=opt_set(ns.D),
-                  g=opt_fn(ns.g), h=opt_fn(ns.h), g2=opt_fn(ns.g2),
-                  h2=opt_fn(ns.h2), family=ns.family, seed=ns.seed)
-    if ns.eps:
-        kwargs["eps"] = _eps_arg(ns.eps)
-    row = theorem_ratio(ns.id, ThmInstance(**kwargs), strict=ns.strict)
+    inst = ThmInstance(a=ns.A, b=ns.B, c=ns.C, d=ns.D, g=ns.g, h=ns.h,
+                       g2=ns.g2, h2=ns.h2, family=ns.family, seed=ns.seed)
+    if ns.eps is not None:
+        inst.eps = ns.eps
+    row = theorem_ratio(ns.id, inst, strict=ns.strict)
     _emit_json(row.to_dict())
     verdict = "exact FAIL" if row.exact_pass is False else (
         "exact pass" if row.exact_pass else "report only")
@@ -398,13 +336,15 @@ def _cmd_sweep(ns) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-def _add_fn_flags(sp, g2h2: bool = False) -> None:
+def _add_fn_flags(sp) -> None:
     sp.add_argument("--g", default="id", help="g table spec (default id)")
     sp.add_argument("--h", default="const:1",
                     help="h table spec (default const:1)")
-    if g2h2:
-        sp.add_argument("--g2", default=None)
-        sp.add_argument("--h2", default=None)
+
+
+def _opt(spec: str) -> str | None:
+    """type= of the optional set, table and eps flags: "" is absent."""
+    return spec or None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -432,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
                                       "affine map")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--A", required=True)
-    sp.add_argument("--B")
+    sp.add_argument("--B", type=_opt)
     sp.add_argument("--op", choices=["sum", "diff", "prod", "ratio"])
     sp.add_argument("--affine", help="lam,t for {lam*x+t : x in A}")
     sp.add_argument("--out")
@@ -460,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("mu", help="multiplicity max_t |g^{-1}(t)|")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--g", required=True)
-    sp.add_argument("--A", help="optional domain restriction")
+    sp.add_argument("--A", type=_opt, help="optional domain restriction")
     sp.set_defaults(func=_cmd_mu)
 
     sp = sub.add_parser("incidence", help="point-plane incidence tools")
@@ -472,10 +412,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--variant", choices=list(VARIANTS),
                     help="build the proof configuration instead of "
                          "reading files")
-    sp.add_argument("--A")
-    sp.add_argument("--X")
-    sp.add_argument("--third", help="C for the E1 shapes, the image set "
-                                    "for the E2 shapes")
+    sp.add_argument("--A", type=_opt)
+    sp.add_argument("--X", type=_opt)
+    sp.add_argument("--third", type=_opt,
+                    help="C for the E1 shapes, the image set for the E2 "
+                         "shapes")
     _add_fn_flags(sp)
     sp.add_argument("--cap", type=int, default=MATERIALIZE_CAP)
     sp.add_argument("--collinear-cap", type=int, default=COLLINEAR_CAP,
@@ -491,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--A", required=True)
     sp.add_argument("--B", required=True)
-    sp.add_argument("--C", help="defaults to B")
+    sp.add_argument("--C", type=_opt, help="defaults to B")
     _add_fn_flags(sp)
     sp.add_argument("--kind", choices=["sum", "prod"], default="sum")
     sp.add_argument("--k", default="auto")
@@ -505,23 +446,23 @@ def build_parser() -> argparse.ArgumentParser:
                                          "for a given P")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--B", required=True)
-    sp.add_argument("--C", help="defaults to B")
-    sp.add_argument("--P", help="subset of B-C; default: popular "
-                                "difference set")
+    sp.add_argument("--C", type=_opt, help="defaults to B")
+    sp.add_argument("--P", type=_opt,
+                    help="subset of B-C; default: popular difference set")
     sp.set_defaults(func=_cmd_verify_nchain)
 
     sp = vsub.add_parser("composite", help="full N chain with Hoelder "
                                            "closure")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--B", required=True)
-    sp.add_argument("--C", help="defaults to B")
+    sp.add_argument("--C", type=_opt, help="defaults to B")
     sp.set_defaults(func=_cmd_verify_composite)
 
     sp = vsub.add_parser("eplus", help="additive-energy transfer bound")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--A", required=True)
     sp.add_argument("--B", required=True)
-    sp.add_argument("--C", help="defaults to B")
+    sp.add_argument("--C", type=_opt, help="defaults to B")
     _add_fn_flags(sp)
     sp.add_argument("--triples-cap", type=int, default=TRIPLES_CAP,
                     dest="triples_cap")
@@ -530,25 +471,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp = vsub.add_parser("phi", help="popular-sum core machinery")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--B", required=True)
-    sp.add_argument("--C", help="defaults to B")
-    sp.add_argument("--eps", help="popularity threshold, a/b or decimal "
-                                  "(default 1/log2|C|)")
+    sp.add_argument("--C", type=_opt, help="defaults to B")
+    sp.add_argument("--eps", type=_opt,
+                    help="popularity threshold, a/b or decimal (default "
+                         "1/log2|C|)")
     sp.set_defaults(func=_cmd_verify_phi)
 
     sp = vsub.add_parser("theorem", help="one ratio row")
     sp.add_argument("--id", required=True, choices=list(THEOREMS))
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--A", required=True)
-    sp.add_argument("--B")
-    sp.add_argument("--C")
-    sp.add_argument("--D")
-    sp.add_argument("--g")
-    sp.add_argument("--h")
-    sp.add_argument("--g2")
-    sp.add_argument("--h2")
+    for flag in ("--B", "--C", "--D", "--g", "--h", "--g2", "--h2"):
+        sp.add_argument(flag, type=_opt)
     sp.add_argument("--family", default="cli")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--eps")
+    sp.add_argument("--eps", type=_opt)
     sp.add_argument("--strict", action="store_true",
                     help="raise instead of recording violated hypotheses")
     sp.set_defaults(func=_cmd_verify_theorem)
@@ -563,6 +500,31 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_SET_FLAGS = ("A", "B", "C", "D", "P", "X", "third")
+_FN_FLAGS = ("g", "h", "g2", "h2")
+_C_DEFAULTS_TO_B = ("lemma-chain", "n-chain", "composite", "eplus", "phi")
+
+
+def _read_inputs(ns) -> None:
+    """Read --p into ns.field, then replace each set, table and eps flag
+    on ns by its FSet, FnTable or Fraction, in that order, before the
+    subcommand runs; absent ones stay None."""
+    ns.field = make_field(ns.p)
+    for flags, parse in ((_SET_FLAGS, parse_set_spec),
+                         (_FN_FLAGS, parse_fn_spec)):
+        for flag in flags:
+            spec = getattr(ns, flag, None)
+            if spec is not None:
+                setattr(ns, flag, parse(ns.field, spec))
+    if getattr(ns, "eps", None) is not None:
+        try:
+            ns.eps = Fraction(ns.eps)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError("bad eps %r (want a/b or a decimal)" % ns.eps)
+    if getattr(ns, "mode", None) in _C_DEFAULTS_TO_B and ns.C is None:
+        ns.C = ns.B
+
+
 def dispatch(argv=None) -> int:
     """Parse argv and run one subcommand; returns the exit status."""
     parser = build_parser()
@@ -572,11 +534,10 @@ def dispatch(argv=None) -> int:
         code = exc.code
         return 0 if code in (None, 0) else 2
     try:
+        if hasattr(ns, "p"):
+            _read_inputs(ns)
         return ns.func(ns)
-    except FpspError as exc:
-        _log("error: %s" % exc)
-        return 2
-    except OSError as exc:
+    except (FpspError, OSError) as exc:
         _log("error: %s" % exc)
         return 2
 

@@ -133,8 +133,7 @@ def make_fn(field: PrimeField, kind: str, *, c: int | None = None,
     return FnTable(field, vals, label)
 
 
-def parse_fn_spec(field: PrimeField, spec: str,
-                  instance_id: str | int | None = None) -> FnTable:
+def parse_fn_spec(field: PrimeField, spec: str) -> FnTable:
     """Parse the compact spec grammar used by the CLI and sweep configs:
     const:<c> | id | power:<k> | affine:<u>,<v> | random:<seed> | file:<path>.
     """
@@ -150,8 +149,7 @@ def parse_fn_spec(field: PrimeField, spec: str,
             u_s, v_s = spec[7:].split(",")
             return make_fn(field, "affine", u=int(u_s), v=int(v_s))
         if spec.startswith("random:"):
-            return make_fn(field, "random", seed=int(spec[7:]),
-                           instance_id=instance_id)
+            return make_fn(field, "random", seed=int(spec[7:]))
         if spec.startswith("file:"):
             return read_fn_file(spec[5:], field)
     except (ValueError, BadParams) as exc:
@@ -198,17 +196,22 @@ def mu(fn: FnTable, domain: FSet | None = None) -> int:
     if domain is not None:
         return _fiber_max(fn.values[_domain(fn, domain)])
     if fn._mu is None:
-        fn._mu = int(np.bincount(fn.values[1:]).max())
+        fn._mu = _bincount_max(fn.values[1:])
     return fn._mu
+
+
+def _bincount_max(vals: np.ndarray) -> int:
+    """Largest fiber of a length p-1 table over F_p^*, by one bincount."""
+    return int(np.bincount(vals).max())
 
 
 def mu_product(g: FnTable, h: FnTable, domain: FSet | None = None) -> int:
     """mu(g*h, domain), equal to mu(pointwise_product(g, h), domain).
 
     On a domain A the fibers are counted over the |A| products g(a)h(a).
-    The whole-domain value builds the product table once per (g, h) pair;
-    only the int is kept, on g, so no second dense table outlives the
-    call."""
+    The whole-domain value is one bincount over the products, computed
+    once per (g, h) pair; only the int is kept, on g, so no product
+    table outlives the call."""
     if g.field != h.field:
         raise FieldMismatch("tables over different fields")
     if domain is not None:
@@ -217,7 +220,8 @@ def mu_product(g: FnTable, h: FnTable, domain: FSet | None = None) -> int:
     # keyed by id(h) with a weak reference to h: a dead h's id may be reused
     hit = g._mu_products.get(id(h))
     if hit is None or hit[0]() is not h:
-        hit = (weakref.ref(h), mu(pointwise_product(g, h)))
+        hit = (weakref.ref(h),
+               _bincount_max(g.values[1:] * h.values[1:] % g.field.p))
         g._mu_products[id(h)] = hit
     return hit[1]
 

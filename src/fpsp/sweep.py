@@ -31,7 +31,8 @@ import time
 from fractions import Fraction
 from multiprocessing import Pool
 
-from .errors import BadParams, ConfigError
+from .energy import normalize_eps
+from .errors import BadEpsilon, BadParams, ConfigError
 from .field import make_field
 from .functions import parse_fn_spec
 from .incidence import COLLINEAR_CAP, TRIPLES_CAP
@@ -132,8 +133,15 @@ class SweepConfig:
             raise ConfigError("k must be \"auto\" or an integer >= 1")
         cfg.k = k
         eps = raw.get("eps")
-        if eps is not None and not isinstance(eps, (int, float, str)):
-            raise ConfigError("eps must be a number or \"num/den\" string")
+        if eps is not None:
+            if not isinstance(eps, (int, float, str)):
+                raise ConfigError("eps must be a number or \"num/den\" "
+                                  "string")
+            try:  # the range check phi_chain makes; size is unused here
+                normalize_eps(_parse_eps(eps), 0)
+            except (ValueError, ZeroDivisionError, OverflowError,
+                    BadEpsilon) as exc:
+                raise ConfigError("bad eps %r: %s" % (eps, exc))
         cfg.eps = eps
         cfg.triples_cap = raw.get("triples_cap", TRIPLES_CAP)
         cfg.collinear_cap = raw.get("collinear_cap", COLLINEAR_CAP)

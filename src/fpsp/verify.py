@@ -50,13 +50,20 @@ _KERNEL_OF = {
     "E4_prod": "prod_E2",
 }
 
-THEOREMS = ("HIS_1_1", "Vinh_1_2", "HH_1_1", "HH_1_2", "PM_1_3", "PM_1_4",
-            "T_1_5", "T_1_6", "Cor_1_7", "Cor_1_8", "T_1_9", "Cor_1_10",
-            "Cor_1_11_Warren", "Cor_mult", "T_1_12_threshold")
+# theorem id -> the sets its statement reads (the CSV records 0 for the
+# sizes of the rest)
+THEOREMS = {
+    "HIS_1_1": "a", "Vinh_1_2": "a",
+    "HH_1_1": "abc", "HH_1_2": "abc", "PM_1_3": "abc", "PM_1_4": "abc",
+    "T_1_5": "abcd", "T_1_6": "abcd", "Cor_1_7": "a", "Cor_1_8": "abc",
+    "T_1_9": "abcd", "Cor_1_10": "a", "Cor_1_11_Warren": "abcd",
+    "Cor_mult": "abc", "T_1_12_threshold": "a",
+}
 
 QUAD_BRUTE_CAP = 3_000
 X_BRUTE_CAP = 60
 PHI_CAP = 100
+THRESHOLD_EPS_DEN_CAP = 10_000
 
 
 # -- report plumbing ---------------------------------------------------------
@@ -887,6 +894,10 @@ def theorem_ratio(theorem_id: str, inst: ThmInstance,
         if not 0 < eps < 1:
             raise BadParams("threshold eps must be in (0,1), got %s" % eps)
         num, den = eps.numerator, eps.denominator
+        # the conditions below raise sizes to the 8*den-th power
+        if den > THRESHOLD_EPS_DEN_CAP:
+            raise BadParams("threshold eps needs a denominator <= %d, got %s"
+                            % (THRESHOLD_EPS_DEN_CAP, eps))
         fimg = f_image(g, h, a, a)
         ms = combine(a, a, "sum").size
         np_ = combine(a, a, "prod").size
@@ -909,7 +920,7 @@ def theorem_ratio(theorem_id: str, inst: ThmInstance,
     if strict and not hyp_ok:
         raise HypothesisViolated("%s hypotheses fail on this instance"
                                  % theorem_id)
-    used = _SIZES_USED[theorem_id]
+    used = THEOREMS[theorem_id]
     row = RatioRow(
         theorem=theorem_id, p=p, family=inst.family, seed=inst.seed,
         na=na, nb=nb if "b" in used else 0, nc=nc if "c" in used else 0,
@@ -917,15 +928,3 @@ def theorem_ratio(theorem_id: str, inst: ThmInstance,
         ratio=float(lhs) / float(rhs), hyp_ok=bool(hyp_ok),
         relation=relation, exact_pass=exact_pass, extras=extras)
     return row
-
-
-# which of the optional sets each statement actually consumes (the CSV
-# records 0 for the rest)
-_SIZES_USED = {
-    "HIS_1_1": "a", "Vinh_1_2": "a",
-    "HH_1_1": "abc", "HH_1_2": "abc", "PM_1_3": "abc", "PM_1_4": "abc",
-    "T_1_5": "abcd", "T_1_6": "abcd", "T_1_9": "abcd",
-    "Cor_1_11_Warren": "abcd",
-    "Cor_1_7": "a", "Cor_1_10": "a", "Cor_1_8": "abc", "Cor_mult": "abc",
-    "T_1_12_threshold": "a",
-}

@@ -127,6 +127,10 @@ def test_setop_and_affine(capsys):
     assert code == 0 and out == "p=7\n2\n4\n6\n"
     code, _, err = run(capsys, "setop", "--p", "7", "--A", "explicit:1")
     assert code == 2  # neither --op/--B nor --affine
+    # every set flag is read before the subcommand runs, used or not
+    code, _, err = run(capsys, "setop", "--p", "7", "--A", "explicit:1",
+                       "--affine", "2,0", "--B", "bogus:1")
+    assert code == 2 and "bogus:1" in err
 
 
 def test_image_worked_example(capsys):
@@ -250,6 +254,9 @@ def test_verify_nchain_modes(capsys):
     rep = json.loads(out)
     assert rep["instance"]["default_P"] is True
     assert rep["instance"]["N"] == 81
+    # an optional flag given as "" is absent: C defaults to B, P to popular
+    assert run(capsys, "verify", "n-chain", "--p", "7", "--B",
+               "explicit:1,2,3", "--C", "", "--P", "")[:2] == (code, out)
     code, out, _ = run(capsys, "verify", "n-chain", "--p", "7",
                        "--B", "explicit:1,2,3", "--P", "explicit:0,1")
     assert code == 0

@@ -57,6 +57,9 @@ def test_config_defaults():
     {"triples_cap": 0},                   # not positive
     {"bogus": 1},                         # unknown key
     {"chains": ["phi"], "primes": [257], "sizes": [[4, 120, 8]]},  # phi gate
+    {"eps": "abc"},                       # not a number
+    {"eps": "1/0"},                       # zero denominator
+    {"eps": 2},                           # outside (0,1), phi not run
 ])
 def test_config_rejects(broken):
     # primes=4 passes the >= 3 gate here; make_field rejects it later, so
@@ -180,18 +183,26 @@ def test_instance_evaluates_whole_domain_mu_once_per_table(monkeypatch):
         primes=[1009], families=["random"], sizes=[[8, 16, 8]], seeds=[0],
         g=["random:11"], h=["random:12"], kinds=["sum", "prod"],
         chains=["lemma", "composite", "eplus"], theorems=list(THEOREMS)))
-    real_mu = functions.mu
+    real_mu, real_mu_product = functions.mu, functions.mu_product
+    real_bincount_max = functions._bincount_max
     asked, evaluated = [0], Counter()
 
     def counting_mu(fn, domain=None):
-        if domain is None:
-            asked[0] += 1
-            if fn._mu is None:
-                evaluated[hashlib.sha256(fn.values).hexdigest()] += 1
+        asked[0] += domain is None
         return real_mu(fn, domain)
 
-    monkeypatch.setattr(functions, "mu", counting_mu)
-    monkeypatch.setattr(verify, "mu", counting_mu)
+    def counting_mu_product(g, h, domain=None):
+        asked[0] += domain is None
+        return real_mu_product(g, h, domain)
+
+    def counting_bincount_max(vals):
+        evaluated[hashlib.sha256(vals).hexdigest()] += 1
+        return real_bincount_max(vals)
+
+    for mod in (functions, verify):
+        monkeypatch.setattr(mod, "mu", counting_mu)
+        monkeypatch.setattr(mod, "mu_product", counting_mu_product)
+    monkeypatch.setattr(functions, "_bincount_max", counting_bincount_max)
     _instance_payload(cfg, cfg.descriptors()[0])
     assert len(evaluated) == 2  # g and g*h
     assert max(evaluated.values()) == 1, evaluated

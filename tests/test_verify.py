@@ -471,9 +471,13 @@ def test_threshold_theorem_eps_handling():
     assert row.extras["eps"] == "1/10"
     assert set(row.extras) >= {"cond_statement", "cond_proof",
                                "rhs_proof", "ratio_proof"}
-    bad = ThmInstance(a=a, g=_id(F101), h=_one(F101), eps=Fraction(3, 2))
-    with pytest.raises(BadParams):
-        theorem_ratio("T_1_12_threshold", bad)
+    for eps in (Fraction(3, 2), Fraction(1, 10_001), 0.1):
+        # 0.1 as a float is a Fraction with denominator 2^55
+        bad = ThmInstance(a=a, g=_id(F101), h=_one(F101), eps=eps)
+        with pytest.raises(BadParams):
+            theorem_ratio("T_1_12_threshold", bad)
+    ok = ThmInstance(a=a, g=_id(F101), h=_one(F101), eps=Fraction(1, 10_000))
+    assert theorem_ratio("T_1_12_threshold", ok).extras["eps"] == "1/10000"
 
 
 def test_dilation_invariance_of_classical_rows():
