@@ -237,7 +237,10 @@ def _cmd_incidence(ns) -> int:
                              "--variant with sets")
         if ns.A is None or ns.X is None or ns.third is None:
             raise ParseError("--variant mode needs --A, --X and --third")
-        args = (ns.A, ns.X, ns.third, ns.g, ns.h)
+        g, h = (parse_fn_spec(field, _FN_DEFAULTS[flag])
+                if getattr(ns, flag) is None else getattr(ns, flag)
+                for flag in ("g", "h"))
+        args = (ns.A, ns.X, ns.third, g, h)
         # count and max-collinear read the product structure and never
         # materialize R or S; max-collinear is bounded by --collinear-cap
         # alone
@@ -336,10 +339,16 @@ def _cmd_sweep(ns) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-def _add_fn_flags(sp) -> None:
-    sp.add_argument("--g", default="id", help="g table spec (default id)")
-    sp.add_argument("--h", default="const:1",
-                    help="h table spec (default const:1)")
+_FN_DEFAULTS = {"g": "id", "h": "const:1"}
+
+
+def _add_fn_flags(sp, defaults: bool = True) -> None:
+    """--g and --h.  With defaults=False an absent flag stays None, so no
+    table is built for it; the subcommand applies _FN_DEFAULTS, which the
+    help strings name, where it reads the tables."""
+    for flag, spec in _FN_DEFAULTS.items():
+        sp.add_argument("--" + flag, default=spec if defaults else None,
+                        help="%s table spec (default %s)" % (flag, spec))
 
 
 def _opt(spec: str) -> str | None:
@@ -417,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--third", type=_opt,
                     help="C for the E1 shapes, the image set for the E2 "
                          "shapes")
-    _add_fn_flags(sp)
+    _add_fn_flags(sp, defaults=False)  # file mode reads no table
     sp.add_argument("--cap", type=int, default=MATERIALIZE_CAP)
     sp.add_argument("--collinear-cap", type=int, default=COLLINEAR_CAP,
                     dest="collinear_cap")

@@ -2,10 +2,20 @@
 
 A PrimeField packages a prime p together with a fixed primitive root g of
 F_p^*.  Three flat tables (powers of g, discrete logs, inverses) are built
-lazily on first use; each is O(p) memory, which is fine under the p <= 2^20
-cap enforced at construction.  The tables make multiplicative structure
-(ratio histograms, subgroups) as cheap as additive structure.  The tables
-are read-only arrays, so no caller can change them for the next.
+together, lazily, on the first explicit table read; each is O(p) memory,
+which is fine under the p <= 2^20 cap enforced at construction.  The tables
+make multiplicative structure (the transform route's discrete logs, whole
+ratio histograms) as cheap as additive structure.  They are read-only
+arrays, so no caller can change them for the next.
+
+Most callers need a few dozen inverses or powers, not all p of them.
+`inverses(xs)` and `powers(exps)` serve those without the tables: one
+vectorised square-and-multiply ladder (`powmod`) in int64, exact because
+every product is below p^2 <= 2^40.  They read the tables instead when
+the tables are already built or when the request is large (64 |xs| > p),
+where one O(p) build pays for itself.  So the length-p tables are built
+only by the transform route, by large requests, or by an explicit table
+read (`pow_table`, `dlog_table`, `inv_table`, `dlog`).
 
 Residues are canonical: every element is an int in [0, p).
 """
@@ -70,6 +80,33 @@ def _find_primitive_root(p: int) -> int:
         if all(pow(cand, (p - 1) // q, p) != 1 for q in prime_divs):
             return cand
     raise NotPrime("no primitive root found for %d; not prime?" % p)
+
+
+def powmod(base, exp, p: int) -> np.ndarray:
+    """base^exp mod p elementwise, as int64, for exponents >= 0 (0^0 = 1).
+
+    One square-and-multiply ladder over the bits of exp: a scalar exp
+    multiplies only on its set bits; an array exp (broadcast against base)
+    selects each element's product per bit.  Every product is below
+    p^2 <= 2^40, so int64 is exact."""
+    base = np.asarray(base, dtype=np.int64) % p
+    if np.ndim(exp) == 0:
+        e = int(exp)
+        out = np.ones_like(base)
+        while e:
+            if e & 1:
+                out = out * base % p
+            e >>= 1
+            if e:
+                base = base * base % p
+        return out
+    e = np.array(exp, dtype=np.int64)
+    out = np.ones(np.broadcast_shapes(base.shape, e.shape), dtype=np.int64)
+    while e.any():
+        out = np.where((e & 1) == 1, out * base % p, out)
+        e >>= 1
+        base = base * base % p
+    return out
 
 
 def _max_p() -> int:
@@ -163,6 +200,30 @@ class PrimeField:
         if self._inv_table is None:
             self._build_tables()
         return self._inv_table
+
+    # -- array ops ---------------------------------------------------------
+
+    def table_free(self, size: int) -> bool:
+        """Whether `inverses` and `powers` answer a request of size
+        elements without the length-p tables: none are built yet, and
+        64 size <= p, below which one O(p) build would not pay for itself."""
+        return self._pow_table is None and size * 64 <= self.p
+
+    def inverses(self, xs) -> np.ndarray:
+        """x^-1 for each residue x in [0, p) of xs, 0 for x = 0; equal to
+        inv_table[xs], with the same shape."""
+        xs = np.asarray(xs, dtype=np.int64)
+        if self.table_free(xs.size):
+            return powmod(xs, self.p - 2, self.p)  # 0^(p-2) = 0
+        return self.inv_table[xs]
+
+    def powers(self, exps) -> np.ndarray:
+        """root^e for each e in [0, p-1) of exps; equal to pow_table[exps],
+        with the same shape."""
+        exps = np.asarray(exps, dtype=np.int64)
+        if self.table_free(exps.size):
+            return powmod(self.root, exps, self.p)
+        return self.pow_table[exps]
 
     # -- scalar ops ------------------------------------------------------
 

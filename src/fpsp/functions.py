@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (BadParams, FieldMismatch, ParseError, ZeroInA,
                      ZeroInCodomain)
-from .field import PrimeField
+from .field import PrimeField, powmod
 from .rng import CounterRng
 from .sets import FSet, _format_lines, _pair_count, _read_lines
 
@@ -93,21 +93,14 @@ def make_fn(field: PrimeField, kind: str, *, c: int | None = None,
             raise BadParams("power needs k")
         # x^k on F_p^*; negative k acts through the group, via exponent
         # reduction mod p-1.
-        e = k % (p - 1)
-        vals = np.ones(p, dtype=np.int64)
-        base = xs.copy()
-        ee = e
-        while ee:
-            if ee & 1:
-                vals = vals * base % p
-            base = base * base % p
-            ee >>= 1
+        vals = powmod(xs, k % (p - 1), p)
         label = "power:%d" % k
     elif kind == "affine":
         if u is None or v is None:
             raise BadParams("affine needs u and v")
+        u, v = u % p, v % p  # before the int64 arithmetic
         vals = (u * xs + v) % p
-        label = "affine:%d,%d" % (u % p, v % p)
+        label = "affine:%d,%d" % (u, v)
     elif kind == "random":
         if seed is None:
             raise BadParams("random needs seed")

@@ -3,8 +3,10 @@
 incidences() is the generic exact counter: blocked dot products in float64
 (every intermediate is an integer below 2^42, so the BLAS path is exact),
 reduced mod p.  max_collinear() canonicalizes pairwise directions per anchor
-point; it serves file-mode configs and rudnev_ratio(), and it is the oracle
-for structural_collinear().  rudnev_ratio() reports the observed count
+point, inverting every pair's leading coordinate in one table-free batch
+while the batch is small (PrimeField.table_free) and reading the inverse
+table above; it serves file-mode configs and rudnev_ratio(), and it is the
+oracle for structural_collinear().  rudnev_ratio() reports the observed count
 against the |R|^(1/2)|S| + k|S| shape.
 
 The four proof configurations (sum_E1, sum_E2, prod_E1, prod_E2) all share
@@ -80,7 +82,7 @@ def normalize_planes(field: PrimeField, raw: np.ndarray) -> np.ndarray:
         raise BadParams("plane with zero normal vector")
     lead_idx = np.argmax(nz, axis=1)
     lead = abc[np.arange(len(arr)), lead_idx]
-    mult = field.inv_table[lead]
+    mult = field.inverses(lead)
     normalized = arr * mult[:, None] % p
     return np.unique(normalized, axis=0)
 
@@ -111,6 +113,17 @@ def incidences(cfg: IncidenceConfig) -> int:
     return total
 
 
+def _direction_keys(d: np.ndarray, invert, p: int) -> np.ndarray:
+    """One int key per direction row of d, equal exactly when the
+    directions are parallel: scale each row by the inverse of its first
+    nonzero coordinate, as invert(array) gives it, and read (x, y, z) in
+    base p."""
+    dx, dy, dz = d[:, 0], d[:, 1], d[:, 2]
+    lead = np.where(dx != 0, dx, np.where(dy != 0, dy, dz))
+    canon = d * invert(lead)[:, None] % p
+    return (canon[:, 0] * p + canon[:, 1]) * p + canon[:, 2]
+
+
 def max_collinear(points: np.ndarray, field: PrimeField,
                   cap: int = COLLINEAR_CAP) -> int:
     """Largest number of points of R on one line, by exact direction
@@ -123,20 +136,40 @@ def max_collinear(points: np.ndarray, field: PrimeField,
         raise SizeCap("max_collinear capped at |R| <= %d, got %d" % (cap, n))
     if n == 1:
         return 1
-    p = field.p
-    inv = field.inv_table
+    return _longest_line(pts, field,
+                         batched=field.table_free(n * (n - 1) // 2))
+
+
+def _longest_line(pts: np.ndarray, field: PrimeField, batched: bool) -> int:
+    """max_collinear's scan of n >= 2 points.  batched keys the
+    directions of all n(n-1)/2 pairs up front, with one batch of
+    field.inverses; max_collinear takes it while that batch needs no
+    length-p table.  Otherwise each anchor's directions are keyed as it
+    is scanned, from the inverse table, in O(n) memory.  The two give the
+    same keys."""
+    n, p = len(pts), field.p
+    if batched:
+        # row i of the upper triangle holds anchor i's pairs, contiguously
+        left, right = np.triu_indices(n, 1)
+        d = (pts[right] - pts[left]) % p
+        keys = _direction_keys(d, field.inverses, p)
+        starts = np.r_[0, np.cumsum(np.arange(n - 1, 0, -1))]
+
+        def anchor_keys(i):
+            return keys[starts[i]:starts[i + 1]]
+    else:
+        invert = field.inv_table.__getitem__
+
+        def anchor_keys(i):
+            return _direction_keys((pts[i + 1:] - pts[i]) % p, invert, p)
     best = 1
     for i in range(n - 1):
         if n - 1 - i <= best - 1:
             break  # not enough points left to beat the current best
-        d = (pts[i + 1:] - pts[i]) % p
-        dx, dy, dz = d[:, 0], d[:, 1], d[:, 2]
-        mult = np.where(dx != 0, inv[dx], np.where(dy != 0, inv[dy], inv[dz]))
-        canon = d * mult[:, None] % p
-        keys = (canon[:, 0] * p + canon[:, 1]) * p + canon[:, 2]
-        keys.sort()
-        edges = np.flatnonzero(keys[1:] != keys[:-1])
-        run = int(np.diff(np.r_[-1, edges, len(keys) - 1]).max())
+        keys_i = anchor_keys(i)
+        keys_i.sort()
+        edges = np.flatnonzero(keys_i[1:] != keys_i[:-1])
+        run = int(np.diff(np.r_[-1, edges, len(keys_i) - 1]).max())
         best = max(best, 1 + run)
     return best
 
@@ -184,7 +217,6 @@ def _proof_pairs(variant: str, a: FSet, x: FSet, third: FSet, g: FnTable,
     ae = a.elements()
     ga = g.values[ae]
     ha = h.values[ae]
-    inv = a.field.inv_table
     if variant in ("prod_E1", "prod_E2") and not x.is_zero_free:
         raise ZeroDivisor("prod variants need 0 not in X")
     # prod_E1 with 0 in C gives alpha = 0 pairs; those are still fine: the
@@ -204,14 +236,15 @@ def _proof_pairs(variant: str, a: FSet, x: FSet, third: FSet, g: FnTable,
         ts = x.elements()
     elif variant == "sum_E2":
         xe = x.elements()
-        alpha = np.repeat(inv[ga], len(xe))
+        alpha = np.repeat(a.field.inverses(ga), len(xe))
         w = (np.repeat(ha, len(xe)) + np.tile(xe, len(ae))) % p
         beta = (-w) % p
         ts = third.elements()
     else:  # prod_E2
         xe = x.elements()
-        alpha = np.repeat(inv[ga], len(xe)) * np.tile(inv[xe], len(ae)) % p
-        w = np.repeat(ha, len(xe)) * np.tile(inv[xe], len(ae)) % p
+        inv_g, inv_x = a.field.inverses(ga), a.field.inverses(xe)
+        alpha = np.repeat(inv_g, len(xe)) * np.tile(inv_x, len(ae)) % p
+        w = np.repeat(ha, len(xe)) * np.tile(inv_x, len(ae)) % p
         beta = (-w) % p
         ts = third.elements()
     return alpha, beta, ts

@@ -17,11 +17,14 @@ falls below the largest multiple of n that fits in 2^64 and returns it
 mod n.
 
 `integers`, `subset` and `shuffle` give the results of a `below` loop, bit
-for bit, without one Python call per word: they hash the blocks for all
-the words still needed in one batch, read them with `np.frombuffer`, and
-reject with one vectorised comparison; only the shortfall left by rejected
-words is drawn again.  All of that arithmetic stays in uint64 with
-explicit uint64 scalars, so numpy 1.x value-based casting and numpy 2
+for bit, without one Python call per word: they hash the blocks for the
+words still needed in batches of at most _CHUNK words, read them with
+`np.frombuffer`, and reject with one vectorised comparison; only the
+shortfall left by rejected words is drawn again.  A batch never asks for
+more words than could still be needed, so the batches consume the same
+minimal stream prefix as the loop, and the bounded batch keeps transient
+buffers small next to the output.  All of that arithmetic stays in uint64
+with explicit uint64 scalars, so numpy 1.x value-based casting and numpy 2
 (NEP 50) alike keep it in uint64 and never promote it to float64.
 """
 
@@ -38,6 +41,7 @@ _BLOCK = 32  # bytes per SHA-256 output
 _TWO64 = 1 << 64
 _INT64_MIN, _INT64_END = -(1 << 63), 1 << 63
 _U64_MAX = np.uint64(_TWO64 - 1)
+_CHUNK = 1 << 15  # words hashed per batch: 256 KiB of stream
 
 
 class CounterRng:
@@ -97,7 +101,7 @@ class CounterRng:
         out = np.empty(size, dtype=np.uint64)
         done = 0
         while done < size:
-            words = self._words(size - done)
+            words = self._words(min(_CHUNK, size - done))
             words = words[words <= top]
             out[done:done + words.size] = words
             done += words.size
@@ -143,7 +147,7 @@ class CounterRng:
         accepted = np.empty(count, dtype=np.uint64)
         done = 0
         while done < count:
-            words = self._words(count - done)
+            words = self._words(min(_CHUNK, count - done))
             # a rejected word shifts every later word on by one step
             while words.size:
                 ok = words <= tops[done:done + words.size]

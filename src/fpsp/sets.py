@@ -157,7 +157,7 @@ def generate(field: PrimeField, family: str, *, start: int | None = None,
             raise BadParams("order %d does not divide p-1=%d" % (order, p - 1))
         stride = (p - 1) // order
         exps = (np.arange(order, dtype=np.int64) * stride) % (p - 1)
-        out = FSet.from_elements(field, field.pow_table[exps])
+        out = FSet.from_elements(field, field.powers(exps))
     else:
         if size is None or size < 0:
             raise BadParams("%s family needs size >= 0" % family)
@@ -166,13 +166,15 @@ def generate(field: PrimeField, family: str, *, start: int | None = None,
         if family == "interval":
             if start is None:
                 raise BadParams("interval needs start")
-            elems = (start + np.arange(size, dtype=np.int64)) % p
+            # parameters are reduced mod p before the int64 arithmetic
+            elems = (start % p + np.arange(size, dtype=np.int64)) % p
         elif family == "ap":
             if start is None or step is None:
                 raise BadParams("ap needs start and step")
             if step % p == 0 and size > 1:
                 raise BadParams("ap with step 0 repeats elements")
-            elems = (start + step * np.arange(size, dtype=np.int64)) % p
+            elems = (start % p
+                     + (step % p) * np.arange(size, dtype=np.int64)) % p
         elif family == "gp":
             if start is None or ratio is None:
                 raise BadParams("gp needs start and ratio")
@@ -366,7 +368,7 @@ def _pair_counts(x: FSet, y: FSet, op: str, method: str, enum: str,
     if op in ("sum", "diff"):
         return _pair_count(1 if op == "sum" else -1, ye, xe, p, support)
     if op == "ratio":
-        ye = x.field.inv_table[ye]
+        ye = x.field.inverses(ye)
     return _pair_count(xe, ye, None, p, support)
 
 
@@ -389,7 +391,7 @@ def affine(a: FSet, lam: int, t: int) -> FSet:
     lam %= p
     if lam == 0:
         raise ZeroDilation("affine scaling by 0")
-    elems = (lam * a.elements() + t) % p
+    elems = (lam * a.elements() + t % p) % p
     return FSet.from_elements(a.field, elems)
 
 

@@ -261,8 +261,7 @@ def solution_count_M_brute(a: FSet, b: FSet, c: FSet, x: FSet,
             raise ZeroDivisor("prod kind needs 0 not in X")
         if not c.is_zero_free or not b.is_zero_free:
             raise ZeroDivisor("ratio table needs 0 not in B or C")
-        inv = b.field.inv_table
-        table = be[:, None] * inv[ce][None, :] % p
+        table = be[:, None] * b.field.inverses(ce)[None, :] % p
     return a.size * int(x.mask[table].sum())
 
 

@@ -133,6 +133,32 @@ def test_setop_and_affine(capsys):
     assert code == 2 and "bogus:1" in err
 
 
+def test_integers_beyond_int64_reduce_mod_p(capsys):
+    # set-spec and gen parameters are residues: any integer is reduced
+    # mod p before the int64 arithmetic, so none overflows
+    big = 10 ** 20 - 1
+    for argv, small in (
+            (("setop", "--p", "101", "--A", "interval:%d:4" % big,
+              "--affine", "1,0"),
+             ("setop", "--p", "101", "--A", "interval:%d:4" % (big % 101),
+              "--affine", "1,0")),
+            (("gen", "--p", "101", "--family", "interval", "--start",
+              str(big), "--len", "4"),
+             ("gen", "--p", "101", "--family", "interval", "--start",
+              str(big % 101), "--len", "4")),
+            (("gen", "--p", "101", "--family", "ap", "--start", str(-big),
+              "--step", str(big + 3), "--len", "4"),
+             ("gen", "--p", "101", "--family", "ap", "--start",
+              str(-big % 101), "--step", "3", "--len", "4")),
+            (("setop", "--p", "101", "--A", "interval:5:3", "--affine",
+              "1,%d" % (big + 1)),
+             ("setop", "--p", "101", "--A", "interval:5:3", "--affine",
+              "1,1"))):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and "Traceback" not in err, argv
+        assert (code, out) == run(capsys, *small)[:2], argv
+
+
 def test_image_worked_example(capsys):
     code, out, _ = run(capsys, "image", "--p", "7", "--A", "explicit:1",
                        "--B", "explicit:1,2,3", "--g", "const:1",
@@ -186,6 +212,32 @@ def test_incidence_file_mode(tmp_path, capsys):
     assert code == 0
     blob = json.loads(out)
     assert blob["incidences"] == 5 and blob["n_points"] == 5
+
+
+def test_incidence_file_mode_reads_no_table(tmp_path, capsys,
+                                            monkeypatch):
+    # --g/--h default to id and const:1, but only the variant mode reads
+    # tables; file mode parses none, and the variant defaults still apply
+    import fpsp.cli as cli
+    specs = []
+    real_parse = cli.parse_fn_spec
+
+    def spy(field, spec):
+        specs.append(spec)
+        return real_parse(field, spec)
+
+    monkeypatch.setattr(cli, "parse_fn_spec", spy)
+    pts = tmp_path / "R.pts"
+    pts.write_text("p=101\n1 2 3\n2 4 6\n")
+    code, out, _ = run(capsys, "incidence", "max-collinear", "--p", "101",
+                       "--points", str(pts))
+    assert (code, out.strip(), specs) == (0, "2", [])
+    sets = ("--p", "101", "--variant", "sum_E1", "--A", "subgroup:10",
+            "--X", "interval:1:6", "--third", "interval:2:5")
+    code, defaulted, _ = run(capsys, "incidence", "count", *sets)
+    assert code == 0 and specs == ["id", "const:1"]
+    assert run(capsys, "incidence", "count", *sets, "--g", "id",
+               "--h", "const:1")[:2] == (0, defaulted)
 
 
 def test_incidence_variant_and_build_roundtrip(tmp_path, capsys):

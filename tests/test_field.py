@@ -1,11 +1,13 @@
-"""Field construction, primality, and the three lazy tables."""
+"""Field construction, primality, the three lazy tables, and the
+table-free array inverses and powers."""
 
 import numpy as np
 import pytest
 
 from fpsp.errors import BadParams, NotPrime, TooSmall, ZeroInverse
 from fpsp.field import (DEFAULT_MAX_P, PrimeField, factorize, is_prime,
-                        make_field)
+                        make_field, powmod)
+from fpsp.rng import CounterRng
 
 
 def test_is_prime_small_and_carmichael():
@@ -138,3 +140,48 @@ def test_field_equality_and_hash():
 
 def test_default_cap_is_2_to_20():
     assert DEFAULT_MAX_P == 1 << 20
+
+
+@pytest.mark.parametrize("p", [101, 1009, 1048573])
+def test_inverses_and_powers_match_tables(p):
+    # The ladder and the table route give the tables' values bit for bit,
+    # on 0, 1 and p-1 (exponents 0, 1 and p-2), empty and 2-D requests.
+    ref = make_field(p)
+    inv, powt = ref.inv_table, ref.pow_table
+    if p < 2000:
+        xs, es = np.arange(p, dtype=np.int64), np.arange(p - 1)
+    else:
+        draws = CounterRng(p, "inverses-vs-tables").integers(0, p - 1, 300)
+        xs = np.r_[0, 1, p - 1, draws]
+        es = np.r_[0, 1, p - 2, draws]
+    assert np.array_equal(powmod(xs, p - 2, p), inv[xs])
+    assert np.array_equal(powmod(ref.root, es, p), powt[es])
+    for want, ask, arg in ((inv, "inverses", xs), (powt, "powers", es)):
+        for shaped in (arg, arg[:0], arg[:0].reshape(0, 3),
+                       arg[:len(arg) // 6 * 6].reshape(-1, 6),
+                       arg[:3], arg[:3].reshape(3, 1)):
+            for f in (make_field(p), ref):  # fresh, then with tables
+                got = getattr(f, ask)(shaped)
+                assert got.dtype == np.int64 and got.shape == shaped.shape
+                assert np.array_equal(got, want[shaped]), (ask, shaped.shape)
+
+
+def test_small_requests_build_no_tables():
+    p = 1048573
+    f = make_field(p)
+    assert f.table_free(p // 64) and not f.table_free(p // 64 + 1)
+    f.inverses(np.arange(p // 64))
+    f.powers(np.arange(p // 64))
+    assert f._pow_table is None
+    # a large request builds them, and from then on every request reads them
+    f.inverses(np.arange(p // 64 + 1))
+    assert f._inv_table is not None and not f.table_free(1)
+
+
+def test_powmod_scalar_and_array_exponents():
+    p = 1009
+    xs = np.arange(p, dtype=np.int64)
+    for e in (0, 1, 2, 7, p - 2, p - 1, 3 * p):
+        want = np.array([pow(x, e, p) for x in range(p)], dtype=np.int64)
+        assert np.array_equal(powmod(xs, e, p), want), e
+        assert np.array_equal(powmod(xs, np.full(p, e), p), want), e

@@ -13,7 +13,8 @@ import pytest
 from fpsp.errors import BadParams, EmptySet, SizeCap, ZeroDivisor, ZeroInA
 from fpsp.field import make_field
 from fpsp.functions import make_fn
-from fpsp.incidence import (VARIANTS, _dedup_pairs, _proof_pairs,
+from fpsp.incidence import (VARIANTS, _dedup_pairs, _longest_line,
+                            _proof_pairs,
                             bilinear_hist, build_proof_config, incidences,
                             make_config, max_collinear, normalize_planes,
                             proof_incidences, rudnev_ratio,
@@ -124,6 +125,37 @@ def test_max_collinear_brute_agreement():
                         cnt += 1
                 best = max(best, cnt)
         assert max_collinear(pts, f) == best, trial
+
+
+def test_max_collinear_batched_and_table_routes_agree():
+    # The batched route (one table-free batch of inverses) and the per-anchor
+    # table route key every direction alike, on random points and on
+    # structured ones: a line among random points, a plane grid, repeated
+    # points, a proof point set.  Structured cases carry their answer.
+    rng = CounterRng(4, "mc-routes")
+    cases = []
+    for p in (101, 1048573):
+        f = make_field(p)
+        for n in (2, 5, 40, 150):
+            cases.append((f, rng.integers(0, p, 3 * n).reshape(-1, 3), None))
+        t = np.arange(30, dtype=np.int64)[:, None]
+        line = (np.array([3, 1, 4]) + t * np.array([1, p - 5, 9])) % p
+        noise = rng.integers(0, p, 60).reshape(-1, 3)
+        cases.append((f, np.r_[line, noise], 30 if p > 101 else None))
+        grid = np.array([(0, i, j) for i in range(8) for j in range(8)])
+        cases.append((f, grid, 8))
+        cases.append((f, np.r_[grid[:10], grid[:10]], None))  # repeats
+    a = generate(F101, "random", size=6, seed=1, zero_free=True)
+    x = generate(F101, "random", size=5, seed=2, zero_free=True)
+    cfg = build_proof_config("sum_E1", a, x, x, make_fn(F101, "power", k=2),
+                             make_fn(F101, "random", seed=3))
+    cases.append((F101, cfg.points, None))
+    for f, pts, want in cases:
+        pts = np.asarray(pts, dtype=np.int64)
+        batched = _longest_line(pts, make_field(f.p), batched=True)
+        assert batched == _longest_line(pts, f, batched=False), len(pts)
+        assert batched == max_collinear(pts, make_field(f.p)), len(pts)
+        assert want is None or batched == want, (f.p, len(pts))
 
 
 def test_proof_incidences_matches_materialized():

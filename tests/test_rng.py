@@ -17,7 +17,7 @@ import pytest
 from fpsp.errors import BadParams
 from fpsp.field import make_field
 from fpsp.functions import make_fn
-from fpsp.rng import CounterRng
+from fpsp.rng import _CHUNK, CounterRng
 from fpsp.sets import generate
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -157,3 +157,34 @@ def test_shuffle_is_permutation():
     r.shuffle(arr)
     assert sorted(arr.tolist()) == list(range(40))
     assert arr.tolist() != list(range(40))  # 1/40! chance, effectively never
+
+
+def test_integers_memory_bounded():
+    """A whole random: table's draws, 1,048,572 words at p = 1048573, are
+    hashed and filtered in bounded chunks straight into the output: the
+    peak stays within 1.5x the output's bytes."""
+    import tracemalloc
+    p = 1048573
+    tracemalloc.start()
+    try:
+        out = CounterRng(11, "x").integers(1, p, p - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * out.nbytes, (peak, out.nbytes)
+
+
+def test_integers_rejection_across_chunks_matches_below():
+    # span 2^63 + 1 rejects about half of all words, so a draw of 2.5
+    # chunks refills many times across chunk boundaries; the values and
+    # the stream position must still be those of a below() loop.
+    lo, hi = -(1 << 63), 1
+    size = 5 * _CHUNK // 2
+    fast, slow = CounterRng(8, "reject"), CounterRng(8, "reject")
+    got = fast.integers(lo, hi, size)
+    want = [lo + slow.below(hi - lo) for _ in range(size)]
+    assert got.tolist() == want
+    words_used = (32 * fast._counter - len(fast._buf)) // 8
+    assert words_used > 3 * _CHUNK  # rejected words crossed chunk borders
+    assert fast.bytes(40) == slow.bytes(40)
+    assert (fast._counter, fast._buf) == (slow._counter, slow._buf)

@@ -11,7 +11,7 @@ import pytest
 from fpsp import functions, verify
 from fpsp.energy import rep_fn
 from fpsp.errors import ConfigError
-from fpsp.field import make_field
+from fpsp.field import PrimeField, make_field
 from fpsp.sets import generate
 from fpsp.sweep import (SweepConfig, _instance_payload, build_instance_sets,
                         load_config_file, report_json, rows_csv, run_sweep)
@@ -262,3 +262,28 @@ def test_small_instance_builds_no_length_p_histogram(monkeypatch):
     cfg = SweepConfig.from_dict(_large_p_cfg("interval", [8, 16, 8]))
     _instance_payload(cfg, cfg.descriptors()[0])
     assert long_calls == []
+
+
+def test_large_p_instances_build_no_field_tables(monkeypatch):
+    # At p = 1048573 a sweep instance needs a few dozen inverses and
+    # subgroup powers, which the field computes without its three length-p
+    # tables; no chain or theorem row may read a table either.
+    builds = []
+    real_build = PrimeField._build_tables
+
+    def counting_build(field):
+        builds.append(field.p)
+        real_build(field)
+
+    monkeypatch.setattr(PrimeField, "_build_tables", counting_build)
+    for family, sizes, g, h in (("interval", [8, 16, 8], "id", "const:1"),
+                                ("random", [8, 32, 16], "id", "random:12"),
+                                ("mul_subgroup", [8, 32, 16], "random:11",
+                                 "const:1")):
+        cfg = SweepConfig.from_dict(dict(_large_p_cfg(family, sizes),
+                                         g=[g], h=[h], kinds=["sum", "prod"]))
+        _instance_payload(cfg, cfg.descriptors()[0])
+        assert builds == [], family
+    # the counter sees a table read
+    make_field(1048573).inv_table
+    assert builds == [1048573]
