@@ -37,9 +37,8 @@ from .sweep import SweepConfig, load_config_file, report_json, rows_csv, \
 from .verify import (CSV_HEADER, QUAD_VARIANTS, THEOREMS, ChainReport,
                      Check, RatioRow, ReportRow, ThmInstance,
                      composite_N_check, count_N_shifted, count_X,
-                     count_X_brute, eplus_chain, holder_weighted_sum,
-                     lemma_chain_check, n_chain_check, phi_chain, phi_count,
-                     quad_energy, quad_energy_brute, solution_count_M,
-                     solution_count_M_brute, theorem_ratio)
+                     eplus_chain, holder_weighted_sum, lemma_chain_check,
+                     n_chain_check, phi_chain, phi_count, quad_energy,
+                     solution_count_M, theorem_ratio)
 
 __version__ = "0.1.0"

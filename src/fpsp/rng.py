@@ -16,9 +16,9 @@ A 64-bit word is 8 little-endian bytes; `below(n)` draws words until one
 falls below the largest multiple of n that fits in 2^64 and returns it
 mod n.
 
-`integers`, `subset` and `shuffle` give the results of a `below` loop, bit
-for bit, without one Python call per word: they hash the blocks for the
-words still needed in batches of at most _CHUNK words, read them with
+`integers` and `subset` give the results of a `below` loop, bit for bit,
+without one Python call per word: they hash the blocks for the words
+still needed in batches of at most _CHUNK words, read them with
 `np.frombuffer`, and reject with one vectorised comparison; only the
 shortfall left by rejected words is drawn again.  A batch never asks for
 more words than could still be needed, so the batches consume the same
@@ -129,14 +129,6 @@ class CounterRng:
             picked.append(swapped.get(j, j))
             swapped[j] = swapped.get(i, i)
         return np.sort(np.array(picked, dtype=np.int64))
-
-    def shuffle(self, arr: np.ndarray) -> None:
-        """In-place Fisher-Yates; step i (from the top) swaps arr[i] with
-        arr[below(i + 1)]."""
-        n = len(arr)
-        offs = self._below_each(np.arange(n, 1, -1, dtype=np.uint64))
-        for i, j in zip(range(n - 1, 0, -1), offs.tolist()):
-            arr[i], arr[j] = arr[j], arr[i]
 
     def _below_each(self, spans: np.ndarray) -> np.ndarray:
         """below(spans[i]) for each uint64 span in order, as a uint64 array:

@@ -60,8 +60,6 @@ THEOREMS = {
     "Cor_mult": "abc", "T_1_12_threshold": "a",
 }
 
-QUAD_BRUTE_CAP = 3_000
-X_BRUTE_CAP = 60
 PHI_CAP = 100
 THRESHOLD_EPS_DEN_CAP = 10_000
 
@@ -185,46 +183,6 @@ def _energy_and_incidences(kernel: str, a: FSet, x: FSet, third: FSet,
     return energy, bilinear_hist(ua, ub, ts, p, cap).sum_squares()
 
 
-def quad_energy_brute(variant: str, a: FSet, x: FSet, third: FSet,
-                      g: FnTable, h: FnTable,
-                      cap: int = QUAD_BRUTE_CAP) -> int:
-    """O(T^2) oracle: evaluate the value map on every triple explicitly and
-    count colliding pairs.  Only for small instances."""
-    if variant not in QUAD_VARIANTS:
-        raise BadParams("unknown quad-energy variant %r" % variant)
-    if not (a.field == x.field == third.field == g.field == h.field):
-        raise FieldMismatch("mixed fields in quad_energy_brute")
-    if not a.is_zero_free:
-        raise ZeroInA("0 in A")
-    if variant in ("E3_prod", "E4_prod") and not x.is_zero_free:
-        raise ZeroDivisor("prod variants need 0 not in X")
-    p = a.field.p
-    inv = a.field.inv_table
-    ae, xe, te = a.elements(), x.elements(), third.elements()
-    total = len(ae) * len(xe) * len(te)
-    if total > cap:
-        raise SizeCap("brute quad energy capped at %d triples, got %d"
-                      % (cap, total))
-    vals = []
-    for av in ae.tolist():
-        ga, ha = int(g.values[av]), int(h.values[av])
-        for xv in xe.tolist():
-            for tv in te.tolist():
-                if variant == "E1_sum":
-                    v = ga * (xv + tv + ha) % p
-                elif variant == "E3_prod":
-                    v = ga * (xv * tv + ha) % p
-                elif variant == "E2_sum":
-                    v = (tv * int(inv[ga]) - xv - ha) % p
-                else:
-                    v = (tv * int(inv[ga]) - ha) * int(inv[xv]) % p
-                vals.append(v)
-    if not vals:
-        return 0
-    arr = np.array(vals, dtype=np.int64)
-    return int((arr[:, None] == arr[None, :]).sum())
-
-
 # -- solution counts ---------------------------------------------------------
 
 
@@ -240,29 +198,6 @@ def solution_count_M(a: FSet, b: FSet, c: FSet, x: FSet, kind: str) -> int:
         raise ZeroDivisor("prod kind needs 0 not in X")
     r = rep_fn(b, c, "difference" if kind == "sum" else "ratio")
     return a.size * int(r.hist.at(x.elements()).sum())
-
-
-def solution_count_M_brute(a: FSet, b: FSet, c: FSet, x: FSet,
-                           kind: str) -> int:
-    """Oracle for solution_count_M: outer difference/ratio table plus a
-    membership test, no histogram."""
-    if kind not in ("sum", "prod"):
-        raise BadParams("kind must be sum or prod, got %r" % kind)
-    if not (a.field == b.field == c.field == x.field):
-        raise FieldMismatch("mixed fields in solution_count_M_brute")
-    p = b.field.p
-    be, ce = b.elements(), c.elements()
-    if len(be) == 0 or len(ce) == 0:
-        return 0
-    if kind == "sum":
-        table = (be[:, None] - ce[None, :]) % p
-    else:
-        if not x.is_zero_free:
-            raise ZeroDivisor("prod kind needs 0 not in X")
-        if not c.is_zero_free or not b.is_zero_free:
-            raise ZeroDivisor("ratio table needs 0 not in B or C")
-        table = be[:, None] * b.field.inverses(ce)[None, :] % p
-    return a.size * int(x.mask[table].sum())
 
 
 # -- the main energy chain ---------------------------------------------------
@@ -419,19 +354,6 @@ def count_X(pset: FSet, b: FSet) -> int:
     if pset.size == 0 or d.size == 0:
         return 0
     return int(moment(rep_fn(pset, d, "difference"), 2))
-
-
-def count_X_brute(pset: FSet, b: FSet, cap: int = X_BRUTE_CAP) -> int:
-    """Quadruple enumeration oracle for count_X."""
-    d = combine(b, b, "diff")
-    if pset.size > cap or d.size > cap:
-        raise SizeCap("brute count_X capped at |P|, |D| <= %d" % cap)
-    pe, de = pset.elements(), d.elements()
-    if len(pe) == 0 or len(de) == 0:
-        return 0
-    p = b.field.p
-    dif = ((pe[:, None] - de[None, :]) % p).ravel()
-    return int((dif[:, None] == dif[None, :]).sum())
 
 
 def holder_weighted_sum(b: FSet, c: FSet) -> dict:

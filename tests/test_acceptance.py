@@ -34,8 +34,9 @@ from fpsp.rng import CounterRng
 from fpsp.sets import combine, generate
 from fpsp.sweep import build_instance_sets, report_json, run_sweep
 from fpsp.verify import (QUAD_VARIANTS, ThmInstance, composite_N_check,
-                         count_X, count_X_brute, lemma_chain_check,
-                         quad_energy, quad_energy_brute, theorem_ratio)
+                         count_X, lemma_chain_check, quad_energy,
+                         theorem_ratio)
+from oracles import count_X_brute, quad_energy_brute
 
 import pathlib
 

@@ -1,18 +1,32 @@
-"""Exact convolution: the certified float FFT, its NTT fallback and the
-schoolbook oracle, bit for bit."""
+"""Exact convolution: the certified limb-split float FFT against the
+schoolbook and NTT oracles of tests/oracles.py, bit for bit, and its
+refusal of inputs it cannot answer exactly."""
 
 import numpy as np
 import pytest
 
-from fpsp.convolve import (_convolve_fft, _convolve_ntt, _fft_error_bound,
-                           convolve_naive, cyclic_convolve)
+from fpsp.convolve import (_convolve_fft, _fft_error_bound, _split,
+                           cyclic_convolve)
 from fpsp.errors import BadParams
 from fpsp.rng import CounterRng
+from oracles import _P1, _P2, _convolve_ntt, convolve_naive
+
+
+def _schoolbook(x, y, n):
+    """c[k] on Python ints, immune to any int64 overflow."""
+    return [sum(int(x[i]) * int(y[(k - i) % n]) for i in range(n))
+            for k in range(n)]
+
+
+def _limb_counts(x, y, n):
+    size = n if n & (n - 1) == 0 else 1 << (2 * n - 2).bit_length()
+    _, lx, ly = _split(x, y, size)
+    return len(lx), len(ly)
 
 
 def test_lengths_small_sweep():
-    # every length 1..40 hits at least one of: the trivial branch, the
-    # direct power-of-two transform, the pad-and-fold path
+    # every length 1..40 takes the direct power-of-two transform (length
+    # 1 included) or the pad-and-fold path
     for n in range(1, 41):
         r = CounterRng(n, "conv-small")
         x = r.integers(0, 50, n)
@@ -32,23 +46,82 @@ def test_awkward_prime_lengths():
 
 
 def test_large_entries_no_overflow():
-    # coefficients up to 10^6 * 10^6 * 64 = 6.4e16, inside the CRT modulus
-    # ~7.5e17 but far outside a single 30-bit prime: catches any missing
-    # CRT recombination
+    # coefficients up to 10^6 * 10^6 * 64 = 6.4e16, far outside a single
+    # 30-bit prime and beyond what one limb can certify
     r = CounterRng(0, "conv-big")
     n = 64
     x = r.integers(0, 10 ** 6, n)
     y = r.integers(0, 10 ** 6, n)
     got = cyclic_convolve(x, y, n)
-    want = np.array([sum(int(x[i]) * int(y[(k - i) % n]) for i in range(n))
-                     for k in range(n)], dtype=np.int64)
-    assert np.array_equal(got, want)
-    assert want.max() > 998244353  # the check is only meaningful past one prime
-    # the FFT's a-priori bound refuses these entries, so the NTT answers
+    want = _schoolbook(x, y, n)
+    assert got.dtype == np.int64 and got.tolist() == want
+    assert np.array_equal(got, _convolve_ntt(x, y, n))
+    assert max(want) > 998244353  # only meaningful past one prime
+    # one limb fails the a-priori bound, so the FFT splits the entries
     bound = np.sqrt(float(np.dot(x, x)) * float(np.dot(y, y))) \
         * _fft_error_bound(6)
     assert bound >= 0.25
-    assert _convolve_fft(x, y, n) is None
+    assert min(_limb_counts(x, y, n)) > 1
+
+
+def test_magnitude_ladder_limb_counts():
+    # entries below 2^12 need one limb, below 10^6 two on each side, and a
+    # 61-bit spike three: each answered exactly
+    r = CounterRng(3, "conv-ladder")
+    n = 64
+    spike = r.integers(0, 1 << 20, n)
+    spike[5] = (1 << 61) - 1
+    pair = np.zeros(n, dtype=np.int64)
+    pair[[3, 40]] = 1
+    for x, y, limbs in ((r.integers(0, 1 << 12, n),
+                         r.integers(0, 1 << 12, n), (1, 1)),
+                        (r.integers(0, 10 ** 6, n),
+                         r.integers(0, 10 ** 6, n), (2, 2)),
+                        (spike, pair, (3, 1))):
+        assert _limb_counts(x, y, n) == limbs
+        got = cyclic_convolve(x, y, n)
+        assert np.array_equal(got, convolve_naive(x, y, n)), limbs
+        assert got.tolist() == _schoolbook(x, y, n), limbs
+
+
+def test_coefficient_beyond_old_crt_range():
+    # 2^40 * 2^20 = 2^60 exceeds the NTT's CRT modulus ~7.5e17, where the
+    # double-prime lift wraps silently
+    x, y = [1 << 40, 3, 0, 5], [1 << 20, 0, 7, 0]
+    want = _schoolbook(x, y, 4)
+    assert max(want) >= _P1 * _P2
+    assert cyclic_convolve(x, y, 4).tolist() == want
+    assert cyclic_convolve([1 << 40, 0, 0, 0], [1 << 20, 0, 0, 0],
+                           4).tolist() == [1 << 60, 0, 0, 0]
+
+
+def test_mass_up_to_int64_answered():
+    # sum(x) sum(y) = 2^63 - 1, the largest mass allowed
+    assert cyclic_convolve([(1 << 63) - 1, 0], [1, 0], 2).tolist() == \
+        [(1 << 63) - 1, 0]
+    with pytest.raises(BadParams):
+        cyclic_convolve([1 << 62, 0], [2, 0], 2)
+
+
+def test_negative_entries_refused():
+    with pytest.raises(BadParams):
+        cyclic_convolve([-(1 << 30), 0, 0, 0], [1 << 30, 0, 0, 0], 4)
+
+
+def test_float_entries_refused():
+    with pytest.raises(BadParams):
+        cyclic_convolve([0.5, 1.7], [1, 1], 2)
+
+
+def test_two_dimensional_input_refused():
+    with pytest.raises(BadParams):
+        cyclic_convolve(np.ones((2, 2), dtype=np.int64),
+                        np.ones((2, 2), dtype=np.int64), 2)
+
+
+def test_numpy_integer_length():
+    got = cyclic_convolve(np.array([1, 2]), np.array([3, 4]), np.int64(2))
+    assert got.tolist() == [11, 10]
 
 
 def test_indicator_autocorrelation_identity():
@@ -97,7 +170,6 @@ def test_fft_ntt_naive_bit_identical():
                 keep[r.integers(0, n, 40)] = True
                 x[~keep] = 0
             fft = _convolve_fft(x, y, n)
-            assert fft is not None, (n, hi)
             assert fft.dtype == np.int64
             assert np.array_equal(fft, _convolve_ntt(x, y, n)), (n, hi)
             assert np.array_equal(fft, convolve_naive(x, y, n)), (n, hi)
@@ -106,14 +178,14 @@ def test_fft_ntt_naive_bit_identical():
 
 def test_fft_taken_on_large_indicators():
     # 2^16-scale indicator pairs: n = 65536 transforms directly, n = 65537
-    # pads to 2^18; both certify and match the NTT
+    # pads to 2^18; both certify with one limb and match the NTT
     for n in (65536, 65537):
         r = CounterRng(n, "conv-fft-large")
         x = np.zeros(n, dtype=np.int64)
         y = np.zeros(n, dtype=np.int64)
         x[r.integers(0, n, 5000)] = 1
         y[r.integers(0, n, 20000)] = 1
+        assert _limb_counts(x, y, n) == (1, 1), n
         fft = _convolve_fft(x, y, n)
-        assert fft is not None, n
         assert int(fft.sum()) == int(x.sum()) * int(y.sum())
         assert np.array_equal(fft, _convolve_ntt(x, y, n)), n

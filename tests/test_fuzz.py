@@ -1,12 +1,13 @@
-"""Seeded differential fuzz: the transform route (certified float FFT, NTT
-fallback) and the "auto" choice against the enumeration, and the FFT
-against the NTT, over random primes and sizes plus the edge cases p = 3,
-a full field, |A| = 1, 0 in the sets and small sets at p = 1048573; the
-batched CounterRng draws against a scalar `below` oracle; the fast paths
-of the per-instance quantities (grouped moments, mu over gathered values,
-the cached mu(g*h)) against their direct forms; and the pair counter's
-sparse and dense routes, with every consumer of its counts, against
-np.add.at histograms and the dense computations they replaced."""
+"""Seeded differential fuzz: the transform route (certified float FFT)
+and the "auto" choice against the enumeration, and the FFT against the
+NTT oracle of tests/oracles.py, over random primes and sizes plus the
+edge cases p = 3, a full field, |A| = 1, 0 in the sets and small sets at
+p = 1048573; the batched CounterRng draws against a scalar `below`
+oracle; the fast paths of the per-instance quantities (grouped moments,
+mu over gathered values, the cached mu(g*h)) against their direct forms;
+and the pair counter's sparse and dense routes, with every consumer of
+its counts, against np.add.at histograms and the dense computations
+they replaced."""
 
 import copy
 import itertools
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from fpsp import sets
-from fpsp.convolve import _convolve_fft, _convolve_ntt
+from fpsp.convolve import _convolve_fft
 from fpsp.energy import (RepFn, dyadic_buckets, energy_popular, level_counts,
                          level_set, moment, popular_diff, popular_sum_core,
                          rep_fn, select_dyadic_k)
@@ -31,8 +32,8 @@ from fpsp.rng import CounterRng
 from fpsp.sets import FSet, _pair_count, combine, generate
 from fpsp.verify import (_KERNEL_OF, _energy_and_incidences,
                          count_N_shifted, count_X, holder_weighted_sum,
-                         quad_energy, solution_count_M,
-                         solution_count_M_brute)
+                         quad_energy, solution_count_M)
+from oracles import _convolve_ntt, solution_count_M_brute
 
 P_LARGE = 1048573
 NTT_MAX_P = 5000  # the NTT oracle is slow past a few thousand points
@@ -115,7 +116,6 @@ def test_transform_and_auto_match_enumeration():
             if n == 1:
                 continue
             fft = _convolve_fft(x, y, n)
-            assert fft is not None, tag + (n,)
             assert np.array_equal(fft, _convolve_ntt(x, y, n)), tag + (n,)
 
 
@@ -191,25 +191,20 @@ def test_batched_rng_matches_scalar_oracle():
     assert rejected >= 100  # words the batched paths drew and threw away
 
 
-def _shuffle_oracle(rng, arr):
-    """The Fisher-Yates of `shuffle`, one `below` per step."""
-    for i in range(len(arr) - 1, 0, -1):
-        j = rng.below(i + 1)
-        arr[i], arr[j] = arr[j], arr[i]
-
-
-def test_batched_shuffle_matches_scalar_oracle():
+def test_batched_below_each_matches_scalar_oracle():
+    # descending spans n, n-1, ..., 2, which `subset` reaches only when it
+    # draws nearly the whole population
     for trial, n in enumerate((0, 1, 2, 3, 5, 8, 33, 101, 1000, 0, 1, 7)):
         fast, slow = CounterRng(trial, "shuffle"), CounterRng(trial, "shuffle")
         lead = trial % 32  # start anywhere in a block
         assert fast.bytes(lead) == slow.bytes(lead)
         base = fast.integers(-1000, 1000, n)
         assert np.array_equal(base, slow.integers(-1000, 1000, n))
-        got, want = base.copy(), base.copy()
-        fast.shuffle(got)
-        _shuffle_oracle(slow, want)
-        assert got.tolist() == want.tolist(), (trial, n)
-        assert sorted(got.tolist()) == sorted(base.tolist())
+        spans = np.arange(n, 1, -1, dtype=np.uint64)
+        got = fast._below_each(spans)
+        assert got.dtype == np.uint64
+        want = [slow.below(int(s)) for s in spans.tolist()]
+        assert got.tolist() == want, (trial, n)
         # same stream position: the next 64 bytes agree
         assert fast.bytes(64) == slow.bytes(64), (trial, n)
 

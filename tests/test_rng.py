@@ -151,14 +151,6 @@ def test_subset_full_population():
     assert s.tolist() == list(range(12))
 
 
-def test_shuffle_is_permutation():
-    r = CounterRng(9, "sh")
-    arr = np.arange(40)
-    r.shuffle(arr)
-    assert sorted(arr.tolist()) == list(range(40))
-    assert arr.tolist() != list(range(40))  # 1/40! chance, effectively never
-
-
 def test_integers_memory_bounded():
     """A whole random: table's draws, 1,048,572 words at p = 1048573, are
     hashed and filtered in bounded chunks straight into the output: the

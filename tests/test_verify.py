@@ -16,11 +16,10 @@ from fpsp.rng import CounterRng
 from fpsp.sets import FSet, affine, combine, generate
 from fpsp.verify import (CSV_HEADER, QUAD_VARIANTS, THEOREMS, ThmInstance,
                          composite_N_check, count_N_shifted, count_X,
-                         count_X_brute, eplus_chain, holder_weighted_sum,
-                         lemma_chain_check, n_chain_check, phi_chain,
-                         phi_count, quad_energy, quad_energy_brute,
-                         solution_count_M, solution_count_M_brute,
-                         theorem_ratio)
+                         eplus_chain, holder_weighted_sum, lemma_chain_check,
+                         n_chain_check, phi_chain, phi_count, quad_energy,
+                         solution_count_M, theorem_ratio)
+from oracles import count_X_brute, quad_energy_brute, solution_count_M_brute
 
 F7 = make_field(7)
 F101 = make_field(101)
