@@ -10,7 +10,10 @@ any failed check raises BadParams.
 * Inputs.  x and y are 1-D integer vectors of length n with nonnegative
   entries and sum(x) sum(y) < 2^63 (checked on Python ints).  Every
   coefficient is at most that mass, so every partial sum below stays
-  exact in int64.
+  exact in int64.  Each input is kept in its narrowest exact dtype:
+  uint8 when every entry is below 256 (indicators), else int64.  Sums
+  are taken with dtype=int64, and sums of squares on an int64 copy,
+  since np.dot accumulates in its inputs' dtype.
 * Limbs.  Each input is split into base-2^s limbs, x = sum_i x_i 2^(is)
   with 0 <= x_i < 2^s, and s is the widest width for which every limb
   pair passes the a-priori bound below.  The FFT of each limb is taken
@@ -35,6 +38,12 @@ any failed check raises BadParams.
   about 1e-7.
 * A posteriori.  Every output of every limb pair lies within 1/4 of an
   integer, and its rounded mass is exactly sum(x_i) sum(y_j).
+* Working set.  For one limb pair the spectrum product is formed in
+  place in x's spectrum (x is y takes one rfft and squares it), the
+  rounding check runs in place in the irfft output, and each buffer is
+  freed before the next is allocated.  The result owns its n entries.
+  One indicator histogram at n = 1048573 (N = 2^21: 16 MB per spectrum
+  or length-N float64 buffer) peaks at about 42 MB of numpy arrays.
 
 Splitting into limbs for floating-point FFT products follows Brent and
 Zimmermann, Modern Computer Arithmetic (CUP 2010), chapters 2-3.
@@ -58,6 +67,7 @@ def _sum_squares(v: np.ndarray) -> int | None:
     top = int(v.max())
     if top * top * len(v) >= _INT64_END:
         return None
+    v = v.astype(np.int64, copy=False)  # np.dot sums in v's own dtype
     return int(np.dot(v, v))
 
 
@@ -96,39 +106,55 @@ def _split(x: np.ndarray, y: np.ndarray,
 
 
 def _convolve_fft(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
-    """Cyclic convolution of nonnegative int64 vectors of length n with
-    sum(x) sum(y) < 2^63, certified exact limb pair by limb pair."""
+    """Cyclic convolution of nonnegative uint8 or int64 vectors of length
+    n with sum(x) sum(y) < 2^63, certified exact limb pair by limb pair.
+    x is y takes one forward transform for both sides."""
     size = n if n & (n - 1) == 0 else 1 << (2 * n - 2).bit_length()
     s, lx, ly = _split(x, y, size)
-    fx = [np.fft.rfft(v, size) for v in lx]
-    fy = [np.fft.rfft(v, size) for v in ly]
-    # free the limb spectra before the inverse transforms: for one limb
-    # (every indicator pair) the peak is then one product and one output
-    pairs = [(s * (i + j), int(vx.sum()) * int(vy.sum()), fx[i] * fy[j])
+    pairs = [(s * (i + j),
+              int(vx.sum(dtype=np.int64)) * int(vy.sum(dtype=np.int64)))
              for i, vx in enumerate(lx) for j, vy in enumerate(ly)]
+    fx = [np.fft.rfft(v, size) for v in lx]
+    fy = fx if x is y else [np.fft.rfft(v, size) for v in ly]
+    if len(fx) == len(fy) == 1:  # one limb pair (every indicator pair)
+        fx[0] *= fy[0]
+        specs = fx
+    else:
+        specs = [sx * sy for sx in fx for sy in fy]
+    # free the limb spectra before the inverse transforms: for one limb
+    # pair the peak is then one spectrum and one output
     del fx, fy
     lin = None
-    while pairs:
-        shift, mass, spec = pairs.pop(0)
-        part = np.fft.irfft(spec, size)
-        del spec
+    for shift, mass in pairs:
+        part = np.fft.irfft(specs.pop(0), size)
         near = np.rint(part)
-        if float(np.abs(part - near).max()) >= 0.25:
+        part -= near
+        np.abs(part, out=part)
+        if float(part.max()) >= 0.25:
             raise BadParams("FFT convolution output not within 1/4 of an "
                             "integer")
+        del part
         part = near.astype(np.int64)
+        del near
         if int(part.sum()) != mass:
             raise BadParams("FFT convolution lost mass")
-        lin = part if lin is None else lin + (part << shift)
-    out = lin[:n]
-    if size > n:
-        out[: n - 1] += lin[n:2 * n - 1]
+        if lin is None:
+            lin = part
+        else:
+            part <<= shift
+            lin += part
+        del part
+    if size == n:
+        return lin
+    out = lin[:n].copy()  # owns its n entries, not a view of lin
+    out[: n - 1] += lin[n:2 * n - 1]
     return out
 
 
 def _counts(v, n: int) -> tuple[np.ndarray, int]:
-    """v as an int64 vector and its exact sum, if v is 1-D of length n
-    with integer entries in [0, 2^63)."""
+    """v in its narrowest exact dtype (uint8 when every entry is below
+    256, else int64) and its exact sum, if v is 1-D of length n with
+    integer entries in [0, 2^63)."""
     v = np.asarray(v)
     if v.ndim != 1 or len(v) != n:
         raise BadParams("cyclic_convolve needs both vectors 1-D of length n")
@@ -138,8 +164,9 @@ def _counts(v, n: int) -> tuple[np.ndarray, int]:
     top = int(v.max())
     if int(v.min()) < 0 or top >= _INT64_END:
         raise BadParams("cyclic_convolve needs entries in [0, 2^63)")
-    v = v.astype(np.int64, copy=False)
-    return v, int(v.sum()) if top * n < _INT64_END else sum(v.tolist())
+    v = v.astype(np.uint8 if top < 256 else np.int64, copy=False)
+    return v, (int(v.sum(dtype=np.int64)) if top * n < _INT64_END
+               else sum(v.tolist()))
 
 
 def cyclic_convolve(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
@@ -152,7 +179,9 @@ def cyclic_convolve(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
     n = operator.index(n)
     if n <= 0:
         raise BadParams("cyclic_convolve needs n >= 1")
-    (x, mx), (y, my) = _counts(x, n), _counts(y, n)
+    same = x is y
+    x, mx = _counts(x, n)
+    y, my = (x, mx) if same else _counts(y, n)
     if mx * my >= _INT64_END:
         raise BadParams("cyclic_convolve needs sum(x) sum(y) < 2^63")
     return _convolve_fft(x, y, n)

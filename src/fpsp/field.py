@@ -1,21 +1,24 @@
 """Prime-field arithmetic with an explicit discrete-log table.
 
 A PrimeField packages a prime p together with a fixed primitive root g of
-F_p^*.  Three flat tables (powers of g, discrete logs, inverses) are built
-together, lazily, on the first explicit table read; each is O(p) memory,
-which is fine under the p <= 2^20 cap enforced at construction.  The tables
-make multiplicative structure (the transform route's discrete logs, whole
-ratio histograms) as cheap as additive structure.  They are read-only
-arrays, so no caller can change them for the next.
+F_p^*.  Two flat tables (powers of g, discrete logs) are built together,
+lazily, on the first explicit table read; each is O(p) memory, which is
+fine under the p <= 2^20 cap enforced at construction.  A third, the
+inverse table, is derived from the power table on its own first read and
+kept.  The tables make multiplicative structure (the transform route's
+discrete logs, whole ratio histograms) as cheap as additive structure.
+They are read-only arrays, so no caller can change them for the next.
 
 Most callers need a few dozen inverses or powers, not all p of them.
 `inverses(xs)` and `powers(exps)` serve those without the tables: one
 vectorised square-and-multiply ladder (`powmod`) in int64, exact because
 every product is below p^2 <= 2^40.  They read the tables instead when
 the tables are already built or when the request is large (64 |xs| > p),
-where one O(p) build pays for itself.  So the length-p tables are built
-only by the transform route, by large requests, or by an explicit table
-read (`pow_table`, `dlog_table`, `inv_table`, `dlog`).
+where one O(p) build pays for itself; `inverses` then reads
+x^-1 = g^(-dlog x) off the power and dlog tables.  So the length-p
+tables are built only by the transform route, by large requests, or by
+an explicit table read (`pow_table`, `dlog_table`, `inv_table`, `dlog`),
+and only an `inv_table` read builds the third.
 
 Residues are canonical: every element is an int in [0, p).
 """
@@ -169,16 +172,10 @@ class PrimeField:
         powt = grid.reshape(-1)[:n]
         dlog = np.full(p, -1, dtype=np.int64)
         dlog[powt] = np.arange(n, dtype=np.int64)
-        inv = np.zeros(p, dtype=np.int64)
-        # x = g^e  =>  x^-1 = g^(p-1-e): g^0 is its own inverse, and the
-        # rest of powt read backwards pairs each g^e with g^(p-1-e)
-        inv[1] = 1
-        inv[powt[1:]] = powt[:0:-1]
-        for table in (powt, dlog, inv):
+        for table in (powt, dlog):
             table.flags.writeable = False
         self._pow_table = powt
         self._dlog_table = dlog
-        self._inv_table = inv
 
     @property
     def pow_table(self) -> np.ndarray:
@@ -196,9 +193,17 @@ class PrimeField:
 
     @property
     def inv_table(self) -> np.ndarray:
-        """inv_table[x] = x^-1 for x in F_p^*; 0 at index 0."""
+        """inv_table[x] = x^-1 for x in F_p^*; 0 at index 0.  Derived from
+        pow_table on the first read, then kept."""
         if self._inv_table is None:
-            self._build_tables()
+            powt = self.pow_table
+            inv = np.zeros(self.p, dtype=np.int64)
+            # x = g^e  =>  x^-1 = g^(p-1-e): g^0 is its own inverse, and
+            # the rest of powt read backwards pairs each g^e with g^(p-1-e)
+            inv[1] = 1
+            inv[powt[1:]] = powt[:0:-1]
+            inv.flags.writeable = False
+            self._inv_table = inv
         return self._inv_table
 
     # -- array ops ---------------------------------------------------------
@@ -215,7 +220,9 @@ class PrimeField:
         xs = np.asarray(xs, dtype=np.int64)
         if self.table_free(xs.size):
             return powmod(xs, self.p - 2, self.p)  # 0^(p-2) = 0
-        return self.inv_table[xs]
+        # x = g^e  =>  x^-1 = g^(-e); dlog_table[0] = -1 sends 0 to g
+        return np.where(xs == 0, 0,
+                        self.pow_table[(-self.dlog_table[xs]) % (self.p - 1)])
 
     def powers(self, exps) -> np.ndarray:
         """root^e for each e in [0, p-1) of exps; equal to pow_table[exps],

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fpsp.convolve import (_convolve_fft, _fft_error_bound, _split,
-                           cyclic_convolve)
+                           _sum_squares, cyclic_convolve)
 from fpsp.errors import BadParams
 from fpsp.rng import CounterRng
 from oracles import _P1, _P2, _convolve_ntt, convolve_naive
@@ -189,3 +189,66 @@ def test_fft_taken_on_large_indicators():
         fft = _convolve_fft(x, y, n)
         assert int(fft.sum()) == int(x.sum()) * int(y.sum())
         assert np.array_equal(fft, _convolve_ntt(x, y, n)), n
+
+
+def test_narrow_and_shared_inputs_bit_identical():
+    # 0/1 entries as uint8 or int64, and one vector for both sides against
+    # a distinct copy, give the same int64 counts; every result owns its n
+    # entries (no view of the padded transform buffer)
+    for n in (1024, 1009, 65537):
+        r = CounterRng(n, "conv-narrow")
+        x = np.zeros(n, dtype=np.int64)
+        y = np.zeros(n, dtype=np.int64)
+        x[r.integers(0, n, n // 10)] = 1
+        y[r.integers(0, n, n // 5)] = 1
+        want = cyclic_convolve(x, y, n)
+        got = cyclic_convolve(x.astype(np.uint8), y.astype(np.uint8), n)
+        assert got.dtype == np.int64 and np.array_equal(got, want), n
+        assert got.flags.owndata and want.flags.owndata, n
+        for v in (x, x.astype(np.uint8)):
+            shared = cyclic_convolve(v, v, n)
+            assert shared.dtype == np.int64 and shared.flags.owndata
+            assert np.array_equal(shared, cyclic_convolve(v, v.copy(), n))
+        if n <= 1024:
+            assert np.array_equal(want, convolve_naive(x, y, n)), n
+
+
+def test_narrow_indicator_against_large_entries():
+    # a uint8 indicator against 40-bit entries: y splits into limbs, and
+    # the a-priori bound takes the indicator's sum of squares on uint8.
+    # 2048 ones: a sum of squares kept in uint8 would wrap to 0
+    n = 4096
+    r = CounterRng(5, "conv-narrow-wide")
+    x = np.zeros(n, dtype=np.uint8)
+    x[np.argsort(r.integers(0, 1 << 40, n))[:2048]] = 1
+    y = r.integers(0, 1 << 40, n)
+    wide = x.astype(np.int64)
+    assert _sum_squares(x) == 2048
+    assert _limb_counts(x, y, n) == _limb_counts(wide, y, n)
+    assert _limb_counts(x, y, n)[1] > 1
+    got = cyclic_convolve(x, y, n)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _convolve_ntt(wide, y, n))
+
+
+def test_transform_memory_bounded():
+    """One transform-route histogram at p = 1048573 (a length-2^21 FFT)
+    peaks at or below 48 MB of traced numpy arrays: uint8 indicators, one
+    spectrum product and the rounding check in place.  int64 indicators
+    and out-of-place temporaries would take 80 MB."""
+    import tracemalloc
+    from fpsp.energy import rep_fn
+    from fpsp.field import make_field
+    from fpsp.sets import generate
+    f = make_field(1048573)
+    a = generate(f, "random", size=6000, seed=1, zero_free=True)
+    b = generate(f, "random", size=6000, seed=2, zero_free=True)
+    tracemalloc.start()
+    try:
+        r = rep_fn(a, b, "sum", method="transform")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 2 ** 20, peak
+    assert r.counts.flags.owndata and r.counts.nbytes == 8 * f.p
+    assert int(r.counts.sum()) == r.mass

@@ -173,9 +173,29 @@ def test_small_requests_build_no_tables():
     f.inverses(np.arange(p // 64))
     f.powers(np.arange(p // 64))
     assert f._pow_table is None
-    # a large request builds them, and from then on every request reads them
+    # a large request builds the power and dlog tables, and from then on
+    # every request reads them; the inverse table waits for its own read
     f.inverses(np.arange(p // 64 + 1))
-    assert f._inv_table is not None and not f.table_free(1)
+    assert f._pow_table is not None and f._dlog_table is not None
+    assert not f.table_free(1)
+    assert f._inv_table is None
+    f.inv_table
+    assert f._inv_table is not None
+
+
+@pytest.mark.parametrize("p", [101, 1048573])
+def test_tabled_inverses_need_no_inverse_table(p):
+    # with the power and dlog tables built, inverses reads g^(-dlog x) off
+    # them and builds no inverse table
+    f = make_field(p)
+    f.pow_table
+    draws = CounterRng(p, "tabled-inverses").integers(0, p, 200)
+    xs = np.r_[0, 1, p - 1, draws]
+    for shaped in (xs, xs[:0], xs[:3].reshape(3, 1)):
+        got = f.inverses(shaped)
+        assert got.dtype == np.int64 and got.shape == shaped.shape
+        assert np.array_equal(got, powmod(shaped, p - 2, p))
+    assert f._inv_table is None
 
 
 def test_powmod_scalar_and_array_exponents():
