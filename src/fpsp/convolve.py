@@ -12,8 +12,8 @@ any failed check raises BadParams.
   coefficient is at most that mass, so every partial sum below stays
   exact in int64.  Each input is kept in its narrowest exact dtype:
   uint8 when every entry is below 256 (indicators), else int64.  Sums
-  are taken with dtype=int64, and sums of squares on an int64 copy,
-  since np.dot accumulates in its inputs' dtype.
+  and sums of squares are taken with dtype=int64 (np.dot would
+  accumulate in uint8 and wrap).
 * Limbs.  Each input is split into base-2^s limbs, x = sum_i x_i 2^(is)
   with 0 <= x_i < 2^s, and s is the widest width for which every limb
   pair passes the a-priori bound below.  The FFT of each limb is taken
@@ -39,9 +39,8 @@ any failed check raises BadParams.
 * A posteriori.  Every output of every limb pair lies within 1/4 of an
   integer, and its rounded mass is exactly sum(x_i) sum(y_j).
 * Working set.  For one limb pair the spectrum product is formed in
-  place in x's spectrum (x is y takes one rfft and squares it), the
-  rounding check runs in place in the irfft output, and each buffer is
-  freed before the next is allocated.  The result owns its n entries.
+  place in x's spectrum, the rounding check runs in place in the irfft
+  output, and each buffer is freed before the next is allocated.  The result owns its n entries.
   One indicator histogram at n = 1048573 (N = 2^21: 16 MB per spectrum
   or length-N float64 buffer) peaks at about 42 MB of numpy arrays.
 
@@ -67,8 +66,8 @@ def _sum_squares(v: np.ndarray) -> int | None:
     top = int(v.max())
     if top * top * len(v) >= _INT64_END:
         return None
-    v = v.astype(np.int64, copy=False)  # np.dot sums in v's own dtype
-    return int(np.dot(v, v))
+    # accumulate in int64 without a widened copy of v
+    return int(np.einsum("i,i->", v, v, dtype=np.int64))
 
 
 def _fft_error_bound(k: int) -> float:
@@ -107,15 +106,14 @@ def _split(x: np.ndarray, y: np.ndarray,
 
 def _convolve_fft(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
     """Cyclic convolution of nonnegative uint8 or int64 vectors of length
-    n with sum(x) sum(y) < 2^63, certified exact limb pair by limb pair.
-    x is y takes one forward transform for both sides."""
+    n with sum(x) sum(y) < 2^63, certified exact limb pair by limb pair."""
     size = n if n & (n - 1) == 0 else 1 << (2 * n - 2).bit_length()
     s, lx, ly = _split(x, y, size)
     pairs = [(s * (i + j),
               int(vx.sum(dtype=np.int64)) * int(vy.sum(dtype=np.int64)))
              for i, vx in enumerate(lx) for j, vy in enumerate(ly)]
     fx = [np.fft.rfft(v, size) for v in lx]
-    fy = fx if x is y else [np.fft.rfft(v, size) for v in ly]
+    fy = [np.fft.rfft(v, size) for v in ly]
     if len(fx) == len(fy) == 1:  # one limb pair (every indicator pair)
         fx[0] *= fy[0]
         specs = fx
@@ -179,9 +177,7 @@ def cyclic_convolve(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
     n = operator.index(n)
     if n <= 0:
         raise BadParams("cyclic_convolve needs n >= 1")
-    same = x is y
-    x, mx = _counts(x, n)
-    y, my = (x, mx) if same else _counts(y, n)
+    (x, mx), (y, my) = _counts(x, n), _counts(y, n)
     if mx * my >= _INT64_END:
         raise BadParams("cyclic_convolve needs sum(x) sum(y) < 2^63")
     return _convolve_fft(x, y, n)

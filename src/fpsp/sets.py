@@ -324,8 +324,7 @@ def _pair_transform(x: FSet, y: FSet, op: str) -> np.ndarray:
     """counts[v] = #{(s, u) in X x Y : s op u = v} by one cyclic
     convolution of uint8 indicator vectors: over Z_p for sum and diff,
     over the discrete logs in Z_{p-1} for prod and ratio.  diff and ratio
-    negate Y in that group; for sum and prod of a set with itself one
-    vector serves both sides.  For prod and ratio the pairs with a zero
+    negate Y in that group.  For prod and ratio the pairs with a zero
     factor all land on 0 and are counted apart (callers keep 0 out of a
     ratio's Y)."""
     f = x.field
@@ -336,12 +335,9 @@ def _pair_transform(x: FSet, y: FSet, op: str) -> np.ndarray:
         xe = f.dlog_table[xe[xe > 0]]
         ye = f.dlog_table[ye[ye > 0]]
     xv = np.zeros(n, dtype=np.uint8)
+    yv = np.zeros(n, dtype=np.uint8)
     xv[xe] = 1
-    if x is y and op in ("sum", "prod"):
-        yv = xv  # one forward transform serves both sides
-    else:
-        yv = np.zeros(n, dtype=np.uint8)
-        yv[(-ye) % n if op in ("diff", "ratio") else ye] = 1
+    yv[(-ye) % n if op in ("diff", "ratio") else ye] = 1
     hist = convolve.cyclic_convolve(xv, yv, n)
     if op in ("sum", "diff"):
         return hist
