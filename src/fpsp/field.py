@@ -5,8 +5,12 @@ F_p^*.  Two flat tables (powers of g, discrete logs) are built together,
 lazily, on the first explicit table read; each is O(p) memory, which is
 fine under the p <= 2^20 cap enforced at construction.  A third, the
 inverse table, is derived from the power table on its own first read and
-kept.  The tables make multiplicative structure (the transform route's
-discrete logs, whole ratio histograms) as cheap as additive structure.
+kept.  The tables are int32 (every entry is below p <= 2^20 < 2^31), half
+the memory of int64; `inverses` and `powers` still return int64, and a
+caller that multiplies table entries must widen them to int64 first (a
+product of two int32 entries wraps).  The tables make multiplicative
+structure (the transform route's discrete logs, whole ratio histograms)
+as cheap as additive structure.
 They are read-only arrays, so no caller can change them for the next.
 
 Most callers need a few dozen inverses or powers, not all p of them.
@@ -169,9 +173,10 @@ class PrimeField:
         grid = np.empty((rows, width), dtype=np.int64)
         np.multiply(high[:, None], low[None, :], out=grid)
         grid %= p
-        powt = grid.reshape(-1)[:n]
-        dlog = np.full(p, -1, dtype=np.int64)
-        dlog[powt] = np.arange(n, dtype=np.int64)
+        powt = grid.reshape(-1)[:n].astype(np.int32)
+        del grid
+        dlog = np.full(p, -1, dtype=np.int32)
+        dlog[powt] = np.arange(n, dtype=np.int32)
         for table in (powt, dlog):
             table.flags.writeable = False
         self._pow_table = powt
@@ -197,7 +202,7 @@ class PrimeField:
         pow_table on the first read, then kept."""
         if self._inv_table is None:
             powt = self.pow_table
-            inv = np.zeros(self.p, dtype=np.int64)
+            inv = np.zeros(self.p, dtype=np.int32)
             # x = g^e  =>  x^-1 = g^(p-1-e): g^0 is its own inverse, and
             # the rest of powt read backwards pairs each g^e with g^(p-1-e)
             inv[1] = 1
@@ -221,8 +226,8 @@ class PrimeField:
         if self.table_free(xs.size):
             return powmod(xs, self.p - 2, self.p)  # 0^(p-2) = 0
         # x = g^e  =>  x^-1 = g^(-e); dlog_table[0] = -1 sends 0 to g
-        return np.where(xs == 0, 0,
-                        self.pow_table[(-self.dlog_table[xs]) % (self.p - 1)])
+        return np.where(xs == 0, 0, self.pow_table[
+            (-self.dlog_table[xs]) % (self.p - 1)]).astype(np.int64)
 
     def powers(self, exps) -> np.ndarray:
         """root^e for each e in [0, p-1) of exps; equal to pow_table[exps],
@@ -230,7 +235,7 @@ class PrimeField:
         exps = np.asarray(exps, dtype=np.int64)
         if self.table_free(exps.size):
             return powmod(self.root, exps, self.p)
-        return self.pow_table[exps]
+        return self.pow_table[exps].astype(np.int64)
 
     # -- scalar ops ------------------------------------------------------
 

@@ -59,10 +59,20 @@ class FSet:
         if len(mask) != field.p:
             raise BadParams("mask length %d != p=%d" % (len(mask), field.p))
         self.field = field
-        self.mask = mask.astype(bool)
+        self.mask = mask.astype(bool)  # a copy: the caller keeps its array
         self.mask.flags.writeable = False
         self._size = int(np.count_nonzero(self.mask))
         self._elems = None
+
+    @classmethod
+    def _from_mask(cls, field: PrimeField, mask: np.ndarray) -> "FSet":
+        """The set with the boolean length-p mask, taken as it is: no
+        copy, so no other reference may write to mask afterwards."""
+        mask.flags.writeable = False
+        out = cls.__new__(cls)
+        out.field, out.mask = field, mask
+        out._size, out._elems = int(np.count_nonzero(mask)), None
+        return out
 
     @classmethod
     def _from_sorted(cls, field: PrimeField, elems: np.ndarray) -> "FSet":
@@ -266,7 +276,7 @@ class Hist:
     def support(self, field: PrimeField) -> FSet:
         """The support as a set over field."""
         if self._dense is not None:
-            return FSet(field, self._dense > 0)
+            return FSet._from_mask(field, self._dense > 0)
         return FSet._from_sorted(field, self._values)
 
 
@@ -341,8 +351,7 @@ def _pair_transform(x: FSet, y: FSet, op: str) -> np.ndarray:
     hist = convolve.cyclic_convolve(xv, yv, n)
     if op in ("sum", "diff"):
         return hist
-    counts = np.zeros(f.p, dtype=np.int64)
-    counts[f.pow_table] = hist
+    counts = hist[f.dlog_table]  # counts[g^e] = hist[e]; [0] is set next
     counts[0] = x.size * y.size - len(xe) * len(ye)
     return counts
 
@@ -356,7 +365,9 @@ def _pair_counts(x: FSet, y: FSet, op: str, method: str, enum: str,
     |X||Y| > p log2 p.  That is where the two cost about the same,
     measured at p = 1009 and p = 1048573 on a 2-core x86 host: the
     enumeration takes about 1e-8 s a cell, and one FFT convolution about
-    as long as p log2 p cells."""
+    as long as p log2 p cells.  That was measured with the convolution on
+    one thread; on two (see the convolve module) it is faster at
+    p >= 65537, and the rule is kept as it was measured."""
     p = x.field.p
     if method == "auto":
         heavy = x.size * y.size > p * max(1, int(math.log2(p)))

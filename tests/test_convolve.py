@@ -2,11 +2,17 @@
 schoolbook and NTT oracles of tests/oracles.py, bit for bit, and its
 refusal of inputs it cannot answer exactly."""
 
+import os
+import sys
+import threading
+from multiprocessing import get_context
+
 import numpy as np
 import pytest
 
-from fpsp.convolve import (_convolve_fft, _fft_error_bound, _split,
-                           _sum_squares, cyclic_convolve)
+from fpsp import convolve
+from fpsp.convolve import (_block_count, _convolve_fft, _fft_error_bound,
+                           _split, _sum_squares, cyclic_convolve)
 from fpsp.errors import BadParams
 from fpsp.rng import CounterRng
 from oracles import _P1, _P2, _convolve_ntt, convolve_naive
@@ -233,15 +239,25 @@ def test_narrow_indicator_against_large_entries():
 
 
 def test_transform_memory_bounded():
-    """One transform-route histogram at p = 1048573 (a length-2^21 FFT)
-    peaks at most 12 MB of traced numpy arrays above a base taken on the
-    running numpy: one length-N/2+1 complex spectrum and its irfft, the
-    least a certified convolution holds at once.  The base is 32 MB on
-    numpy 2 and 64 MB on numpy 1.x, whose irfft pads the spectrum to
-    length N.  The margin covers the two uint8 indicators (2 MB), the
-    float64 copy numpy 2's rfft makes of a uint8 input (8 MB) and 2 MB
-    of slack; int64 indicators alone would add 14 MB, and out-of-place
-    temporaries more (80 MB in all on numpy 2)."""
+    """One transform-route histogram at p = 1048573 peaks at most 12 MB of
+    traced numpy arrays above a base taken on the running numpy: one
+    length-N/2+1 complex spectrum and its irfft at N = 2^21.  The base is
+    32 MB on numpy 2 and 64 MB on numpy 1.x, whose irfft pads the
+    spectrum to length N.
+
+    On two threads each uint8 indicator is split into two blocks and every
+    transform has length 2^20 (8 MB per spectrum or float64 output).  The
+    route then holds at most two block spectra while two more forward
+    transforms run, each with the 4 MB float64 copy numpy 2's rfft makes
+    of a uint8 block; then the three product spectra while two inverse
+    transforms run; then one spectrum, three outputs and the 8 MB int64
+    result while the last inverse transform runs and the first two are
+    rounded, 32 Ki entries at a time.  Each of those is 40 MB with the
+    two 1 MB indicators, plus chunk temporaries: 42.8 MB on numpy 2.  On
+    one thread (the length-2^21 route) the peak is one spectrum held and
+    one forward transform running, 42 MB.  int64 indicators alone would
+    add 14 MB, and out-of-place temporaries more (80 MB in all on numpy
+    2)."""
     import tracemalloc
     from fpsp.energy import rep_fn
     from fpsp.field import make_field
@@ -266,3 +282,143 @@ def test_transform_memory_bounded():
     assert peak <= base + 12 * 2 ** 20, (peak, base)
     assert r.counts.flags.owndata and r.counts.nbytes == 8 * f.p
     assert int(r.counts.sum()) == r.mass
+
+
+# n from 1 up to the transform route's lengths p - 1 and p at p = 1048573:
+# odd and even, powers of two and their neighbours
+BLOCK_LENGTHS = (1, 2, 3, 5, 6, 999, 1000, 1024, 65537, 1048572, 1048573)
+
+
+@pytest.mark.parametrize("n", BLOCK_LENGTHS)
+def test_one_and_two_blocks_bit_identical(n):
+    # The route on one block (one thread) and on two (two threads) gives
+    # the same int64 counts, and both match an independent oracle: the NTT
+    # up to n = 65537, else the schoolbook convolution on an x of 40
+    # points.  Indicators take one limb.  Up to n = 65537, entries up to
+    # 10^6 and a 61-bit spike against two ones split into limbs on both
+    # routes (past that, _split's search over limb widths takes seconds).
+    r = CounterRng(n, "conv-blocks")
+    ntt = n <= 65537
+
+    def draw(hi, count, dtype=np.int64):  # count positions valued [1, hi)
+        v = np.zeros(n, dtype=dtype)
+        v[r.integers(0, n, count)] = r.integers(1, hi, count)
+        return v
+
+    cases = [(draw(2, n if ntt else 40, np.uint8),
+              draw(2, n if ntt else n // 8, np.uint8))]
+    if ntt:
+        spike = draw(1 << 20, min(n, 40))
+        spike[n // 2] = (1 << 61) - 1
+        pair = np.zeros(n, dtype=np.int64)
+        pair[[0, n - 1]] = 1
+        assert min(_limb_counts(spike, pair, n)) == 1 < max(
+            _limb_counts(spike, pair, n))
+        cases += [(spike, pair), (draw(10 ** 6, n), draw(10 ** 6, n))]
+    for case, (x, y) in enumerate(cases):
+        one = _convolve_fft(x, y, n, 1)
+        two = _convolve_fft(x, y, n, 2)
+        assert one.dtype == two.dtype == np.int64, (n, case)
+        assert two.flags.owndata and len(two) == n, (n, case)
+        assert np.array_equal(one, two), (n, case)
+        if ntt and case != 1:  # the spike is past the NTT's CRT range
+            want = _convolve_ntt(x.astype(np.int64), y.astype(np.int64), n)
+        else:
+            want = convolve_naive(x, y, n)
+        assert np.array_equal(two, want), (n, case)
+
+
+def _fft_threads(n):
+    """The block count cyclic_convolve picks for length n, and whether its
+    forward transforms ran on the main thread (True), another (False) or
+    both.  Top-level, so a Pool worker can run it."""
+    seen = set()
+    rfft = np.fft.rfft
+
+    def spy(*args, **kwargs):
+        seen.add(threading.current_thread() is threading.main_thread())
+        return rfft(*args, **kwargs)
+
+    x = np.zeros(n, dtype=np.uint8)
+    x[:3] = 1
+    np.fft.rfft = spy
+    try:
+        got = cyclic_convolve(x, x, n)
+    finally:
+        np.fft.rfft = rfft
+    assert got[:5].tolist() == [1, 2, 3, 2, 1]
+    return _block_count(n), seen
+
+
+def test_second_thread_only_with_two_cpus_outside_a_pool(monkeypatch):
+    n = 65537  # the shortest length that splits: >= 2^16, not a power of 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert _fft_threads(n) == (2, {True, False})
+    assert _block_count(65536) == 1  # a power of two gains nothing
+    assert _block_count(convolve._SPLIT_MIN - 1) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert _fft_threads(n) == (1, {True})
+
+
+def test_no_second_thread_in_a_pool_worker():
+    # a sweep's pool workers already keep every core busy
+    with get_context("spawn").Pool(1) as pool:
+        got = pool.apply_async(_fft_threads, (65537,)).get(timeout=120)
+    assert got == (1, {True})
+
+
+def test_two_blocks_under_frequent_thread_switches():
+    # the worker thread forms the first half of every product and the
+    # calling thread the second, in place in shared spectra; with thread
+    # switches forced often, repeated runs still equal the one-block route
+    n = 70001
+    r = CounterRng(11, "conv-switch")
+    x = r.integers(0, 2, n).astype(np.uint8)
+    y = r.integers(0, 2, n).astype(np.uint8)
+    want = _convolve_fft(x, y, n, 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert np.array_equal(_convolve_fft(x, y, n, 2), want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_worker_failures_reach_the_caller(monkeypatch):
+    # a rounding failure in the worker thread's irfft output is refused,
+    # and an exception raised in the worker is raised to the caller
+    n = 1000
+    r = CounterRng(7, "conv-worker")
+    x, y = r.integers(0, 2, n), r.integers(0, 2, n)
+    irfft = np.fft.irfft
+    calls = []
+
+    def off_by(shift):
+        def spy(*args, **kwargs):
+            out = irfft(*args, **kwargs)
+            worker = threading.current_thread() is not threading.main_thread()
+            calls.append(worker)
+            if worker:
+                out[3] += shift
+            return out
+        return spy
+
+    monkeypatch.setattr(np.fft, "irfft", off_by(0.0))
+    assert np.array_equal(_convolve_fft(x, y, n, 2), convolve_naive(x, y, n))
+    assert calls.count(True) == 2 and calls.count(False) == 1
+    monkeypatch.setattr(np.fft, "irfft", off_by(0.3))
+    with pytest.raises(BadParams, match="within 1/4"):
+        _convolve_fft(x, y, n, 2)
+    monkeypatch.setattr(np.fft, "irfft", off_by(1.0))
+    with pytest.raises(BadParams, match="lost mass"):
+        _convolve_fft(x, y, n, 2)
+
+    def refuse(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise BadParams("refused in the worker")
+        return irfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", refuse)
+    with pytest.raises(BadParams, match="refused in the worker"):
+        _convolve_fft(x, y, n, 2)

@@ -89,7 +89,7 @@ def test_tables_match_scalar_build():
         want = _scalar_tables(p, f.root)
         got = (f.pow_table, f.dlog_table, f.inv_table)
         for name, w, t in zip(("pow", "dlog", "inv"), want, got):
-            assert t.dtype == np.int64 and t.shape == w.shape, (p, name)
+            assert t.dtype == np.int32 and t.shape == w.shape, (p, name)
             assert np.array_equal(t, w), (p, name)
 
 

@@ -7,8 +7,9 @@ from fpsp.errors import (BadParams, FieldMismatch, ParseError, ZeroDilation,
                          ZeroDivisor)
 from fpsp.field import make_field
 from fpsp.rng import CounterRng
-from fpsp.sets import (FSet, affine, combine, generate, parse_set_text,
-                       read_set_file, subgroup_orders, write_set_file)
+from fpsp.sets import (FSet, Hist, affine, combine, generate,
+                       parse_set_text, read_set_file, subgroup_orders,
+                       write_set_file)
 
 F7 = make_field(7)
 F101 = make_field(101)
@@ -106,6 +107,39 @@ def _brute_combine(a, b, op, p):
     else:
         vals = {x * pow(y, p - 2, p) % p for x in ae for y in be}
     return vals
+
+
+def test_fset_copies_a_callers_mask():
+    # FSet(field, m) copies m: the caller may change m afterwards, and the
+    # set's own mask is read-only
+    m = np.zeros(101, dtype=bool)
+    m[[1, 5]] = True
+    a = FSet(F101, m)
+    m[7] = True
+    assert a.elements().tolist() == [1, 5] and a.size == 2
+    assert m.flags.writeable and not a.mask.flags.writeable
+    with pytest.raises(ValueError):
+        a.mask[7] = True
+
+
+def test_dense_support_allocates_one_mask():
+    # Hist.support, the route every dense combine returns through, takes
+    # the mask it computes without copying it: one length-p bool array
+    import tracemalloc
+    p = 1048573
+    f = make_field(p)
+    dense = np.zeros(p, dtype=np.int64)
+    dense[::3] = 2
+    hist = Hist(p, dense=dense)
+    tracemalloc.start()
+    try:
+        sup = hist.support(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p <= peak < p + p // 2, peak
+    assert sup.size == len(range(0, p, 3)) and 3 in sup and 1 not in sup
+    assert not sup.mask.flags.writeable
 
 
 def test_combine_against_brute_200():
