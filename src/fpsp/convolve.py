@@ -24,10 +24,14 @@ raises BadParams.
   vectors (every use in this package) need one limb.
 * Blocks.  Blocks are offsets in the index domain as limbs are shifts in
   the bit domain.  With two blocks, x = x_0 + z^h x_1 and y likewise, so
-  x y = x_0 y_0 + z^h (x_0 y_1 + x_1 y_0) + z^2h x_1 y_1: per limb pair,
-  three inverse transforms, of X_0 Y_0, X_0 Y_1 + X_1 Y_0 and X_1 Y_1,
-  each added into the result at index offset 0, h or 2h mod n.  One block
-  is one rfft per side and one irfft, folded mod n.
+  x y = x_0 y_0 + z^h (x_0 y_1 + x_1 y_0) + z^2h x_1 y_1.  Mod z^n - 1,
+  z^2h = z^d with d = 2h - n, 0 for even n and 1 for odd, so x_0 y_0 and
+  z^d x_1 y_1 share one output of linear length at most 2h - 1 <= N:
+  per limb pair, two inverse transforms, of G_1 = X_0 Y_0 + w^d X_1 Y_1
+  (w^k = exp(-2 pi i k / N), the spectrum of a shift by d) and
+  G_2 = X_0 Y_1 + X_1 Y_0, added into the result at index offset 0 (no
+  wrap: 2h - 1 <= n) and h mod n.  One block is one rfft per side and one
+  irfft, folded mod n.
 * A priori.  Percival (Math. Comp. 72, 2003, Thm. 5.1) bounds the error
   of an FFT convolution of length 2^k by
       ||x||_2 ||y||_2 ((1+e)^3k (1+e sqrt5)^(3k+1) (1+b)^3k - 1)
@@ -39,49 +43,53 @@ raises BadParams.
   stated for a radix-2 complex transform; numpy's real transform of a
   power-of-two length runs radix-4 and radix-2 passes, each radix-4 pass
   doing the work of two radix-2 levels, and is taken to be covered by it.
-  The middle spectrum of two blocks is a computed sum fl(P + Q) =
-  P (1+d) + Q (1+d) with |d| <= e: each product carries one more relative
-  rounding.  The inverse transform is linear, and Percival's bound on its
-  error is a sum of terms linear in its input and in the error already in
-  that input, so the error of the middle output is at most
-      (||x_0|| ||y_1|| + ||x_1|| ||y_0||)
-          ((1+e)^(3k+1) (1+e sqrt5)^(3k+1) (1+b)^3k - 1),
-  the factor above with one more 1+e, and by Cauchy-Schwarz
-  ||x_0|| ||y_1|| + ||x_1|| ||y_0|| <= ||x|| ||y||.  That factor is taken
-  for every product of two blocks.  The bound is computed from the exact
-  limb norms (sums of squares in int64, refused where they could
-  overflow) and must be below 1/4.  For indicator vectors
-  ||x||_2 ||y||_2 <= n <= 2^20 and the bound is about 1e-7.
+  Each spectrum of two blocks is a computed sum fl(P + Q): each product
+  carries one more rounding 1+e.  For odd n, Q = fl(W X_1 Y_1) carries
+  one more complex product 1 + e sqrt5 and one more twiddle error 1+b:
+  W is a table entry w^j (j < 2^15, within about 2e for N >= 2^17)
+  times one directly computed w^i (within about 4e), so within about 8e
+  of w^(i+j).  The shift is unitary, and the inverse transform is
+  linear, with Percival's bound on its error a sum of terms linear in
+  its input and in the error already in that input.  So an output
+  holding the products of blocks (a, b) and (a', b') errs by at most
+      (||x_a|| ||y_b|| + ||x_a'|| ||y_b'||)
+          ((1+e)^(3k+1) (1+e sqrt5)^(3k+1+d) (1+b)^(3k+d) - 1),
+  and by Cauchy-Schwarz both sums of norms are at most ||x|| ||y||.
+  The bound is computed from the exact limb norms (sums of squares in
+  int64, refused where they could overflow) and must be below 1/4.  For
+  indicator vectors ||x||_2 ||y||_2 <= n <= 2^20 and the bound is about
+  1e-7.
 * A posteriori.  Every output of every inverse transform lies within 1/4
   of an integer, and its rounded mass is exactly the sum of
   sum(x_a) sum(y_b) over its products (limb by limb).
 * Threads.  Two blocks run their transforms two at a time, on the
   calling thread and on one worker thread (numpy's FFT releases the
-  GIL) that takes every other one: X_0 beside X_1, then Y_0 beside Y_1,
-  then X_0 Y_0 beside the middle inverse, and X_1 Y_1 while the calling
-  thread rounds those two.  The products are formed half on each thread.
-  cyclic_convolve takes two blocks only where a second thread may run
-  (the process is not a multiprocessing child, whose pool already keeps
-  every core busy, and may run on at least two CPUs) and where it pays
-  (n >= 2^16, and n not a power of two, for which two blocks would not
-  halve N); else one block, all on the calling thread.  Both give the same
-  certified integers.  At n = 1048573 two blocks take length-2^20
+  GIL) that takes every other one: X_0 beside X_1, Y_0 beside Y_1, then
+  G_1 beside G_2, and the calling thread rounds both: six transforms in
+  three rounds for one limb pair.  The products are formed half on each
+  thread.  cyclic_convolve takes two blocks only where a second thread
+  may run (the process is not a multiprocessing child, whose pool already
+  keeps every core busy, and may run on at least two CPUs) and where it
+  pays (n >= 2^16, and n not a power of two, for which two blocks would
+  not halve N); else one block, all on the calling thread.  Both give the
+  same certified integers.  At n = 1048573 two blocks take length-2^20
   transforms in place of length-2^21 ones; on a 2-core x86 host one
-  convolution of two 1% indicators there took 0.14-0.18 s against
-  0.28-0.32 s on one block (best of 7, three rounds).  Below n = 2^16
-  the thread did not pay: 0.95 of the one-block time at n = 32749.
+  convolution of two 1% indicators there took 0.16-0.18 s, against
+  0.18-0.21 s with a third inverse transform for X_1 Y_1 and 0.28-0.32 s
+  on one block.  Below n = 2^16 the thread did not pay: 0.95 of the
+  one-block time at n = 32749.
 * Working set.  Products are formed, and outputs rounded, in chunks of
   2^15 entries, written over the spectra and outputs they read, and every
   buffer is freed before the next is allocated; the int64 result (which
-  owns its n entries) is allocated once the first inverse transforms
-  have consumed their spectra.  One indicator histogram at n = 1048573
-  peaks at about 42 MB of numpy arrays on numpy 2 either way.  On one
-  block (N = 2^21, 16 MB per spectrum or float64 output) that is one
-  spectrum held while the other forward transform runs.  On two blocks
-  (N = 2^20, 8 MB each) it is two spectra held while two forward
-  transforms run, each with numpy 2's 4 MB float64 copy of a uint8
-  block; the three product spectra while two inverse transforms run; and
-  one spectrum, three outputs and the result while the last runs.
+  owns its n entries) is allocated once the inverse transforms have
+  consumed their spectra.  One indicator histogram at n = 1048573 peaks
+  at about 42 MB of numpy arrays on numpy 2 either way.  On one block
+  (N = 2^21, 16 MB per spectrum or float64 output) that is one spectrum
+  held while the other forward transform runs.  On two blocks (N = 2^20,
+  8 MB each) it is two spectra held while two forward transforms run,
+  each with numpy 2's 4 MB float64 copy of a uint8 block; then the two
+  product spectra and their two outputs, then the two outputs and the
+  result while they are rounded.
 
 Splitting into limbs for floating-point FFT products follows Brent and
 Zimmermann, Modern Computer Arithmetic (CUP 2010), chapters 2-3.
@@ -89,6 +97,7 @@ Zimmermann, Modern Computer Arithmetic (CUP 2010), chapters 2-3.
 
 from __future__ import annotations
 
+import cmath
 import math
 import multiprocessing
 import operator
@@ -113,32 +122,44 @@ def _sum_squares(v: np.ndarray) -> int | None:
     return int(np.einsum("i,i->", v, v, dtype=np.int64))
 
 
-def _fft_error_bound(k: int, adds: int = 0) -> float:
+def _fft_error_bound(k: int, adds: int = 0, turns: int = 0) -> float:
     """Percival's a-priori error factor for length 2^k, per unit of
     ||x||_2 ||y||_2 (constants in the module docstring), with `adds` more
-    roundings of the spectrum (one per product added to another)."""
+    roundings of the spectrum (one per product added to another) and
+    `turns` more products by a computed twiddle (one per shifted
+    product)."""
     e = 2.0 ** -53
     return math.expm1((3 * k + adds) * math.log1p(e)
-                      + (3 * k + 1) * math.log1p(e * math.sqrt(5))
-                      + 3 * k * math.log1p(_TWIDDLE_ERR * e))
+                      + (3 * k + 1 + turns) * math.log1p(e * math.sqrt(5))
+                      + (3 * k + turns) * math.log1p(_TWIDDLE_ERR * e))
 
 
-def _limbs(v: np.ndarray, s: int, bits: int) -> list[np.ndarray]:
-    """The base-2^s digits of v's entries (below 2^bits), low first."""
+def _limbs(v, s: int, bits: int) -> list:
+    """The base-2^s digits of v's entries (below 2^bits), low first; v is
+    an array or one Python int."""
     if s >= bits:
         return [v]
     mask = (1 << s) - 1
     return [(v >> (s * i)) & mask for i in range(-(-bits // s))]
 
 
-def _split(x: np.ndarray, y: np.ndarray, size: int, blocks: int = 1
-           ) -> tuple[int, list[np.ndarray], list[np.ndarray]]:
+def _split(x: np.ndarray, y: np.ndarray, size: int, blocks: int = 1,
+           shift: int = 0) -> tuple[int, list[np.ndarray], list[np.ndarray]]:
     """The widest limb width s for which every limb pair of x and y passes
     the a-priori bound at transform length size over `blocks` index
-    blocks, with both limb lists."""
-    bound = _fft_error_bound(size.bit_length() - 1, blocks - 1)
-    bx, by = (max(int(v.max()).bit_length(), 1) for v in (x, y))
+    blocks (the second one's outer product shifted by `shift`), with both
+    limb lists.  A width that the digits of the largest entries already
+    refuse (each digit is at most its limb's largest entry, and its
+    square at most the limb's sum of squares) is passed over before any
+    limb is built."""
+    bound = _fft_error_bound(size.bit_length() - 1, blocks - 1, shift)
+    tx, ty = int(x.max()), int(y.max())
+    bx, by = max(tx.bit_length(), 1), max(ty.bit_length(), 1)
     for s in range(max(bx, by), 0, -1):
+        dx, dy = max(_limbs(tx, s, bx)), max(_limbs(ty, s, by))
+        if max(dx, dy) ** 2 * len(x) >= _INT64_END or \
+                float(dx * dx * dy * dy) * bound * bound >= 1 / 16:
+            continue
         lx, ly = _limbs(x, s, bx), _limbs(y, s, by)
         sx = [_sum_squares(v) for v in lx]
         sy = [_sum_squares(v) for v in ly]
@@ -174,29 +195,41 @@ def _two_threads(fn, items: list, pool):
             yield ready.pop(0)
 
 
-def _products(fx: list, fy: list, spent: bool, pool) -> list:
-    """The spectra sum_{a+b=k} X_a Y_b of one limb pair's blocks, k from
-    0 to 2 (len(fx) - 1), formed _CHUNK entries at a time, the first half
-    of the chunks on the pool's worker thread when there is a pool.
-    spent=True writes them over fx[0], fy[0] and fx[-1], so no spectrum
-    is allocated (and the inputs are spent)."""
-    count = 2 * len(fx) - 1
-    outs = ([fx[0], fy[0], fx[-1]][:count] if spent
-            else [np.empty_like(fx[0]) for _ in range(count)])
+def _twiddles(size: int):
+    """The function (i, count) -> [w^i, ..., w^(i + count - 1)] for
+    w = exp(-2 pi sqrt(-1) / size), i a multiple of _CHUNK and count at
+    most _CHUNK: a base table of w^j (j < _CHUNK) built once, times one
+    scalar w^i computed directly."""
+    base = np.exp(-2j * math.pi / size
+                  * np.arange(min(_CHUNK, size // 2 + 1)))
+    return lambda i, count: (base[:count]
+                             * cmath.exp(-2j * math.pi * i / size))
+
+
+def _products(fx: list, fy: list, turn, spent: bool, pool) -> list:
+    """The spectra of one limb pair's block products, formed _CHUNK
+    entries at a time, the first half of the chunks on the pool's worker
+    thread when there is a pool: X_0 Y_0 for one block; for two,
+    X_0 Y_0 + W X_1 Y_1 and X_0 Y_1 + X_1 Y_0, where W is 1 or, when turn
+    is given (a _twiddles function), the twiddles of a shift by one.
+    spent=True writes them over fx[0] and fy[0], so no spectrum is
+    allocated (and the inputs are spent)."""
+    outs = ([fx[0], fy[0]][:len(fx)] if spent
+            else [np.empty_like(fx[0]) for _ in fx])
 
     def run(lo, hi):
         for i in range(lo, hi, _CHUNK):
             c = slice(i, i + _CHUNK)
-            sums = [None] * count
-            for a, sx in enumerate(fx):
-                for b, sy in enumerate(fy):
-                    term = sx[c] * sy[c]
-                    if sums[a + b] is None:
-                        sums[a + b] = term
-                    else:
-                        sums[a + b] += term
-            for out, chunk in zip(outs, sums):
-                out[c] = chunk
+            if len(fx) == 1:
+                outs[0][c] = fx[0][c] * fy[0][c]
+                continue
+            outer = fx[1][c] * fy[1][c]
+            if turn is not None:
+                outer *= turn(i, len(outer))
+            outer += fx[0][c] * fy[0][c]
+            inner = fx[0][c] * fy[1][c]
+            inner += fx[1][c] * fy[0][c]
+            outs[0][c], outs[1][c] = outer, inner
 
     end = len(fx[0])
     cut = -(-end // (2 * _CHUNK)) * _CHUNK
@@ -243,10 +276,17 @@ def _convolve_fft(x: np.ndarray, y: np.ndarray, n: int,
     h = -(-n // blocks)
     size = (n if blocks == 1 and n & (n - 1) == 0
             else 1 << (2 * h - 2).bit_length())
-    s, lx, ly = _split(x, y, size, blocks)
+    # x_1 y_1 lands at 2h = d mod n, d = 2h - n: in x_0 y_0's output,
+    # shifted by d (0 for even n, 1 for odd)
+    d = 2 * h - n if blocks == 2 else 0
+    s, lx, ly = _split(x, y, size, blocks, d)
     # vecs[l * blocks + a] is block a of limb l of x, then of y
     vecs = [v[a * h:(a + 1) * h] for v in lx + ly for a in range(blocks)]
     sums = [int(v.sum(dtype=np.int64)) for v in vecs]
+    # each output: its index offset and the block pairs (a, b) it holds,
+    # with the shift of each product within it
+    outputs = ([(0, [(0, 0, 0), (1, 1, d)]), (h, [(0, 1, 0), (1, 0, 0)])]
+               if blocks == 2 else [(0, [(0, 0, 0)])])
     pool = None
     if blocks > 1:
         # imported here: a process that never splits (a sweep's pool
@@ -256,23 +296,22 @@ def _convolve_fft(x: np.ndarray, y: np.ndarray, n: int,
     try:
         specs = dict(_two_threads(lambda v: np.fft.rfft(v, size),
                                   list(enumerate(vecs)), pool))
-        # one spectrum per limb pair and block sum a + b, tagged with its
-        # bit shift, index offset, exact mass and linear length
+        turn = _twiddles(size) if d else None  # after the forward peak
+        # one spectrum per limb pair and output, tagged with its bit
+        # shift, index offset, exact mass and linear length
         todo = []
         for i in range(len(lx)):
             for j in range(len(ly)):
                 xi = range(i * blocks, (i + 1) * blocks)
                 yj = range((len(lx) + j) * blocks, (len(lx) + j + 1) * blocks)
                 prods = _products([specs[k] for k in xi],
-                                  [specs[k] for k in yj],
+                                  [specs[k] for k in yj], turn,
                                   len(lx) == len(ly) == 1, pool)
-                for ab, prod in enumerate(prods):
-                    pairs = [(xi[a], yj[ab - a]) for a in range(blocks)
-                             if 0 <= ab - a < blocks]
-                    mass = sum(sums[u] * sums[v] for u, v in pairs)
-                    length = max(len(vecs[u]) + len(vecs[v])
-                                 for u, v in pairs) - 1
-                    todo.append(((s * (i + j), ab * h % n, mass,
+                for (offset, pairs), prod in zip(outputs, prods):
+                    mass = sum(sums[xi[a]] * sums[yj[b]] for a, b, _ in pairs)
+                    length = max(len(vecs[xi[a]]) + len(vecs[yj[b]]) + lag
+                                 for a, b, lag in pairs) - 1
+                    todo.append(((s * (i + j), offset, mass,
                                   min(size, length)), prod))
                 del prods, prod
         # drop the input spectra: for one limb pair only the products,

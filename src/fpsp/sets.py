@@ -228,7 +228,8 @@ class Hist:
     inputs.  The large-input kernel and the transform route build the
     dense length-p array anyway; it is kept in `dense`, and the sparse
     form is read off it on first use.  `dense` of a sparse Hist is built
-    on first use.
+    on first use.  A support-only count from the transform keeps a bool
+    mask in `dense`, read only by `support`.
     """
 
     __slots__ = ("p", "_values", "_counts", "_dense")
@@ -276,7 +277,8 @@ class Hist:
     def support(self, field: PrimeField) -> FSet:
         """The support as a set over field."""
         if self._dense is not None:
-            return FSet._from_mask(field, self._dense > 0)
+            d = self._dense
+            return FSet._from_mask(field, d if d.dtype == bool else d > 0)
         return FSet._from_sorted(field, self._values)
 
 
@@ -330,13 +332,15 @@ def _pair_count(alpha, t: np.ndarray, beta: np.ndarray | None, p: int,
     return Hist(p, np.flatnonzero(out)) if support else Hist(p, dense=out)
 
 
-def _pair_transform(x: FSet, y: FSet, op: str) -> np.ndarray:
+def _pair_transform(x: FSet, y: FSet, op: str,
+                    support: bool = False) -> np.ndarray:
     """counts[v] = #{(s, u) in X x Y : s op u = v} by one cyclic
     convolution of uint8 indicator vectors: over Z_p for sum and diff,
     over the discrete logs in Z_{p-1} for prod and ratio.  diff and ratio
     negate Y in that group.  For prod and ratio the pairs with a zero
     factor all land on 0 and are counted apart (callers keep 0 out of a
-    ratio's Y)."""
+    ratio's Y), and support=True reads off the bool mask counts > 0 in
+    place of the counts."""
     f = x.field
     xe, ye = x.elements(), y.elements()
     n = f.p
@@ -351,7 +355,9 @@ def _pair_transform(x: FSet, y: FSet, op: str) -> np.ndarray:
     hist = convolve.cyclic_convolve(xv, yv, n)
     if op in ("sum", "diff"):
         return hist
-    counts = hist[f.dlog_table]  # counts[g^e] = hist[e]; [0] is set next
+    # counts[g^e] = hist[e], gathered as bools for the support (5 ms
+    # against 11 ms for int64 at p = 1048573); [0] is set next
+    counts = (hist > 0 if support else hist)[f.dlog_table]
     counts[0] = x.size * y.size - len(xe) * len(ye)
     return counts
 
@@ -359,7 +365,7 @@ def _pair_transform(x: FSet, y: FSet, op: str) -> np.ndarray:
 def _pair_counts(x: FSet, y: FSet, op: str, method: str, enum: str,
                  support: bool = False) -> Hist:
     """The Hist of x op y over X x Y, op in {sum, diff, prod, ratio} (with
-    support=True the enumeration may leave out the counts), by the route
+    support=True either route may leave out the counts), by the route
     `method` names: `enum` (the caller's spelling of the
     enumeration), "transform", or "auto", which takes the transform once
     |X||Y| > p log2 p.  That is where the two cost about the same,
@@ -373,7 +379,7 @@ def _pair_counts(x: FSet, y: FSet, op: str, method: str, enum: str,
         heavy = x.size * y.size > p * max(1, int(math.log2(p)))
         method = "transform" if heavy else enum
     if method == "transform":
-        return Hist(p, dense=_pair_transform(x, y, op))
+        return Hist(p, dense=_pair_transform(x, y, op, support))
     if method != enum:
         raise BadParams("unknown method %r" % method)
     xe, ye = x.elements(), y.elements()

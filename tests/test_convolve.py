@@ -12,7 +12,7 @@ import pytest
 
 from fpsp import convolve
 from fpsp.convolve import (_block_count, _convolve_fft, _fft_error_bound,
-                           _split, _sum_squares, cyclic_convolve)
+                           _limbs, _split, _sum_squares, cyclic_convolve)
 from fpsp.errors import BadParams
 from fpsp.rng import CounterRng
 from oracles import _P1, _P2, _convolve_ntt, convolve_naive
@@ -88,6 +88,44 @@ def test_magnitude_ladder_limb_counts():
         got = cyclic_convolve(x, y, n)
         assert np.array_equal(got, convolve_naive(x, y, n)), limbs
         assert got.tolist() == _schoolbook(x, y, n), limbs
+
+
+def _widest_width(x, y, size, blocks, shift):
+    """The widest limb width whose limb pairs all pass the a-priori bound,
+    found by building the limbs of every width from the widest down."""
+    bound = _fft_error_bound(size.bit_length() - 1, blocks - 1, shift)
+    bx, by = (max(int(v.max()).bit_length(), 1) for v in (x, y))
+    for s in range(max(bx, by), 0, -1):
+        sx = [_sum_squares(v) for v in _limbs(x, s, bx)]
+        sy = [_sum_squares(v) for v in _limbs(y, s, by)]
+        if None not in sx + sy and \
+                float(max(sx) * max(sy)) * bound * bound < 1 / 16:
+            return s
+    return None
+
+
+def test_split_takes_the_widest_certified_width():
+    # _split passes over the widths that the largest entries' digits
+    # already refuse; it still returns the widest width that certifies,
+    # over one block and over two (with and without the shift)
+    r = CounterRng(9, "conv-width")
+    for n, size in ((64, 128), (4096, 8192), (70001, 1 << 17)):
+        spike = r.integers(0, 1 << 20, n)
+        spike[n // 3] = (1 << 61) - 1
+        pair = np.zeros(n, dtype=np.int64)
+        pair[[1, n - 2]] = 1
+        for x, y in ((spike, pair), (pair, spike),
+                     (r.integers(0, 1 << 12, n), r.integers(0, 1 << 12, n)),
+                     (r.integers(0, 10 ** 6, n), r.integers(0, 10 ** 6, n)),
+                     (r.integers(0, 2, n).astype(np.uint8),
+                      r.integers(0, 1 << 40, n)),
+                     (spike, spike)):
+            for blocks, shift in ((1, 0), (2, 0), (2, 1)):
+                want = _widest_width(x, y, size, blocks, shift)
+                assert want is not None
+                s, lx, ly = _split(x, y, size, blocks, shift)
+                assert s == want, (n, blocks, shift)
+                assert len(lx) == len(_limbs(x, s, int(x.max()).bit_length()))
 
 
 def test_coefficient_beyond_old_crt_range():
@@ -249,15 +287,15 @@ def test_transform_memory_bounded():
     transform has length 2^20 (8 MB per spectrum or float64 output).  The
     route then holds at most two block spectra while two more forward
     transforms run, each with the 4 MB float64 copy numpy 2's rfft makes
-    of a uint8 block; then the three product spectra while two inverse
-    transforms run; then one spectrum, three outputs and the 8 MB int64
-    result while the last inverse transform runs and the first two are
-    rounded, 32 Ki entries at a time.  Each of those is 40 MB with the
-    two 1 MB indicators, plus chunk temporaries: 42.8 MB on numpy 2.  On
-    one thread (the length-2^21 route) the peak is one spectrum held and
-    one forward transform running, 42 MB.  int64 indicators alone would
-    add 14 MB, and out-of-place temporaries more (80 MB in all on numpy
-    2)."""
+    of a uint8 block (40 MB with the two 1 MB indicators); then the two
+    product spectra, X_0 Y_0 + w^d X_1 Y_1 and X_0 Y_1 + X_1 Y_0, while
+    their two inverse transforms run (34 MB); then the two outputs and
+    the 8 MB int64 result while both are rounded, 32 Ki entries at a time
+    (26 MB).  With chunk temporaries the forward transforms set the peak:
+    42.7 MB on numpy 2.4.  On one thread (the length-2^21 route) the peak
+    is one spectrum held and one forward transform running, 42.1 MB.
+    int64 indicators alone would add 14 MB, and out-of-place temporaries
+    more (80 MB in all on numpy 2)."""
     import tracemalloc
     from fpsp.energy import rep_fn
     from fpsp.field import make_field
@@ -293,10 +331,12 @@ BLOCK_LENGTHS = (1, 2, 3, 5, 6, 999, 1000, 1024, 65537, 1048572, 1048573)
 def test_one_and_two_blocks_bit_identical(n):
     # The route on one block (one thread) and on two (two threads) gives
     # the same int64 counts, and both match an independent oracle: the NTT
-    # up to n = 65537, else the schoolbook convolution on an x of 40
-    # points.  Indicators take one limb.  Up to n = 65537, entries up to
-    # 10^6 and a 61-bit spike against two ones split into limbs on both
-    # routes (past that, _split's search over limb widths takes seconds).
+    # up to n = 65537, else the schoolbook convolution on an x of at most
+    # 41 points.  Indicators take one limb.  A 61-bit spike against two
+    # ones splits into limbs on both routes at every length, so the two
+    # outputs of two blocks (x_1 y_1 folded into x_0 y_0's, shifted by one
+    # for odd n) are certified limb pair by limb pair; up to n = 65537
+    # entries up to 10^6 split too.
     r = CounterRng(n, "conv-blocks")
     ntt = n <= 65537
 
@@ -307,14 +347,15 @@ def test_one_and_two_blocks_bit_identical(n):
 
     cases = [(draw(2, n if ntt else 40, np.uint8),
               draw(2, n if ntt else n // 8, np.uint8))]
+    spike = draw(1 << 20, min(n, 40))
+    spike[n // 2] = (1 << 61) - 1
+    pair = np.zeros(n, dtype=np.int64)
+    pair[[0, n - 1]] = 1
+    assert min(_limb_counts(spike, pair, n)) == 1 < max(
+        _limb_counts(spike, pair, n))
+    cases.append((spike, pair))
     if ntt:
-        spike = draw(1 << 20, min(n, 40))
-        spike[n // 2] = (1 << 61) - 1
-        pair = np.zeros(n, dtype=np.int64)
-        pair[[0, n - 1]] = 1
-        assert min(_limb_counts(spike, pair, n)) == 1 < max(
-            _limb_counts(spike, pair, n))
-        cases += [(spike, pair), (draw(10 ** 6, n), draw(10 ** 6, n))]
+        cases.append((draw(10 ** 6, n), draw(10 ** 6, n)))
     for case, (x, y) in enumerate(cases):
         one = _convolve_fft(x, y, n, 1)
         two = _convolve_fft(x, y, n, 2)
@@ -326,6 +367,58 @@ def test_one_and_two_blocks_bit_identical(n):
         else:
             want = convolve_naive(x, y, n)
         assert np.array_equal(two, want), (n, case)
+
+
+@pytest.mark.parametrize("n", (70000, 70001))
+def test_two_blocks_fold_into_two_inverse_transforms(n, monkeypatch):
+    # two blocks take 4 rfft and 2 irfft for one limb pair (indicators),
+    # half of each on the worker thread: X_1 Y_1 shares the inverse
+    # transform of X_0 Y_0, at even n (no shift) and odd n (a shift by
+    # one).  Two limbs a side take 8 rfft, 2 per limb block, and 8 irfft,
+    # 2 per limb pair.
+    r = CounterRng(n, "conv-count")
+    calls = {"rfft": [], "irfft": []}
+
+    def spy(name):
+        fn = getattr(np.fft, name)
+
+        def run(*args, **kwargs):
+            calls[name].append(threading.current_thread()
+                               is threading.main_thread())
+            return fn(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(np.fft, "rfft", spy("rfft"))
+    monkeypatch.setattr(np.fft, "irfft", spy("irfft"))
+    for hi, limbs, counts in ((2, 1, (4, 2)), (10 ** 6, 2, (8, 8))):
+        x, y = r.integers(0, hi, n), r.integers(0, hi, n)
+        assert _limb_counts(x, y, n) == (limbs, limbs)
+        want = _convolve_fft(x, y, n, 1)
+        for seen in calls.values():
+            seen.clear()
+        assert np.array_equal(_convolve_fft(x, y, n, 2), want), (n, hi)
+        for (name, seen), count in zip(calls.items(), counts):
+            assert seen.count(True) == seen.count(False) == count // 2, \
+                (n, hi, name, seen)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 2.0 ** -60,
+                    reason="long double is no wider than float64 here")
+def test_shift_twiddles_within_the_assumed_error():
+    # the twiddles of the shift by one, chunk by chunk as the products take
+    # them, lie within _TWIDDLE_ERR units of 2^-53 of exp(-2 pi i j / N)
+    # computed in long double, at every transform length of the route
+    pi = 4 * np.arctan(np.longdouble(1))
+    chunk = convolve._CHUNK
+    for k in range(17, 22):
+        size = 1 << k
+        m = size // 2 + 1
+        turn = convolve._twiddles(size)
+        got = np.concatenate([turn(i, min(chunk, m - i))
+                              for i in range(0, m, chunk)])
+        angle = -2 * pi * np.arange(m).astype(np.longdouble) / size
+        err = np.hypot(got.real - np.cos(angle), got.imag - np.sin(angle))
+        assert float(err.max()) < convolve._TWIDDLE_ERR * 2.0 ** -53, k
 
 
 def _fft_threads(n):
@@ -386,7 +479,8 @@ def test_two_blocks_under_frequent_thread_switches():
 
 
 def test_worker_failures_reach_the_caller(monkeypatch):
-    # a rounding failure in the worker thread's irfft output is refused,
+    # the worker runs one of the two inverse transforms (X_0 Y_0 with
+    # X_1 Y_1 folded in); a rounding failure in its output is refused,
     # and an exception raised in the worker is raised to the caller
     n = 1000
     r = CounterRng(7, "conv-worker")
@@ -406,7 +500,7 @@ def test_worker_failures_reach_the_caller(monkeypatch):
 
     monkeypatch.setattr(np.fft, "irfft", off_by(0.0))
     assert np.array_equal(_convolve_fft(x, y, n, 2), convolve_naive(x, y, n))
-    assert calls.count(True) == 2 and calls.count(False) == 1
+    assert calls.count(True) == calls.count(False) == 1
     monkeypatch.setattr(np.fft, "irfft", off_by(0.3))
     with pytest.raises(BadParams, match="within 1/4"):
         _convolve_fft(x, y, n, 2)

@@ -2,12 +2,13 @@
 and the "auto" choice against the enumeration, and the FFT against the
 NTT oracle of tests/oracles.py, over random primes and sizes plus the
 edge cases p = 3, a full field, |A| = 1, 0 in the sets and small sets at
-p = 1048573; the batched CounterRng draws against a scalar `below`
-oracle; the fast paths of the per-instance quantities (grouped moments,
-mu over gathered values, the cached mu(g*h)) against their direct forms;
-and the pair counter's sparse and dense routes, with every consumer of
-its counts, against np.add.at histograms and the dense computations
-they replaced."""
+p = 1048573, and on two index blocks at seeded primes past 2^16; the
+batched CounterRng draws against a scalar `below` oracle; the fast paths
+of the per-instance quantities (grouped moments, mu over gathered
+values, the cached mu(g*h)) against their direct forms; and the pair
+counter's sparse and dense routes, with every consumer of its counts,
+against np.add.at histograms and the dense computations they
+replaced."""
 
 import copy
 import itertools
@@ -17,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fpsp import sets
+from fpsp import convolve, sets
 from fpsp.convolve import _convolve_fft
 from fpsp.energy import (RepFn, dyadic_buckets, energy_popular, level_counts,
                          level_set, moment, popular_diff, popular_sum_core,
@@ -85,26 +86,33 @@ def _indicator(n, elems):
     return v
 
 
+def _routes_agree(f, b, c, tag):
+    """rep_fn and combine by the transform and "auto" equal the
+    enumeration on (B, C) (0 left out where a ratio needs it)."""
+    bz, cz = _nonzero(b), _nonzero(c)
+    for kind, x, y in (("difference", b, c), ("sum", b, c),
+                       ("ratio", bz, cz)):
+        if x.size == 0 or y.size == 0:
+            continue
+        want = rep_fn(x, y, kind, method="naive").counts
+        for method in ("transform", "auto"):
+            got = rep_fn(x, y, kind, method=method).counts
+            assert np.array_equal(got, want), tag + (kind, method)
+    for op in ("sum", "diff", "prod", "ratio"):
+        y = cz if op == "ratio" else c
+        if y.size == 0:
+            continue
+        want = combine(b, y, op, method="pairwise").mask
+        for method in ("transform", "auto"):
+            got = combine(b, y, op, method=method).mask
+            assert np.array_equal(got, want), tag + (op, method)
+    return bz, cz
+
+
 def test_transform_and_auto_match_enumeration():
     for i, (f, b, c) in enumerate(_cases()):
         tag = (i, f.p, b.size, c.size)
-        bz, cz = _nonzero(b), _nonzero(c)
-        for kind, x, y in (("difference", b, c), ("sum", b, c),
-                           ("ratio", bz, cz)):
-            if x.size == 0 or y.size == 0:
-                continue
-            want = rep_fn(x, y, kind, method="naive").counts
-            for method in ("transform", "auto"):
-                got = rep_fn(x, y, kind, method=method).counts
-                assert np.array_equal(got, want), tag + (kind, method)
-        for op in ("sum", "diff", "prod", "ratio"):
-            y = cz if op == "ratio" else c
-            if y.size == 0:
-                continue
-            want = combine(b, y, op, method="pairwise").mask
-            for method in ("transform", "auto"):
-                got = combine(b, y, op, method=method).mask
-                assert np.array_equal(got, want), tag + (op, method)
+        bz, cz = _routes_agree(f, b, c, tag)
         if f.p > NTT_MAX_P:
             continue
         # the two convolutions behind those routes, over Z_p and Z_{p-1}
@@ -117,6 +125,26 @@ def test_transform_and_auto_match_enumeration():
                 continue
             fft = _convolve_fft(x, y, n)
             assert np.array_equal(fft, _convolve_ntt(x, y, n)), tag + (n,)
+
+
+def test_two_block_transform_matches_enumeration(monkeypatch):
+    # seeded primes in (65537, 2^18]: the transform cuts both indicators
+    # into two blocks on two threads (forced, whatever the CPU count), at
+    # odd n = p, where x_1 y_1 is folded in shifted by one, and even
+    # n = p - 1, where it is not
+    monkeypatch.setattr(convolve, "_second_thread", lambda: True)
+    rng = CounterRng(1, "fuzz-two-blocks")
+    for trial in range(3):
+        p = 65538 + int(rng.below((1 << 18) - 65538))
+        while not is_prime(p):
+            p += 1
+        assert convolve._block_count(p) == convolve._block_count(p - 1) == 2
+        f = make_field(p)
+        b = _random_set(f, rng, 1 + int(rng.below(400)), "fz2-b%d" % trial)
+        c = _random_set(f, rng, 1 + int(rng.below(400)), "fz2-c%d" % trial)
+        if trial % 2 == 0:
+            b = FSet(f, b.mask | (np.arange(p) == 0))
+        _routes_agree(f, b, c, (trial, p, b.size, c.size))
 
 
 # Spans that reject about a quarter of all 64-bit words (2^62 + 1 and

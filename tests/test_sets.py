@@ -7,9 +7,9 @@ from fpsp.errors import (BadParams, FieldMismatch, ParseError, ZeroDilation,
                          ZeroDivisor)
 from fpsp.field import make_field
 from fpsp.rng import CounterRng
-from fpsp.sets import (FSet, Hist, affine, combine, generate,
-                       parse_set_text, read_set_file, subgroup_orders,
-                       write_set_file)
+from fpsp.sets import (FSet, Hist, _pair_transform, affine, combine,
+                       generate, parse_set_text, read_set_file,
+                       subgroup_orders, write_set_file)
 
 F7 = make_field(7)
 F101 = make_field(101)
@@ -140,6 +140,26 @@ def test_dense_support_allocates_one_mask():
     assert p <= peak < p + p // 2, peak
     assert sup.size == len(range(0, p, 3)) and 3 in sup and 1 not in sup
     assert not sup.mask.flags.writeable
+
+
+def test_transform_support_gathers_bools():
+    # with support=True, prod and ratio read the support off the
+    # convolution as a bool gather through the discrete logs (0 set
+    # apart), equal to counts > 0, and Hist.support keeps that mask
+    f = make_field(1009)
+    r = CounterRng(4, "support-gather")
+    for with_zero in (False, True):
+        mask = r.integers(0, 5, f.p) == 0
+        mask[0] = with_zero
+        b = FSet(f, mask)
+        c = generate(f, "random", size=300, seed=5, zero_free=True)
+        for op in ("prod", "ratio"):
+            got = _pair_transform(b, c, op, support=True)
+            want = _pair_transform(b, c, op)
+            assert got.dtype == bool and want.dtype == np.int64
+            assert np.array_equal(got, want > 0), (with_zero, op)
+            assert bool(got[0]) == with_zero
+            assert Hist(f.p, dense=got).support(f).mask is got
 
 
 def test_combine_against_brute_200():
