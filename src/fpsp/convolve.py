@@ -1,10 +1,10 @@
 """Exact integer cyclic convolution by a certified float FFT over limbs.
 
 This is the "transform" route behind representation-function histograms,
-so counts must come out bit-exact.  It cuts each input into one or two
-index blocks of length h = ceil(n / blocks), zero-pads them to a radix-2
-length N = 2^k (N = n for one block of power-of-two length n, else
-N >= 2h - 1, so that every block product is linear) and multiplies numpy
+so counts must come out bit-exact.  It cuts each input into m = 1, 2 or 4
+index blocks of length h = ceil(n / m), zero-pads them to a radix-2
+length N = 2^k (N = n for one block of power-of-two length n, else the
+least N >= 2h - 1, so that every block product fits) and multiplies numpy
 rfft/irfft spectra in float64.  There is one route and no fallback: a
 result is returned only when it is certified exact, and any failed check
 raises BadParams.
@@ -23,15 +23,23 @@ raises BadParams.
   c = sum_ij c_ij 2^((i+j)s) is recombined by int64 shifts.  Indicator
   vectors (every use in this package) need one limb.
 * Blocks.  Blocks are offsets in the index domain as limbs are shifts in
-  the bit domain.  With two blocks, x = x_0 + z^h x_1 and y likewise, so
-  x y = x_0 y_0 + z^h (x_0 y_1 + x_1 y_0) + z^2h x_1 y_1.  Mod z^n - 1,
-  z^2h = z^d with d = 2h - n, 0 for even n and 1 for odd, so x_0 y_0 and
-  z^d x_1 y_1 share one output of linear length at most 2h - 1 <= N:
-  per limb pair, two inverse transforms, of G_1 = X_0 Y_0 + w^d X_1 Y_1
-  (w^k = exp(-2 pi i k / N), the spectrum of a shift by d) and
-  G_2 = X_0 Y_1 + X_1 Y_0, added into the result at index offset 0 (no
-  wrap: 2h - 1 <= n) and h mod n.  One block is one rfft per side and one
-  irfft, folded mod n.
+  the bit domain.  x = sum_a z^(ah) x_a and y likewise (a < m; the last
+  blocks may be short), so x y = sum_ab z^((a+b)h) x_a y_b.  Mod z^n - 1,
+  z^(mh) = z^d with d = mh - n (0 <= d < m), so a product with a + b >= m
+  lands in the same place as one with a + b - m, shifted by d.  The m^2
+  products are grouped by t = a + b mod m into m outputs, one inverse
+  transform each per limb pair:
+      G_t = sum_(a+b=t) X_a Y_b + w^d sum_(a+b=t+m) X_a Y_b
+  (w^k = exp(-2 pi i k / N), the spectrum of a shift by d), added into
+  the result at index offset t h mod n.  Its linear length, clipped to N,
+  is at most n (the last block is d entries short), so it never wraps
+  onto itself.  A shifted product may still run past N, and the length-N
+  inverse transform wraps that excess onto the head of its output: at
+  n = 1048573 (h = 2^18, d = 3, N = 2^19) x_2 y_2 in G_0 runs 2
+  coefficients past N.  Those few coefficients are computed exactly on
+  Python ints from the blocks' top entries (each a sum of at most d
+  products), subtracted at the wrap and added at their own index.  One
+  block is one rfft per side and one irfft, folded mod n.
 * A priori.  Percival (Math. Comp. 72, 2003, Thm. 5.1) bounds the error
   of an FFT convolution of length 2^k by
       ||x||_2 ||y||_2 ((1+e)^3k (1+e sqrt5)^(3k+1) (1+b)^3k - 1)
@@ -43,61 +51,72 @@ raises BadParams.
   stated for a radix-2 complex transform; numpy's real transform of a
   power-of-two length runs radix-4 and radix-2 passes, each radix-4 pass
   doing the work of two radix-2 levels, and is taken to be covered by it.
-  Each spectrum of two blocks is a computed sum fl(P + Q): each product
-  carries one more rounding 1+e.  For odd n, Q = fl(W X_1 Y_1) carries
-  one more complex product 1 + e sqrt5 and one more twiddle error 1+b:
-  W is a table entry w^j (j < 2^15, within about 2e for N >= 2^17)
-  times one directly computed w^i (within about 4e), so within about 8e
-  of w^(i+j).  The shift is unitary, and the inverse transform is
-  linear, with Percival's bound on its error a sum of terms linear in
-  its input and in the error already in that input.  So an output
-  holding the products of blocks (a, b) and (a', b') errs by at most
-      (||x_a|| ||y_b|| + ||x_a'|| ||y_b'||)
-          ((1+e)^(3k+1) (1+e sqrt5)^(3k+1+d) (1+b)^(3k+d) - 1),
-  and by Cauchy-Schwarz both sums of norms are at most ||x|| ||y||.
-  The bound is computed from the exact limb norms (sums of squares in
-  int64, refused where they could overflow) and must be below 1/4.  For
+  Each G_t is a computed sum of m products: each carries at most m - 1
+  more roundings 1+e.  Where d > 0 the wrapped products are summed and
+  multiplied once by W: one more complex product 1 + e sqrt5 and one
+  more twiddle error 1+b, whatever d is.  W is a table entry w^(dj)
+  (j < 2^15) times one directly computed w^(di), each of an angle
+  reduced into [-pi, pi), and lies within 4.9e of w^(d(i+j)) for
+  d = 1..3 and N = 2^16..2^21 against a long-double reference.  The
+  shift is unitary, and the inverse transform is linear, with Percival's
+  bound on its error a sum of terms linear in its input and in the error
+  already in that input.  So G_t errs by at most
+      sum_a ||x_a|| ||y_(t-a mod m)||
+          ((1+e)^(3k+m-1) (1+e sqrt5)^(3k+1+r) (1+b)^(3k+r) - 1),
+  r = 1 if d > 0 else 0, and since b = t - a mod m is a bijection,
+  Cauchy-Schwarz puts the sum of norms at most ||x|| ||y||.  The bound
+  bounds the cyclic length-N result, spilled coefficients included.
+  It is computed from the exact limb norms (sums of squares in int64,
+  refused where they could overflow) and must be below 1/4.  For
   indicator vectors ||x||_2 ||y||_2 <= n <= 2^20 and the bound is about
   1e-7.
 * A posteriori.  Every output of every inverse transform lies within 1/4
   of an integer, and its rounded mass is exactly the sum of
   sum(x_a) sum(y_b) over its products (limb by limb).
-* Threads.  Two blocks run their transforms two at a time, on the
-  calling thread and on one worker thread (numpy's FFT releases the
-  GIL) that takes every other one: X_0 beside X_1, Y_0 beside Y_1, then
-  G_1 beside G_2, and the calling thread rounds both: six transforms in
-  three rounds for one limb pair.  The products are formed half on each
-  thread.  cyclic_convolve takes two blocks only where a second thread
-  may run (the process is not a multiprocessing child, whose pool already
-  keeps every core busy, and may run on at least two CPUs) and where it
-  pays (n >= 2^16, and n not a power of two, for which two blocks would
-  not halve N); else one block, all on the calling thread.  Both give the
-  same certified integers.  At n = 1048573 two blocks take length-2^20
-  transforms in place of length-2^21 ones; on a 2-core x86 host one
-  convolution of two 1% indicators there took 0.16-0.18 s, against
-  0.18-0.21 s with a third inverse transform for X_1 Y_1 and 0.28-0.32 s
-  on one block.  Below n = 2^16 the thread did not pay: 0.95 of the
-  one-block time at n = 32749.
+* Routing.  cyclic_convolve reads n only: four blocks where n >= 2^16 is
+  not a power of two, else one (a power of two transforms directly).
+  Both give the same certified integers.  Shorter transforms cost less
+  per entry, so four blocks won at every length measured on a 2-core x86
+  host (medians of 7-15 calls, two 2.5% indicators): at n = 1048573,
+  0.12-0.14 s against 0.13-0.17 s on two blocks and 0.25-0.35 s on one;
+  at n = 65537-524287 by 4-18% over two blocks on two threads and by
+  13-28% on one CPU.  Below 2^16 four blocks lost at n <= 4099, where
+  the thread start outweighs the transforms, and took 0.68-0.87 of the
+  one-block time at n = 16411-65521; the 2^16 threshold is kept from its
+  first measurement.
+* Threads.  Where a second thread may run (the process is not a
+  multiprocessing child, whose pool already keeps every core busy, and
+  may run on at least two CPUs), m > 1 blocks run their transforms two
+  at a time, on the calling thread and on one worker thread (numpy's FFT
+  releases the GIL) that takes every other one: for one limb pair 2m
+  forward transforms in m rounds, the products formed half the chunks on
+  each thread, then m inverse transforms in m/2 rounds.  After each
+  inverse round both threads round its two outputs, split at result
+  index n/2 so that no entry is written by both (two outputs at
+  n = 1048573 took 5.5 ms instead of 11 ms on one thread).  Elsewhere
+  everything runs on the calling thread, in the same order.
 * Working set.  Products are formed, and outputs rounded, in chunks of
   2^15 entries, written over the spectra and outputs they read, and every
   buffer is freed before the next is allocated; the int64 result (which
   owns its n entries) is allocated once the inverse transforms have
-  consumed their spectra.  One indicator histogram at n = 1048573 peaks
-  at about 42 MB of numpy arrays on numpy 2 either way.  On one block
-  (N = 2^21, 16 MB per spectrum or float64 output) that is one spectrum
-  held while the other forward transform runs.  On two blocks (N = 2^20,
-  8 MB each) it is two spectra held while two forward transforms run,
-  each with numpy 2's 4 MB float64 copy of a uint8 block; then the two
-  product spectra and their two outputs, then the two outputs and the
-  result while they are rounded.
+  consumed their spectra.  One indicator histogram at n = 1048573 on
+  four blocks (N = 2^19, 4 MB per spectrum or float64 output) holds at
+  most six spectra while two forward transforms run, each with numpy 2's
+  2 MB float64 copy of a uint8 block; then all eight while the four
+  outputs are formed over X_0..X_3, the peak (41.5-42.3 MB of numpy
+  arrays on numpy 2.4, 38.2 MB on one thread; 42.1 MB on one block);
+  then the outputs, transformed back and rounded beside the result.
 
 Splitting into limbs for floating-point FFT products follows Brent and
-Zimmermann, Modern Computer Arithmetic (CUP 2010), chapters 2-3.
+Zimmermann, Modern Computer Arithmetic (CUP 2010), chapters 2-3; cutting
+one long transform into cache-sized ones follows Bailey, "FFTs in
+external or hierarchical memory", J. Supercomputing 4 (1990).
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 import multiprocessing
 import operator
@@ -110,12 +129,14 @@ from .errors import BadParams
 _TWIDDLE_ERR = 10  # twiddle error bound, in units of 2^-53
 _INT64_END = 1 << 63
 _CHUNK = 1 << 15  # entries per step of the spectrum products and rounding
-_SPLIT_MIN = 1 << 16  # shortest n split into two blocks on two threads
+_SPLIT_MIN = 1 << 16  # shortest n split into blocks
 
 
 def _sum_squares(v: np.ndarray) -> int | None:
     """Exact sum of v[i]^2 (v >= 0), or None where int64 could overflow."""
     top = int(v.max())
+    if top <= 1:  # an indicator: each square is its entry
+        return int(np.count_nonzero(v))
     if top * top * len(v) >= _INT64_END:
         return None
     # accumulate in int64 without a widened copy of v
@@ -144,15 +165,15 @@ def _limbs(v, s: int, bits: int) -> list:
 
 
 def _split(x: np.ndarray, y: np.ndarray, size: int, blocks: int = 1,
-           shift: int = 0) -> tuple[int, list[np.ndarray], list[np.ndarray]]:
+           turns: int = 0) -> tuple[int, list[np.ndarray], list[np.ndarray]]:
     """The widest limb width s for which every limb pair of x and y passes
     the a-priori bound at transform length size over `blocks` index
-    blocks (the second one's outer product shifted by `shift`), with both
-    limb lists.  A width that the digits of the largest entries already
-    refuse (each digit is at most its limb's largest entry, and its
-    square at most the limb's sum of squares) is passed over before any
-    limb is built."""
-    bound = _fft_error_bound(size.bit_length() - 1, blocks - 1, shift)
+    blocks (each output a sum of `blocks` products, `turns` products by a
+    shift twiddle), with both limb lists.  A width that the digits of the
+    largest entries already refuse (each digit is at most its limb's
+    largest entry, and its square at most the limb's sum of squares) is
+    passed over before any limb is built."""
+    bound = _fft_error_bound(size.bit_length() - 1, blocks - 1, turns)
     tx, ty = int(x.max()), int(y.max())
     bx, by = max(tx.bit_length(), 1), max(ty.bit_length(), 1)
     for s in range(max(bx, by), 0, -1):
@@ -195,41 +216,68 @@ def _two_threads(fn, items: list, pool):
             yield ready.pop(0)
 
 
-def _twiddles(size: int):
-    """The function (i, count) -> [w^i, ..., w^(i + count - 1)] for
-    w = exp(-2 pi sqrt(-1) / size), i a multiple of _CHUNK and count at
-    most _CHUNK: a base table of w^j (j < _CHUNK) built once, times one
-    scalar w^i computed directly."""
-    base = np.exp(-2j * math.pi / size
-                  * np.arange(min(_CHUNK, size // 2 + 1)))
-    return lambda i, count: (base[:count]
-                             * cmath.exp(-2j * math.pi * i / size))
+@contextlib.contextmanager
+def _worker(wanted: bool):
+    """A pool of one worker thread for _two_threads, or None (everything
+    runs on the calling thread) unless wanted and _second_thread()."""
+    if not (wanted and _second_thread()):
+        yield None
+        return
+    # imported here: a process that never starts a thread (a sweep's pool
+    # worker) does not load it, which costs 0.65 MB of RSS at import
+    from concurrent.futures import ThreadPoolExecutor
+    pool = ThreadPoolExecutor(1)
+    try:
+        yield pool
+    finally:
+        pool.shutdown()
+
+
+def _twiddles(size: int, d: int):
+    """The function (i, count) -> [w^(d i), ..., w^(d (i + count - 1))]
+    for w = exp(-2 pi sqrt(-1) / size), i a multiple of _CHUNK and count
+    at most _CHUNK: a base table of w^(d j) (j < _CHUNK) built once, times
+    one scalar w^(d i) computed directly.  Each exponent is reduced mod
+    size into [-size/2, size/2) first, so no angle exceeds pi."""
+    half = size // 2
+
+    def angle(k):
+        return -2 * math.pi * ((d * k + half) % size - half) / size
+
+    base = np.exp(1j * angle(np.arange(min(_CHUNK, half + 1))))
+    return lambda i, count: base[:count] * cmath.exp(1j * angle(i))
 
 
 def _products(fx: list, fy: list, turn, spent: bool, pool) -> list:
-    """The spectra of one limb pair's block products, formed _CHUNK
-    entries at a time, the first half of the chunks on the pool's worker
-    thread when there is a pool: X_0 Y_0 for one block; for two,
-    X_0 Y_0 + W X_1 Y_1 and X_0 Y_1 + X_1 Y_0, where W is 1 or, when turn
-    is given (a _twiddles function), the twiddles of a shift by one.
-    spent=True writes them over fx[0] and fy[0], so no spectrum is
-    allocated (and the inputs are spent)."""
-    outs = ([fx[0], fy[0]][:len(fx)] if spent
-            else [np.empty_like(fx[0]) for _ in fx])
+    """The spectra G_t = sum_a X_a Y_((t - a) mod m), t < m, of one limb
+    pair's m block products, formed _CHUNK entries at a time, the first
+    half of the chunks on the pool's worker thread when there is a pool.
+    A product with a + b >= m (it wraps past z^n) is multiplied by turn(i,
+    count) (a _twiddles function; None for no shift).  spent=True writes
+    G_t over fx[t], so no spectrum is allocated (and the inputs are
+    spent)."""
+    m = len(fx)
+    outs = fx if spent else [np.empty_like(fx[0]) for _ in fx]
 
     def run(lo, hi):
         for i in range(lo, hi, _CHUNK):
             c = slice(i, i + _CHUNK)
-            if len(fx) == 1:
-                outs[0][c] = fx[0][c] * fy[0][c]
-                continue
-            outer = fx[1][c] * fy[1][c]
-            if turn is not None:
-                outer *= turn(i, len(outer))
-            outer += fx[0][c] * fy[0][c]
-            inner = fx[0][c] * fy[1][c]
-            inner += fx[1][c] * fy[0][c]
-            outs[0][c], outs[1][c] = outer, inner
+            xs, ys = [v[c] for v in fx], [v[c] for v in fy]
+            got = []
+            for t in range(m):
+                inner = xs[0] * ys[t]
+                for a in range(1, t + 1):
+                    inner += xs[a] * ys[t - a]
+                if t + 1 < m:
+                    outer = xs[t + 1] * ys[m - 1]
+                    for a in range(t + 2, m):
+                        outer += xs[a] * ys[t + m - a]
+                    if turn is not None:
+                        outer *= turn(i, len(outer))
+                    inner += outer
+                got.append(inner)
+            for out, g in zip(outs, got):
+                out[c] = g
 
     end = len(fx[0])
     cut = -(-end // (2 * _CHUNK)) * _CHUNK
@@ -241,93 +289,141 @@ def _products(fx: list, fy: list, turn, spent: bool, pool) -> list:
 
 def _round_into(out: np.ndarray, part: np.ndarray, shift: int, offset: int,
                 length: int) -> int:
-    """Round part, add part[j] << shift into out[(offset + j) mod n] for
-    j < length, and return the sum of every rounded entry of part; raise
-    BadParams unless every entry lies within 1/4 of an integer.  part is
-    spent (overwritten by its rounding errors).  Works in chunks of at
-    most min(_CHUNK, n) entries, so one chunk wraps at most once and no
-    temporary is longer than a chunk."""
-    n = len(out)
-    step = min(_CHUNK, n)
+    """Round part, add part[j] << shift into out[offset + j] for
+    j < length (offset + length <= n), and return the sum of every rounded
+    entry of part; raise BadParams unless every entry lies within 1/4 of
+    an integer.  part is spent (overwritten by its rounding errors).
+    Works in chunks of _CHUNK entries, so no temporary is longer than a
+    chunk."""
     total = 0
-    for i in range(0, len(part), step):
-        chunk = part[i:i + step]
+    for i in range(0, len(part), _CHUNK):
+        chunk = part[i:i + _CHUNK]
         near = np.rint(chunk)
         chunk -= near
-        if float(np.abs(chunk, out=chunk).max()) >= 0.25:
+        if not (-0.25 < float(chunk.min()) and float(chunk.max()) < 0.25):
             raise BadParams("FFT convolution output not within 1/4 of an "
                             "integer")
         ints = near.astype(np.int64)
         total += int(ints.sum())
         ints = ints[:max(0, length - i)]
-        ints <<= shift
-        at = (offset + i) % n
-        head = min(len(ints), n - at)
-        out[at:at + head] += ints[:head]
-        out[:len(ints) - head] += ints[head:]
+        if shift:
+            ints <<= shift
+        out[offset + i:offset + i + len(ints)] += ints
     return total
+
+
+def _round_split(out: np.ndarray, parts: list, pool) -> list:
+    """_round_into for each (shift, offset, length, part) of parts, with
+    offset + length <= 2n (an entry wraps past the end of out at most
+    once), on two threads: the worker takes every entry landing in
+    out[0:n/2) and the calling thread every entry landing in out[n/2:n),
+    so the two never write the same entry; the unadded tail part[length:]
+    of the k-th part goes to thread k mod 2.  Returns each part's sum of
+    rounded entries."""
+    n = len(out)
+    cut = n // 2
+    pieces = ([], [])
+    for k, (shift, offset, length, part) in enumerate(parts):
+        # entry j lands at offset + j before the wrap, offset + j - n after
+        for side, (lo, hi) in enumerate(((0, cut), (cut, n))):
+            for base in (offset, offset - n):
+                j0, j1 = max(lo - base, 0), min(hi - base, length)
+                if j0 < j1:
+                    pieces[side].append((k, part[j0:j1], shift, base + j0,
+                                         j1 - j0))
+        pieces[k % 2].append((k, part[length:], shift, 0, 0))
+    totals = [0] * len(parts)
+    for _, sums in _two_threads(
+            lambda todo: [(k, _round_into(out, *args)) for k, *args in todo],
+            list(enumerate(pieces)), pool):
+        for k, total in sums:
+            totals[k] += total
+    return totals
+
+
+def _spill(u: np.ndarray, v: np.ndarray, start: int, stop: int) -> list:
+    """The exact coefficients start..stop-1 of the linear product u v, on
+    Python ints: the top few, each a sum over a few top entries."""
+    return [sum(int(u[i]) * int(v[k - i])
+                for i in range(max(0, k - len(v) + 1), min(len(u), k + 1)))
+            for k in range(start, stop)]
 
 
 def _convolve_fft(x: np.ndarray, y: np.ndarray, n: int,
                   blocks: int = 1) -> np.ndarray:
     """Cyclic convolution of nonnegative uint8 or int64 vectors of length
-    n with sum(x) sum(y) < 2^63, over `blocks` (1 or 2) index blocks,
+    n with sum(x) sum(y) < 2^63, over `blocks` (1, 2 or 4) index blocks,
     certified exact limb pair by limb pair (see the module docstring)."""
-    h = -(-n // blocks)
-    size = (n if blocks == 1 and n & (n - 1) == 0
+    m = blocks
+    h = -(-n // m)
+    size = (n if m == 1 and n & (n - 1) == 0
             else 1 << (2 * h - 2).bit_length())
-    # x_1 y_1 lands at 2h = d mod n, d = 2h - n: in x_0 y_0's output,
-    # shifted by d (0 for even n, 1 for odd)
-    d = 2 * h - n if blocks == 2 else 0
-    s, lx, ly = _split(x, y, size, blocks, d)
-    # vecs[l * blocks + a] is block a of limb l of x, then of y
-    vecs = [v[a * h:(a + 1) * h] for v in lx + ly for a in range(blocks)]
+    # a product of blocks a + b >= m lands at (a + b) h = (a + b - m) h + d
+    # mod n: in output a + b - m, shifted by d
+    d = m * h - n
+    s, lx, ly = _split(x, y, size, m, min(d, 1))
+    # vecs[l * m + a] is block a of limb l of x, then of y
+    vecs = [v[a * h:(a + 1) * h] for v in lx + ly for a in range(m)]
     sums = [int(v.sum(dtype=np.int64)) for v in vecs]
-    # each output: its index offset and the block pairs (a, b) it holds,
-    # with the shift of each product within it
-    outputs = ([(0, [(0, 0, 0), (1, 1, d)]), (h, [(0, 1, 0), (1, 0, 0)])]
-               if blocks == 2 else [(0, [(0, 0, 0)])])
-    pool = None
-    if blocks > 1:
-        # imported here: a process that never splits (a sweep's pool
-        # worker) does not load it, which costs 0.65 MB of RSS at import
-        from concurrent.futures import ThreadPoolExecutor
-        pool = ThreadPoolExecutor(1)
-    try:
+    with _worker(m > 1) as pool:
         specs = dict(_two_threads(lambda v: np.fft.rfft(v, size),
                                   list(enumerate(vecs)), pool))
-        turn = _twiddles(size) if d else None  # after the forward peak
+        turn = _twiddles(size, d) if d else None  # after the forward peak
         # one spectrum per limb pair and output, tagged with its bit
-        # shift, index offset, exact mass and linear length
-        todo = []
+        # shift, index offset, exact mass and linear length (at most
+        # size); `fixes` moves each product coefficient past size, which
+        # the length-size inverse transform wraps onto the output's head,
+        # to its own index
+        todo, fixes = [], []
         for i in range(len(lx)):
             for j in range(len(ly)):
-                xi = range(i * blocks, (i + 1) * blocks)
-                yj = range((len(lx) + j) * blocks, (len(lx) + j + 1) * blocks)
+                xi = range(i * m, (i + 1) * m)
+                yj = range((len(lx) + j) * m, (len(lx) + j + 1) * m)
                 prods = _products([specs[k] for k in xi],
                                   [specs[k] for k in yj], turn,
                                   len(lx) == len(ly) == 1, pool)
-                for (offset, pairs), prod in zip(outputs, prods):
-                    mass = sum(sums[xi[a]] * sums[yj[b]] for a, b, _ in pairs)
-                    length = max(len(vecs[xi[a]]) + len(vecs[yj[b]]) + lag
-                                 for a, b, lag in pairs) - 1
-                    todo.append(((s * (i + j), offset, mass,
-                                  min(size, length)), prod))
+                shift = s * (i + j)
+                for t, prod in enumerate(prods):
+                    offset, mass, length = t * h % n, 0, 0
+                    for a in range(m):
+                        b = (t - a) % m
+                        u, v = vecs[xi[a]], vecs[yj[b]]
+                        if not (len(u) and len(v)):
+                            continue
+                        mass += sums[xi[a]] * sums[yj[b]]
+                        lag = d if a + b >= m else 0
+                        end = len(u) + len(v) - 1 + lag
+                        length = max(length, min(size, end))
+                        if not lag:
+                            continue
+                        for k, c in enumerate(_spill(u, v, size - lag,
+                                                     end - lag)):
+                            fixes += [((offset + k) % n, -(c << shift)),
+                                      ((offset + size + k) % n, c << shift)]
+                    todo.append(((shift, offset, mass, length), prod))
                 del prods, prod
         # drop the input spectra: for one limb pair only the products,
         # written over the inputs, are left
         del specs
-        out = None
-        for (shift, offset, mass, length), part in _two_threads(
-                lambda sp: np.fft.irfft(sp, size), todo, pool):
+        # the inverse transforms two at a time, one per thread; both
+        # threads then round the two outputs, split at index n/2
+        out, masses, totals = None, [], []
+        while todo:
+            pair, todo = todo[:2], todo[2:]
+            parts = []
+            for (shift, offset, mass, length), part in _two_threads(
+                    lambda sp: np.fft.irfft(sp, size), pair, pool):
+                masses.append(mass)
+                parts.append((shift, offset, length, part))
+            del part
             if out is None:  # allocated once the first spectra are freed
                 out = np.zeros(n, dtype=np.int64)
-            if _round_into(out, part, shift, offset, length) != mass:
-                raise BadParams("FFT convolution lost mass")
-            del part
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            totals += _round_split(out, parts, pool)
+            del parts
+        if masses != totals:
+            raise BadParams("FFT convolution lost mass")
+    for k, c in fixes:
+        out[k] += c
     return out
 
 
@@ -342,10 +438,10 @@ def _second_thread() -> bool:
 
 
 def _block_count(n: int) -> int:
-    """The index blocks cyclic_convolve takes at length n: 2, on two
-    threads, where a second thread may run and n >= _SPLIT_MIN is not a
-    power of two (so that two blocks halve the transform length); else 1."""
-    return 2 if n >= _SPLIT_MIN and n & (n - 1) and _second_thread() else 1
+    """The index blocks cyclic_convolve takes at length n: 4 where
+    n >= _SPLIT_MIN is not a power of two, else 1 (a power of two
+    transforms directly at length n)."""
+    return 1 if n < _SPLIT_MIN or n & (n - 1) == 0 else 4
 
 
 def _counts(v, n: int) -> tuple[np.ndarray, int]:

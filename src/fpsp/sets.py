@@ -284,6 +284,12 @@ class Hist:
 
 # At most p / SPARSE_DIV cells go to the sort; see the module docstring.
 SPARSE_DIV = 8
+# Fewest cells a dense _pair_count splits over two threads.  Measured on a
+# 2-core x86 host (medians of 7 calls), two threads took 0.54-0.77 of the
+# one-thread time from 2^18 cells at p = 1009; at p = 1048573, where each
+# thread's own length-p bincount and their sum cost more, 1.24-1.62 at
+# 2^17-2^18 cells, 0.95 at 2^19 and 0.60-0.71 from 2^20 up.
+PAIR_THREAD_MIN = 1 << 20
 
 
 def _pair_count(alpha, t: np.ndarray, beta: np.ndarray | None, p: int,
@@ -291,44 +297,73 @@ def _pair_count(alpha, t: np.ndarray, beta: np.ndarray | None, p: int,
     """Histogram of (alpha_i * t_j + beta_i) mod p over all (i, j), or with
     support=True its support only (counts None).
 
-    alpha is a per-row array, or a scalar shared by every row (then beta
-    gives the rows); beta is a per-row array, or None for no shift.  Up to
-    p / SPARSE_DIV cells, all cells are enumerated at once and sorted
-    (np.unique) into the sparse form.  Above, rows are enumerated in
-    chunks of about 4e6 cells, so memory stays bounded, and reduced into
-    a length-p bincount, or a boolean scatter for the support.
+    alpha is a per-row int64 array, or a scalar shared by every row (then
+    beta gives the rows); beta is a per-row int64 array, or None for no
+    shift.  Up to p / SPARSE_DIV cells, all cells are enumerated at once
+    and sorted (np.unique) into the sparse form.  Above, rows are
+    enumerated into one buffer of about 4e6 cells, so memory stays
+    bounded, and reduced into a length-p bincount, or a boolean scatter
+    for the support.  From PAIR_THREAD_MIN cells, where a second thread
+    may run (convolve._second_thread), the calling thread and one worker
+    each take half the rows, through their own half of the buffer, into
+    their own bincount (or mask); the two are then summed (or OR-ed).
     """
     rows = len(alpha) if np.ndim(alpha) else len(beta)
     shared = None if np.ndim(alpha) else alpha * t
+    width = len(t)
 
-    def cells(i, j):
-        # One block-sized array: the shift and the reduction run in place.
+    def cells(i, j, vals):
+        # Into vals, one block-sized array: the shift and the reduction
+        # run in place.
         if shared is not None:
-            vals = shared + beta[i:j, None]
+            np.add(shared, beta[i:j, None], out=vals)
         else:
-            vals = alpha[i:j, None] * t
+            np.multiply(alpha[i:j, None], t, out=vals)
             if beta is not None:
                 vals += beta[i:j, None]
         vals %= p
         return vals.ravel()
 
-    if SPARSE_DIV * rows * len(t) <= p:
-        values, counts = np.unique(cells(0, rows), return_counts=True)
+    if SPARSE_DIV * rows * width <= p:
+        values, counts = np.unique(
+            cells(0, rows, np.empty((rows, width), dtype=np.int64)),
+            return_counts=True)
         return Hist(p, values,
                     None if support else counts.astype(np.int64, copy=False))
-    out = np.zeros(p, dtype=bool) if support else None
-    chunk = max(1, 4_000_000 // len(t))
-    for i in range(0, rows, chunk):
-        vals = cells(i, i + chunk)
+
+    def reduce(span):
+        lo, hi, space = span
+        out = np.zeros(p, dtype=bool) if support else None
+        for i in range(lo, hi, len(space)):
+            j = min(i + len(space), hi)
+            vals = cells(i, j, space[:j - i])
+            if support:
+                out[vals] = True
+            elif out is None:
+                # The first chunk's bincount is the output: no zeroed
+                # length-p array is touched before it.
+                out = np.bincount(vals, minlength=p).astype(np.int64,
+                                                            copy=False)
+            else:
+                out += np.bincount(vals, minlength=p)
+            del vals
+        return out
+
+    with convolve._worker(rows > 1 and rows * width >= PAIR_THREAD_MIN
+                          ) as pool:
+        halves = 1 if pool is None else 2
+        buf = np.empty((min(rows, max(halves, 4_000_000 // width)), width),
+                       dtype=np.int64)
+        cut, part = -(-rows // halves), -(-len(buf) // halves)
+        spans = [(k, (k * cut, min(rows, (k + 1) * cut),
+                      buf[k * part:(k + 1) * part])) for k in range(halves)]
+        out, *rest = [got for _, got in convolve._two_threads(
+            reduce, spans, pool)]
+    for other in rest:
         if support:
-            out[vals] = True
-        elif out is None:
-            # The first chunk's bincount is the output: no zeroed length-p
-            # array is touched before it.
-            out = np.bincount(vals, minlength=p).astype(np.int64, copy=False)
+            out |= other
         else:
-            out += np.bincount(vals, minlength=p)
-        del vals
+            out += other
     return Hist(p, np.flatnonzero(out)) if support else Hist(p, dense=out)
 
 
@@ -371,9 +406,14 @@ def _pair_counts(x: FSet, y: FSet, op: str, method: str, enum: str,
     |X||Y| > p log2 p.  That is where the two cost about the same,
     measured at p = 1009 and p = 1048573 on a 2-core x86 host: the
     enumeration takes about 1e-8 s a cell, and one FFT convolution about
-    as long as p log2 p cells.  That was measured with the convolution on
-    one thread; on two (see the convolve module) it is faster at
-    p >= 65537, and the rule is kept as it was measured."""
+    as long as p log2 p cells.  Re-measured with both routes on two
+    threads (medians of 7 calls), the break-even at p = 1048573 lies at
+    12-14 M cells for rep_fn (4000 x 4000: 0.13 s enumerated, 0.12 s
+    transformed) and near 20 M for a combine support (2000 x 8000: 0.09
+    against 0.13 s; 2000 x 12000: 0.15 against 0.13 s), against the
+    rule's 21 M.  At p = 1009 and 65539 the enumeration still wins at 1.2
+    p log2 p cells (by 2x at 65539), so a smaller constant would lose
+    there, and the rule is kept."""
     p = x.field.p
     if method == "auto":
         heavy = x.size * y.size > p * max(1, int(math.log2(p)))

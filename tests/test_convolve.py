@@ -283,19 +283,19 @@ def test_transform_memory_bounded():
     32 MB on numpy 2 and 64 MB on numpy 1.x, whose irfft pads the
     spectrum to length N.
 
-    On two threads each uint8 indicator is split into two blocks and every
-    transform has length 2^20 (8 MB per spectrum or float64 output).  The
-    route then holds at most two block spectra while two more forward
-    transforms run, each with the 4 MB float64 copy numpy 2's rfft makes
-    of a uint8 block (40 MB with the two 1 MB indicators); then the two
-    product spectra, X_0 Y_0 + w^d X_1 Y_1 and X_0 Y_1 + X_1 Y_0, while
-    their two inverse transforms run (34 MB); then the two outputs and
-    the 8 MB int64 result while both are rounded, 32 Ki entries at a time
-    (26 MB).  With chunk temporaries the forward transforms set the peak:
-    42.7 MB on numpy 2.4.  On one thread (the length-2^21 route) the peak
-    is one spectrum held and one forward transform running, 42.1 MB.
-    int64 indicators alone would add 14 MB, and out-of-place temporaries
-    more (80 MB in all on numpy 2)."""
+    The route cuts each uint8 indicator into four blocks, and every
+    transform has length 2^19 (4 MB per spectrum or float64 output).  The
+    forward transforms hold at most six block spectra while two more run,
+    each with the 2 MB float64 copy numpy 2's rfft makes of a uint8 block
+    (38.8 MB traced, with the two 1 MB indicators).  The four output
+    spectra G_t = sum_a X_a Y_(t-a mod 4) are then formed 32 Ki entries at
+    a time over X_0..X_3, each thread holding its chunk's four outputs and
+    their product temporaries beside the eight spectra: the peak,
+    41.5-42.3 MB on numpy 2.4 (38.2 MB on one CPU, where one thread forms
+    them all).  The Y spectra are then dropped, and the four outputs are
+    transformed back and rounded beside the 8 MB int64 result (at most
+    35.3 MB).  int64 indicators alone would add 14 MB, and out-of-place
+    temporaries more (80 MB in all on numpy 2 on one block)."""
     import tracemalloc
     from fpsp.energy import rep_fn
     from fpsp.field import make_field
@@ -322,21 +322,28 @@ def test_transform_memory_bounded():
     assert int(r.counts.sum()) == r.mass
 
 
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """A second thread may run, whatever CPUs the tests are pinned to."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
 # n from 1 up to the transform route's lengths p - 1 and p at p = 1048573:
-# odd and even, powers of two and their neighbours
-BLOCK_LENGTHS = (1, 2, 3, 5, 6, 999, 1000, 1024, 65537, 1048572, 1048573)
+# odd and even, powers of two and their neighbours; four blocks shift the
+# wrapped products by d = 4h - n = 3 (n = 1, 5, 65537, 1048573), 2 (n = 2,
+# 6), 1 (n = 3, 7, 999) and 0
+BLOCK_LENGTHS = (1, 2, 3, 5, 6, 7, 999, 1000, 1024, 65537, 1048572, 1048573)
 
 
 @pytest.mark.parametrize("n", BLOCK_LENGTHS)
 def test_one_and_two_blocks_bit_identical(n):
-    # The route on one block (one thread) and on two (two threads) gives
-    # the same int64 counts, and both match an independent oracle: the NTT
-    # up to n = 65537, else the schoolbook convolution on an x of at most
-    # 41 points.  Indicators take one limb.  A 61-bit spike against two
-    # ones splits into limbs on both routes at every length, so the two
-    # outputs of two blocks (x_1 y_1 folded into x_0 y_0's, shifted by one
-    # for odd n) are certified limb pair by limb pair; up to n = 65537
-    # entries up to 10^6 split too.
+    # The route on one, two and four blocks gives the same int64 counts,
+    # and all match an independent oracle: the NTT up to n = 65537, else
+    # the schoolbook convolution on an x of at most 41 points.  Indicators
+    # take one limb.  A 61-bit spike against two ones splits into limbs on
+    # every route at every length, so the outputs of two and four blocks
+    # (the wrapped products folded in, shifted by d) are certified limb
+    # pair by limb pair; up to n = 65537 entries up to 10^6 split too.
     r = CounterRng(n, "conv-blocks")
     ntt = n <= 65537
 
@@ -358,24 +365,68 @@ def test_one_and_two_blocks_bit_identical(n):
         cases.append((draw(10 ** 6, n), draw(10 ** 6, n)))
     for case, (x, y) in enumerate(cases):
         one = _convolve_fft(x, y, n, 1)
-        two = _convolve_fft(x, y, n, 2)
-        assert one.dtype == two.dtype == np.int64, (n, case)
-        assert two.flags.owndata and len(two) == n, (n, case)
-        assert np.array_equal(one, two), (n, case)
+        assert one.dtype == np.int64, (n, case)
+        for blocks in (2, 4):
+            got = _convolve_fft(x, y, n, blocks)
+            assert got.dtype == np.int64, (n, case, blocks)
+            assert got.flags.owndata and len(got) == n, (n, case, blocks)
+            assert np.array_equal(got, one), (n, case, blocks)
         if ntt and case != 1:  # the spike is past the NTT's CRT range
             want = _convolve_ntt(x.astype(np.int64), y.astype(np.int64), n)
         else:
             want = convolve_naive(x, y, n)
-        assert np.array_equal(two, want), (n, case)
+        assert np.array_equal(one, want), (n, case)
+
+
+@pytest.mark.parametrize("n", (524309, 786433, 1048573))
+def test_four_blocks_move_aliased_coefficients(n, monkeypatch):
+    # The top three entries of every block are set on both sides.  At
+    # n = 1048573 (h = 2^18, d = 3, N = 2^19) the wrapped product x_2 y_2,
+    # shifted by d, runs two coefficients past N; the length-N inverse
+    # transform wraps them onto the head of its output, and they are moved
+    # back, computed exactly from the blocks' top entries: c[2h - 3] = 2
+    # and c[2h - 2] = 1.  At n = 524309 and 786433 (N = 2^19 >= 2h + 2)
+    # no output spills.
+    spilled = []
+    spill = convolve._spill
+
+    def spy(*args):
+        got = spill(*args)
+        spilled.extend(got)
+        return got
+
+    monkeypatch.setattr(convolve, "_spill", spy)
+    h = -(-n // 4)
+    r = CounterRng(n, "conv-spill")
+    x = np.zeros(n, dtype=np.uint8)
+    y = np.zeros(n, dtype=np.uint8)
+    x[r.integers(0, n, 20)] = 1
+    y[r.integers(0, n, n // 8)] = 1
+    for a in range(4):
+        top = min(n, (a + 1) * h)
+        x[top - 3:top] = y[top - 3:top] = 1
+    got = _convolve_fft(x, y, n, 4)
+    assert spilled == ([2, 1] if n == 1048573 else []), n
+    assert np.array_equal(got, convolve_naive(x, y, n)), n
+
+
+def _route_limbs(x, y, n, blocks):
+    """The limb counts of x and y on the route over `blocks` blocks."""
+    h = -(-n // blocks)
+    size = 1 << (2 * h - 2).bit_length()
+    _, lx, ly = _split(x, y, size, blocks, min(blocks * h - n, 1))
+    return len(lx), len(ly)
 
 
 @pytest.mark.parametrize("n", (70000, 70001))
-def test_two_blocks_fold_into_two_inverse_transforms(n, monkeypatch):
-    # two blocks take 4 rfft and 2 irfft for one limb pair (indicators),
-    # half of each on the worker thread: X_1 Y_1 shares the inverse
-    # transform of X_0 Y_0, at even n (no shift) and odd n (a shift by
-    # one).  Two limbs a side take 8 rfft, 2 per limb block, and 8 irfft,
-    # 2 per limb pair.
+def test_two_blocks_fold_into_two_inverse_transforms(n, monkeypatch,
+                                                     two_cpus):
+    # m blocks take 2m rfft and m irfft per limb pair (one for
+    # indicators), half of each on the worker thread: the m^2 block
+    # products fold into m inverse transforms, grouped by a + b mod m, at
+    # even n (no shift) and odd n (a shift by d = mh - n: 1 for two
+    # blocks, 3 for four).  Entries up to 10^6 take two limbs a side, so
+    # 4m rfft (m per limb of each side) and 4m irfft (m per limb pair).
     r = CounterRng(n, "conv-count")
     calls = {"rfft": [], "irfft": []}
 
@@ -390,35 +441,69 @@ def test_two_blocks_fold_into_two_inverse_transforms(n, monkeypatch):
 
     monkeypatch.setattr(np.fft, "rfft", spy("rfft"))
     monkeypatch.setattr(np.fft, "irfft", spy("irfft"))
-    for hi, limbs, counts in ((2, 1, (4, 2)), (10 ** 6, 2, (8, 8))):
+    for hi, limbs in ((2, 1), (10 ** 6, 2)):
         x, y = r.integers(0, hi, n), r.integers(0, hi, n)
-        assert _limb_counts(x, y, n) == (limbs, limbs)
         want = _convolve_fft(x, y, n, 1)
-        for seen in calls.values():
-            seen.clear()
-        assert np.array_equal(_convolve_fft(x, y, n, 2), want), (n, hi)
-        for (name, seen), count in zip(calls.items(), counts):
-            assert seen.count(True) == seen.count(False) == count // 2, \
-                (n, hi, name, seen)
+        for m in (2, 4):
+            assert _route_limbs(x, y, n, m) == (limbs, limbs), (m, hi)
+            for seen in calls.values():
+                seen.clear()
+            assert np.array_equal(_convolve_fft(x, y, n, m), want), (n, hi)
+            counts = (2 * m * limbs, m * limbs * limbs)
+            for (name, seen), count in zip(calls.items(), counts):
+                assert seen.count(True) == seen.count(False) == count // 2, \
+                    (n, hi, m, name, seen)
+
+
+def test_error_bound_counts_adds_and_one_turn(monkeypatch):
+    # Each of the m outputs sums m block products: m - 1 more roundings.
+    # Where d > 0 the wrapped ones are multiplied by one shift twiddle,
+    # one more product whatever d is (turns = 1).
+    seen = []
+    bound = convolve._fft_error_bound
+
+    def spy(k, adds=0, turns=0):
+        seen.append((k, adds, turns))
+        return bound(k, adds, turns)
+
+    monkeypatch.setattr(convolve, "_fft_error_bound", spy)
+    for n, blocks, want in ((1048573, 4, (19, 3, 1)),
+                            (1048572, 4, (19, 3, 0)),
+                            (70001, 4, (16, 3, 1)),
+                            (1048573, 2, (20, 1, 1)),
+                            (1048572, 2, (20, 1, 0)),
+                            (1048573, 1, (21, 0, 0))):
+        x = np.zeros(n, dtype=np.uint8)
+        x[[0, 1, n - 1]] = 1
+        seen.clear()
+        assert _convolve_fft(x, x, n, blocks)[:3].tolist() == [3, 2, 1]
+        assert seen == [want], (n, blocks)
+        # an indicator's norms are at most n: far inside the 1/4 bound
+        assert n * bound(*want) < 1e-6
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 2.0 ** -60,
                     reason="long double is no wider than float64 here")
 def test_shift_twiddles_within_the_assumed_error():
-    # the twiddles of the shift by one, chunk by chunk as the products take
-    # them, lie within _TWIDDLE_ERR units of 2^-53 of exp(-2 pi i j / N)
-    # computed in long double, at every transform length of the route
+    # the twiddles of a shift by d = 1, 2 or 3, chunk by chunk as the
+    # products take them, lie within _TWIDDLE_ERR units of 2^-53 of
+    # exp(-2 pi i d j / N) computed in long double, at every transform
+    # length of the route
     pi = 4 * np.arctan(np.longdouble(1))
     chunk = convolve._CHUNK
-    for k in range(17, 22):
+    for k in range(16, 22):
         size = 1 << k
         m = size // 2 + 1
-        turn = convolve._twiddles(size)
-        got = np.concatenate([turn(i, min(chunk, m - i))
-                              for i in range(0, m, chunk)])
-        angle = -2 * pi * np.arange(m).astype(np.longdouble) / size
-        err = np.hypot(got.real - np.cos(angle), got.imag - np.sin(angle))
-        assert float(err.max()) < convolve._TWIDDLE_ERR * 2.0 ** -53, k
+        for d in (1, 2, 3):
+            turn = convolve._twiddles(size, d)
+            got = np.concatenate([turn(i, min(chunk, m - i))
+                                  for i in range(0, m, chunk)])
+            exps = (d * np.arange(m)) % size
+            angle = -2 * pi * exps.astype(np.longdouble) / size
+            err = np.hypot(got.real - np.cos(angle),
+                           got.imag - np.sin(angle))
+            assert float(err.max()) < convolve._TWIDDLE_ERR * 2.0 ** -53, \
+                (k, d)
 
 
 def _fft_threads(n):
@@ -444,26 +529,33 @@ def _fft_threads(n):
 
 
 def test_second_thread_only_with_two_cpus_outside_a_pool(monkeypatch):
+    # The block count follows n alone: four blocks from _SPLIT_MIN up,
+    # except at a power of two, which transforms directly.  Only whether
+    # the worker thread runs depends on the CPUs the process may use.
     n = 65537  # the shortest length that splits: >= 2^16, not a power of 2
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    assert _fft_threads(n) == (2, {True, False})
-    assert _block_count(65536) == 1  # a power of two gains nothing
-    assert _block_count(convolve._SPLIT_MIN - 1) == 1
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert _fft_threads(n) == (1, {True})
+    for cpus, threads in (({0, 1}, {True, False}), ({0}, {True})):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        assert _fft_threads(n) == (4, threads), cpus
+    for n, blocks in ((convolve._SPLIT_MIN - 1, 1), (65536, 1),
+                      (1 << 20, 1), (65537, 4), (524287, 4), (524309, 4),
+                      (1048572, 4), (1048573, 4)):
+        assert _block_count(n) == blocks, n
 
 
 def test_no_second_thread_in_a_pool_worker():
-    # a sweep's pool workers already keep every core busy
+    # a sweep's pool workers already keep every core busy: they take the
+    # same four blocks, all on the calling thread
     with get_context("spawn").Pool(1) as pool:
         got = pool.apply_async(_fft_threads, (65537,)).get(timeout=120)
-    assert got == (1, {True})
+    assert got == (4, {True})
 
 
-def test_two_blocks_under_frequent_thread_switches():
+def test_two_blocks_under_frequent_thread_switches(two_cpus):
     # the worker thread forms the first half of every product and the
-    # calling thread the second, in place in shared spectra; with thread
-    # switches forced often, repeated runs still equal the one-block route
+    # calling thread the second, in place in shared spectra, and both
+    # round disjoint index ranges of the last outputs into one result;
+    # with thread switches forced often, repeated runs on two and four
+    # blocks still equal the one-block route
     n = 70001
     r = CounterRng(11, "conv-switch")
     x = r.integers(0, 2, n).astype(np.uint8)
@@ -472,16 +564,18 @@ def test_two_blocks_under_frequent_thread_switches():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(5):
-            assert np.array_equal(_convolve_fft(x, y, n, 2), want)
+        for _ in range(3):
+            for blocks in (2, 4):
+                assert np.array_equal(_convolve_fft(x, y, n, blocks), want)
     finally:
         sys.setswitchinterval(interval)
 
 
-def test_worker_failures_reach_the_caller(monkeypatch):
-    # the worker runs one of the two inverse transforms (X_0 Y_0 with
-    # X_1 Y_1 folded in); a rounding failure in its output is refused,
-    # and an exception raised in the worker is raised to the caller
+def test_worker_failures_reach_the_caller(monkeypatch, two_cpus):
+    # the worker runs every other inverse transform (the first holds
+    # X_0 Y_0 and the wrapped products); a rounding failure in its output
+    # is refused, and an exception raised in the worker is raised to the
+    # caller, on two blocks and on four
     n = 1000
     r = CounterRng(7, "conv-worker")
     x, y = r.integers(0, 2, n), r.integers(0, 2, n)
@@ -498,21 +592,21 @@ def test_worker_failures_reach_the_caller(monkeypatch):
             return out
         return spy
 
-    monkeypatch.setattr(np.fft, "irfft", off_by(0.0))
-    assert np.array_equal(_convolve_fft(x, y, n, 2), convolve_naive(x, y, n))
-    assert calls.count(True) == calls.count(False) == 1
-    monkeypatch.setattr(np.fft, "irfft", off_by(0.3))
-    with pytest.raises(BadParams, match="within 1/4"):
-        _convolve_fft(x, y, n, 2)
-    monkeypatch.setattr(np.fft, "irfft", off_by(1.0))
-    with pytest.raises(BadParams, match="lost mass"):
-        _convolve_fft(x, y, n, 2)
-
     def refuse(*args, **kwargs):
         if threading.current_thread() is not threading.main_thread():
             raise BadParams("refused in the worker")
         return irfft(*args, **kwargs)
 
-    monkeypatch.setattr(np.fft, "irfft", refuse)
-    with pytest.raises(BadParams, match="refused in the worker"):
-        _convolve_fft(x, y, n, 2)
+    for blocks in (2, 4):
+        calls.clear()
+        monkeypatch.setattr(np.fft, "irfft", off_by(0.0))
+        assert np.array_equal(_convolve_fft(x, y, n, blocks),
+                              convolve_naive(x, y, n))
+        assert calls.count(True) == calls.count(False) == blocks // 2
+        for spy, match in ((off_by(0.3), "within 1/4"),
+                           (off_by(-0.3), "within 1/4"),
+                           (off_by(1.0), "lost mass"),
+                           (refuse, "refused in the worker")):
+            monkeypatch.setattr(np.fft, "irfft", spy)
+            with pytest.raises(BadParams, match=match):
+                _convolve_fft(x, y, n, blocks)

@@ -129,22 +129,27 @@ def test_transform_and_auto_match_enumeration():
 
 def test_two_block_transform_matches_enumeration(monkeypatch):
     # seeded primes in (65537, 2^18]: the transform cuts both indicators
-    # into two blocks on two threads (forced, whatever the CPU count), at
-    # odd n = p, where x_1 y_1 is folded in shifted by one, and even
-    # n = p - 1, where it is not
+    # into four blocks, the route's rule at these lengths, and (forced)
+    # into two, on two threads (forced, whatever the CPU count), at odd
+    # n = p, where the wrapped products are folded in shifted by
+    # d = mh - p, and even n = p - 1, where four blocks shift by d = 0 or 2
     monkeypatch.setattr(convolve, "_second_thread", lambda: True)
+    block_count = convolve._block_count
     rng = CounterRng(1, "fuzz-two-blocks")
     for trial in range(3):
         p = 65538 + int(rng.below((1 << 18) - 65538))
         while not is_prime(p):
             p += 1
-        assert convolve._block_count(p) == convolve._block_count(p - 1) == 2
+        assert block_count(p) == block_count(p - 1) == 4
         f = make_field(p)
         b = _random_set(f, rng, 1 + int(rng.below(400)), "fz2-b%d" % trial)
         c = _random_set(f, rng, 1 + int(rng.below(400)), "fz2-c%d" % trial)
         if trial % 2 == 0:
             b = FSet(f, b.mask | (np.arange(p) == 0))
-        _routes_agree(f, b, c, (trial, p, b.size, c.size))
+        for blocks in (2, 4):
+            monkeypatch.setattr(convolve, "_block_count",
+                                lambda n, blocks=blocks: blocks)
+            _routes_agree(f, b, c, (trial, p, blocks, b.size, c.size))
 
 
 # Spans that reject about a quarter of all 64-bit words (2^62 + 1 and
@@ -380,6 +385,46 @@ def test_pair_count_matches_add_at_loop():
                     tag = (p, rows, width, support)
                     assert (got._dense is None) == (sparse or support), tag
                     _same_hist(got, want, support, tag)
+
+
+def test_pair_count_on_two_threads_matches_add_at_loop(monkeypatch):
+    # From PAIR_THREAD_MIN cells the calling thread and a worker each take
+    # half the rows, through their own half of one cell buffer, into their
+    # own bincount or mask.  With the minimum lowered to 0, a second
+    # thread allowed and thread switches forced often, every shape below
+    # (odd row counts, several chunks per thread, one row in all) still
+    # gives the oracle's counts and support, and the worker thread ran.
+    import sys
+    import threading
+    rng = CounterRng(1, "fuzz-pair-threads")
+    monkeypatch.setattr(sets, "PAIR_THREAD_MIN", 0)
+    monkeypatch.setattr(convolve, "_second_thread", lambda: True)
+    threads = set()
+    bincount = np.bincount
+
+    def spy(*args, **kwargs):
+        threads.add(threading.current_thread() is threading.main_thread())
+        return bincount(*args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", spy)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for p, rows, width in ((1009, 1, 200), (1009, 7, 40),
+                               (1009, 5, 1_000_001), (P_LARGE, 513, 256),
+                               (P_LARGE, 4, 1_500_000)):
+            t = rng.integers(0, p, width)
+            alphas = rng.integers(0, p, rows)
+            betas = rng.integers(0, p, rows)
+            for alpha, beta in ((alphas, betas), (alphas, None),
+                                (1, betas)):
+                want = _pair_count_oracle(alpha, t, beta, p)
+                for support in (False, True):
+                    got = _pair_count(alpha, t, beta, p, support)
+                    _same_hist(got, want, support, (p, rows, width, support))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threads == {True, False}
 
 
 # SPARSE_DIV settings: every kernel call sorts, the measured rule, and
