@@ -1,4 +1,4 @@
-"""Exact integer cyclic convolution by a certified float FFT over limbs.
+"""Exact integer cyclic convolution by a certified float FFT.
 
 This is the "transform" route behind representation-function histograms,
 so counts must come out bit-exact.  It cuts each input into m = 1, 2 or 4
@@ -16,19 +16,12 @@ raises BadParams.
   uint8 when every entry is below 256 (indicators), else int64.  Sums
   and sums of squares are taken with dtype=int64 (np.dot would
   accumulate in uint8 and wrap).
-* Limbs.  Each input is split into base-2^s limbs, x = sum_i x_i 2^(is)
-  with 0 <= x_i < 2^s, and s is the widest width for which every limb
-  pair passes the a-priori bound below.  The FFT of each limb block is
-  taken once, each limb pair's products are certified on their own, and
-  c = sum_ij c_ij 2^((i+j)s) is recombined by int64 shifts.  Indicator
-  vectors (every use in this package) need one limb.
-* Blocks.  Blocks are offsets in the index domain as limbs are shifts in
-  the bit domain.  x = sum_a z^(ah) x_a and y likewise (a < m; the last
-  blocks may be short), so x y = sum_ab z^((a+b)h) x_a y_b.  Mod z^n - 1,
+* Blocks.  x = sum_a z^(ah) x_a and y likewise (a < m; the last blocks
+  may be short), so x y = sum_ab z^((a+b)h) x_a y_b.  Mod z^n - 1,
   z^(mh) = z^d with d = mh - n (0 <= d < m), so a product with a + b >= m
   lands in the same place as one with a + b - m, shifted by d.  The m^2
   products are grouped by t = a + b mod m into m outputs, one inverse
-  transform each per limb pair:
+  transform each:
       G_t = sum_(a+b=t) X_a Y_b + w^d sum_(a+b=t+m) X_a Y_b
   (w^k = exp(-2 pi i k / N), the spectrum of a shift by d), added into
   the result at index offset t h mod n.  Its linear length, clipped to N,
@@ -47,10 +40,14 @@ raises BadParams.
   computed twiddle factor.  numpy builds a twiddle as the product of two
   table entries, each libm sin/cos of a rounded angle (within about 3e),
   and the complex product adds up to e sqrt5; b = 10e is taken here, not
-  the e/sqrt2 of correctly rounded twiddles.  The bound is
-  stated for a radix-2 complex transform; numpy's real transform of a
-  power-of-two length runs radix-4 and radix-2 passes, each radix-4 pass
-  doing the work of two radix-2 levels, and is taken to be covered by it.
+  the e/sqrt2 of correctly rounded twiddles.  The tests'
+  test_numpy_twiddles_within_the_assumed_error checks b on the running
+  numpy: rfft of the unit impulse e_1 returns numpy's own w^j, within
+  2.5e of a long-double reference at N = 2^1..2^21 on numpy 2.4.6.  The
+  bound is stated for a radix-2 complex transform; numpy's real
+  transform of a power-of-two length runs radix-4 and radix-2 passes,
+  each radix-4 pass doing the work of two radix-2 levels, and is assumed,
+  not shown, to be covered by it.
   Each G_t is a computed sum of m products: each carries at most m - 1
   more roundings 1+e.  Where d > 0 the wrapped products are summed and
   multiplied once by W: one more complex product 1 + e sqrt5 and one
@@ -66,13 +63,15 @@ raises BadParams.
   r = 1 if d > 0 else 0, and since b = t - a mod m is a bijection,
   Cauchy-Schwarz puts the sum of norms at most ||x|| ||y||.  The bound
   bounds the cyclic length-N result, spilled coefficients included.
-  It is computed from the exact limb norms (sums of squares in int64,
-  refused where they could overflow) and must be below 1/4.  For
-  indicator vectors ||x||_2 ||y||_2 <= n <= 2^20 and the bound is about
-  1e-7.
+  It is computed from the exact norms of x and y (sums of squares in
+  int64) and must be below 1/4; an input that fails it, or whose sum of
+  squares could overflow int64, is refused.  So ||x||_2 ||y||_2, which
+  bounds every coefficient, is below about 2.7e12 at N = 2^21, 3.5e12 at
+  N = 2^16 and 8e12 at N = 2^7.  For indicator vectors
+  ||x||_2 ||y||_2 <= n <= 2^20 and the bound is about 1e-7.
 * A posteriori.  Every output of every inverse transform lies within 1/4
   of an integer, and its rounded mass is exactly the sum of
-  sum(x_a) sum(y_b) over its products (limb by limb).
+  sum(x_a) sum(y_b) over its products.
 * Routing.  cyclic_convolve reads n only: four blocks where n >= 2^16 is
   not a power of two, else one (a power of two transforms directly).
   Both give the same certified integers.  Shorter transforms cost less
@@ -88,9 +87,9 @@ raises BadParams.
   multiprocessing child, whose pool already keeps every core busy, and
   may run on at least two CPUs), m > 1 blocks run their transforms two
   at a time, on the calling thread and on one worker thread (numpy's FFT
-  releases the GIL) that takes every other one: for one limb pair 2m
-  forward transforms in m rounds, the products formed half the chunks on
-  each thread, then m inverse transforms in m/2 rounds.  After each
+  releases the GIL) that takes every other one: 2m forward transforms in
+  m rounds, the products formed half the chunks on each thread, then m
+  inverse transforms in m/2 rounds.  After each
   inverse round both threads round its two outputs, split at result
   index n/2 so that no entry is written by both (two outputs at
   n = 1048573 took 5.5 ms instead of 11 ms on one thread).  Elsewhere
@@ -107,10 +106,8 @@ raises BadParams.
   arrays on numpy 2.4, 38.2 MB on one thread; 42.1 MB on one block);
   then the outputs, transformed back and rounded beside the result.
 
-Splitting into limbs for floating-point FFT products follows Brent and
-Zimmermann, Modern Computer Arithmetic (CUP 2010), chapters 2-3; cutting
-one long transform into cache-sized ones follows Bailey, "FFTs in
-external or hierarchical memory", J. Supercomputing 4 (1990).
+Cutting one long transform into cache-sized ones follows Bailey, "FFTs
+in external or hierarchical memory", J. Supercomputing 4 (1990).
 """
 
 from __future__ import annotations
@@ -155,40 +152,16 @@ def _fft_error_bound(k: int, adds: int = 0, turns: int = 0) -> float:
                       + (3 * k + turns) * math.log1p(_TWIDDLE_ERR * e))
 
 
-def _limbs(v, s: int, bits: int) -> list:
-    """The base-2^s digits of v's entries (below 2^bits), low first; v is
-    an array or one Python int."""
-    if s >= bits:
-        return [v]
-    mask = (1 << s) - 1
-    return [(v >> (s * i)) & mask for i in range(-(-bits // s))]
-
-
-def _split(x: np.ndarray, y: np.ndarray, size: int, blocks: int = 1,
-           turns: int = 0) -> tuple[int, list[np.ndarray], list[np.ndarray]]:
-    """The widest limb width s for which every limb pair of x and y passes
-    the a-priori bound at transform length size over `blocks` index
-    blocks (each output a sum of `blocks` products, `turns` products by a
-    shift twiddle), with both limb lists.  A width that the digits of the
-    largest entries already refuse (each digit is at most its limb's
-    largest entry, and its square at most the limb's sum of squares) is
-    passed over before any limb is built."""
+def _certify(x: np.ndarray, y: np.ndarray, size: int, blocks: int,
+             turns: int) -> None:
+    """Raise BadParams unless x and y pass the a-priori bound at transform
+    length size over `blocks` index blocks (each output a sum of `blocks`
+    products, `turns` products by a shift twiddle) on their exact norms."""
     bound = _fft_error_bound(size.bit_length() - 1, blocks - 1, turns)
-    tx, ty = int(x.max()), int(y.max())
-    bx, by = max(tx.bit_length(), 1), max(ty.bit_length(), 1)
-    for s in range(max(bx, by), 0, -1):
-        dx, dy = max(_limbs(tx, s, bx)), max(_limbs(ty, s, by))
-        if max(dx, dy) ** 2 * len(x) >= _INT64_END or \
-                float(dx * dx * dy * dy) * bound * bound >= 1 / 16:
-            continue
-        lx, ly = _limbs(x, s, bx), _limbs(y, s, by)
-        sx = [_sum_squares(v) for v in lx]
-        sy = [_sum_squares(v) for v in ly]
-        if None not in sx + sy and \
-                float(max(sx) * max(sy)) * bound * bound < 1 / 16:
-            return s, lx, ly
-    raise BadParams("no limb width certifies a length-%d FFT convolution"
-                    % size)
+    sx, sy = _sum_squares(x), _sum_squares(y)
+    if sx is None or sy is None or float(sx * sy) * bound * bound >= 1 / 16:
+        raise BadParams("the a-priori error bound does not certify a "
+                        "length-%d FFT convolution" % size)
 
 
 def _two_threads(fn, items: list, pool):
@@ -248,16 +221,14 @@ def _twiddles(size: int, d: int):
     return lambda i, count: base[:count] * cmath.exp(1j * angle(i))
 
 
-def _products(fx: list, fy: list, turn, spent: bool, pool) -> list:
-    """The spectra G_t = sum_a X_a Y_((t - a) mod m), t < m, of one limb
-    pair's m block products, formed _CHUNK entries at a time, the first
-    half of the chunks on the pool's worker thread when there is a pool.
-    A product with a + b >= m (it wraps past z^n) is multiplied by turn(i,
-    count) (a _twiddles function; None for no shift).  spent=True writes
-    G_t over fx[t], so no spectrum is allocated (and the inputs are
-    spent)."""
+def _products(fx: list, fy: list, turn, pool) -> list:
+    """The spectra G_t = sum_a X_a Y_((t - a) mod m), t < m, of the m
+    block products, formed _CHUNK entries at a time, the first half of
+    the chunks on the pool's worker thread when there is a pool.  A
+    product with a + b >= m (it wraps past z^n) is multiplied by turn(i,
+    count) (a _twiddles function; None for no shift).  G_t is written
+    over fx[t], so no spectrum is allocated (and the inputs are spent)."""
     m = len(fx)
-    outs = fx if spent else [np.empty_like(fx[0]) for _ in fx]
 
     def run(lo, hi):
         for i in range(lo, hi, _CHUNK):
@@ -276,7 +247,7 @@ def _products(fx: list, fy: list, turn, spent: bool, pool) -> list:
                         outer *= turn(i, len(outer))
                     inner += outer
                 got.append(inner)
-            for out, g in zip(outs, got):
+            for out, g in zip(fx, got):
                 out[c] = g
 
     end = len(fx[0])
@@ -284,13 +255,13 @@ def _products(fx: list, fy: list, turn, spent: bool, pool) -> list:
     for _ in _two_threads(lambda span: run(*span),
                           [(0, (0, cut)), (1, (cut, end))], pool):
         pass
-    return outs
+    return fx
 
 
-def _round_into(out: np.ndarray, part: np.ndarray, shift: int, offset: int,
+def _round_into(out: np.ndarray, part: np.ndarray, offset: int,
                 length: int) -> int:
-    """Round part, add part[j] << shift into out[offset + j] for
-    j < length (offset + length <= n), and return the sum of every rounded
+    """Round part, add part[j] into out[offset + j] for j < length
+    (offset + length <= n), and return the sum of every rounded
     entry of part; raise BadParams unless every entry lies within 1/4 of
     an integer.  part is spent (overwritten by its rounding errors).
     Works in chunks of _CHUNK entries, so no temporary is longer than a
@@ -306,14 +277,12 @@ def _round_into(out: np.ndarray, part: np.ndarray, shift: int, offset: int,
         ints = near.astype(np.int64)
         total += int(ints.sum())
         ints = ints[:max(0, length - i)]
-        if shift:
-            ints <<= shift
         out[offset + i:offset + i + len(ints)] += ints
     return total
 
 
 def _round_split(out: np.ndarray, parts: list, pool) -> list:
-    """_round_into for each (shift, offset, length, part) of parts, with
+    """_round_into for each (offset, length, part) of parts, with
     offset + length <= 2n (an entry wraps past the end of out at most
     once), on two threads: the worker takes every entry landing in
     out[0:n/2) and the calling thread every entry landing in out[n/2:n),
@@ -323,15 +292,14 @@ def _round_split(out: np.ndarray, parts: list, pool) -> list:
     n = len(out)
     cut = n // 2
     pieces = ([], [])
-    for k, (shift, offset, length, part) in enumerate(parts):
+    for k, (offset, length, part) in enumerate(parts):
         # entry j lands at offset + j before the wrap, offset + j - n after
         for side, (lo, hi) in enumerate(((0, cut), (cut, n))):
             for base in (offset, offset - n):
                 j0, j1 = max(lo - base, 0), min(hi - base, length)
                 if j0 < j1:
-                    pieces[side].append((k, part[j0:j1], shift, base + j0,
-                                         j1 - j0))
-        pieces[k % 2].append((k, part[length:], shift, 0, 0))
+                    pieces[side].append((k, part[j0:j1], base + j0, j1 - j0))
+        pieces[k % 2].append((k, part[length:], 0, 0))
     totals = [0] * len(parts)
     for _, sums in _two_threads(
             lambda todo: [(k, _round_into(out, *args)) for k, *args in todo],
@@ -353,7 +321,7 @@ def _convolve_fft(x: np.ndarray, y: np.ndarray, n: int,
                   blocks: int = 1) -> np.ndarray:
     """Cyclic convolution of nonnegative uint8 or int64 vectors of length
     n with sum(x) sum(y) < 2^63, over `blocks` (1, 2 or 4) index blocks,
-    certified exact limb pair by limb pair (see the module docstring)."""
+    certified exact (see the module docstring)."""
     m = blocks
     h = -(-n // m)
     size = (n if m == 1 and n & (n - 1) == 0
@@ -361,60 +329,52 @@ def _convolve_fft(x: np.ndarray, y: np.ndarray, n: int,
     # a product of blocks a + b >= m lands at (a + b) h = (a + b - m) h + d
     # mod n: in output a + b - m, shifted by d
     d = m * h - n
-    s, lx, ly = _split(x, y, size, m, min(d, 1))
-    # vecs[l * m + a] is block a of limb l of x, then of y
-    vecs = [v[a * h:(a + 1) * h] for v in lx + ly for a in range(m)]
+    _certify(x, y, size, m, min(d, 1))
+    # vecs[a] is block a of x, vecs[m + a] block a of y
+    vecs = [v[a * h:(a + 1) * h] for v in (x, y) for a in range(m)]
     sums = [int(v.sum(dtype=np.int64)) for v in vecs]
     with _worker(m > 1) as pool:
         specs = dict(_two_threads(lambda v: np.fft.rfft(v, size),
                                   list(enumerate(vecs)), pool))
         turn = _twiddles(size, d) if d else None  # after the forward peak
-        # one spectrum per limb pair and output, tagged with its bit
-        # shift, index offset, exact mass and linear length (at most
-        # size); `fixes` moves each product coefficient past size, which
-        # the length-size inverse transform wraps onto the output's head,
-        # to its own index
-        todo, fixes = [], []
-        for i in range(len(lx)):
-            for j in range(len(ly)):
-                xi = range(i * m, (i + 1) * m)
-                yj = range((len(lx) + j) * m, (len(lx) + j + 1) * m)
-                prods = _products([specs[k] for k in xi],
-                                  [specs[k] for k in yj], turn,
-                                  len(lx) == len(ly) == 1, pool)
-                shift = s * (i + j)
-                for t, prod in enumerate(prods):
-                    offset, mass, length = t * h % n, 0, 0
-                    for a in range(m):
-                        b = (t - a) % m
-                        u, v = vecs[xi[a]], vecs[yj[b]]
-                        if not (len(u) and len(v)):
-                            continue
-                        mass += sums[xi[a]] * sums[yj[b]]
-                        lag = d if a + b >= m else 0
-                        end = len(u) + len(v) - 1 + lag
-                        length = max(length, min(size, end))
-                        if not lag:
-                            continue
-                        for k, c in enumerate(_spill(u, v, size - lag,
-                                                     end - lag)):
-                            fixes += [((offset + k) % n, -(c << shift)),
-                                      ((offset + size + k) % n, c << shift)]
-                    todo.append(((shift, offset, mass, length), prod))
-                del prods, prod
-        # drop the input spectra: for one limb pair only the products,
-        # written over the inputs, are left
+        prods = _products([specs[a] for a in range(m)],
+                          [specs[m + a] for a in range(m)], turn, pool)
+        # drop the input spectra: only the products, written over the
+        # X spectra, are left
         del specs
+        # one spectrum per output, tagged with its index offset, exact
+        # mass and linear length (at most size); `fixes` moves each
+        # product coefficient past size, which the length-size inverse
+        # transform wraps onto the output's head, to its own index
+        todo, fixes = [], []
+        for t, prod in enumerate(prods):
+            offset, mass, length = t * h % n, 0, 0
+            for a in range(m):
+                b = (t - a) % m
+                u, v = vecs[a], vecs[m + b]
+                if not (len(u) and len(v)):
+                    continue
+                mass += sums[a] * sums[m + b]
+                lag = d if a + b >= m else 0
+                end = len(u) + len(v) - 1 + lag
+                length = max(length, min(size, end))
+                if not lag:
+                    continue
+                for k, c in enumerate(_spill(u, v, size - lag, end - lag)):
+                    fixes += [((offset + k) % n, -c),
+                              ((offset + size + k) % n, c)]
+            todo.append(((offset, mass, length), prod))
+        del prods, prod
         # the inverse transforms two at a time, one per thread; both
         # threads then round the two outputs, split at index n/2
         out, masses, totals = None, [], []
         while todo:
             pair, todo = todo[:2], todo[2:]
             parts = []
-            for (shift, offset, mass, length), part in _two_threads(
+            for (offset, mass, length), part in _two_threads(
                     lambda sp: np.fft.irfft(sp, size), pair, pool):
                 masses.append(mass)
-                parts.append((shift, offset, length, part))
+                parts.append((offset, length, part))
             del part
             if out is None:  # allocated once the first spectra are freed
                 out = np.zeros(n, dtype=np.int64)

@@ -1,18 +1,19 @@
-"""Exact convolution: the certified limb-split float FFT against the
-schoolbook and NTT oracles of tests/oracles.py, bit for bit, and its
-refusal of inputs it cannot answer exactly."""
+"""Exact convolution: the certified float FFT against the schoolbook and
+NTT oracles of tests/oracles.py, bit for bit, and its refusal of inputs
+whose norms the a-priori error bound cannot certify."""
 
 import os
 import sys
 import threading
+from fractions import Fraction
 from multiprocessing import get_context
 
 import numpy as np
 import pytest
 
 from fpsp import convolve
-from fpsp.convolve import (_block_count, _convolve_fft, _fft_error_bound,
-                           _limbs, _split, _sum_squares, cyclic_convolve)
+from fpsp.convolve import (_block_count, _certify, _convolve_fft,
+                           _fft_error_bound, _sum_squares, cyclic_convolve)
 from fpsp.errors import BadParams
 from fpsp.rng import CounterRng
 from oracles import _P1, _P2, _convolve_ntt, convolve_naive
@@ -24,10 +25,14 @@ def _schoolbook(x, y, n):
             for k in range(n)]
 
 
-def _limb_counts(x, y, n):
-    size = n if n & (n - 1) == 0 else 1 << (2 * n - 2).bit_length()
-    _, lx, ly = _split(x, y, size)
-    return len(lx), len(ly)
+def _norm_product(x, y):
+    """||x||_2 ||y||_2 in float, from sums of squares on Python ints."""
+    return (sum(int(v) ** 2 for v in x) * sum(int(v) ** 2 for v in y)) ** 0.5
+
+
+def _refused(x, y, n):
+    with pytest.raises(BadParams, match="a-priori"):
+        cyclic_convolve(x, y, n)
 
 
 def test_lengths_small_sweep():
@@ -52,98 +57,127 @@ def test_awkward_prime_lengths():
 
 
 def test_large_entries_no_overflow():
-    # coefficients up to 10^6 * 10^6 * 64 = 6.4e16, far outside a single
-    # 30-bit prime and beyond what one limb can certify
+    # entries below 2^17 give coefficients up to 2.7e11, far outside a
+    # single 30-bit prime, and are answered exactly in int64; entries up
+    # to 10^6 fail the a-priori bound on their whole norms and are refused
     r = CounterRng(0, "conv-big")
     n = 64
-    x = r.integers(0, 10 ** 6, n)
-    y = r.integers(0, 10 ** 6, n)
+    x = r.integers(0, 1 << 17, n)
+    y = r.integers(0, 1 << 17, n)
     got = cyclic_convolve(x, y, n)
     want = _schoolbook(x, y, n)
     assert got.dtype == np.int64 and got.tolist() == want
     assert np.array_equal(got, _convolve_ntt(x, y, n))
     assert max(want) > 998244353  # only meaningful past one prime
-    # one limb fails the a-priori bound, so the FFT splits the entries
-    bound = np.sqrt(float(np.dot(x, x)) * float(np.dot(y, y))) \
-        * _fft_error_bound(6)
-    assert bound >= 0.25
-    assert min(_limb_counts(x, y, n)) > 1
+    x = r.integers(0, 10 ** 6, n)
+    y = r.integers(0, 10 ** 6, n)
+    assert _norm_product(x, y) * _fft_error_bound(6) >= 0.25
+    _refused(x, y, n)
 
 
-def test_magnitude_ladder_limb_counts():
-    # entries below 2^12 need one limb, below 10^6 two on each side, and a
-    # 61-bit spike three: each answered exactly
+def test_magnitude_ladder_answered_or_refused():
+    # entries below 2^12 are answered exactly; entries up to 10^6 and a
+    # 61-bit spike against two ones fail the a-priori bound (the spike's
+    # sum of squares would also overflow int64) and are refused
     r = CounterRng(3, "conv-ladder")
     n = 64
+    x, y = r.integers(0, 1 << 12, n), r.integers(0, 1 << 12, n)
+    got = cyclic_convolve(x, y, n)
+    assert np.array_equal(got, convolve_naive(x, y, n))
+    assert got.tolist() == _schoolbook(x, y, n)
     spike = r.integers(0, 1 << 20, n)
     spike[5] = (1 << 61) - 1
     pair = np.zeros(n, dtype=np.int64)
     pair[[3, 40]] = 1
-    for x, y, limbs in ((r.integers(0, 1 << 12, n),
-                         r.integers(0, 1 << 12, n), (1, 1)),
-                        (r.integers(0, 10 ** 6, n),
-                         r.integers(0, 10 ** 6, n), (2, 2)),
-                        (spike, pair, (3, 1))):
-        assert _limb_counts(x, y, n) == limbs
-        got = cyclic_convolve(x, y, n)
-        assert np.array_equal(got, convolve_naive(x, y, n)), limbs
-        assert got.tolist() == _schoolbook(x, y, n), limbs
+    assert _sum_squares(spike) is None
+    for x, y in ((r.integers(0, 10 ** 6, n), r.integers(0, 10 ** 6, n)),
+                 (spike, pair), (pair, spike)):
+        _refused(x, y, n)
 
 
-def _widest_width(x, y, size, blocks, shift):
-    """The widest limb width whose limb pairs all pass the a-priori bound,
-    found by building the limbs of every width from the widest down."""
-    bound = _fft_error_bound(size.bit_length() - 1, blocks - 1, shift)
-    bx, by = (max(int(v.max()).bit_length(), 1) for v in (x, y))
-    for s in range(max(bx, by), 0, -1):
-        sx = [_sum_squares(v) for v in _limbs(x, s, bx)]
-        sy = [_sum_squares(v) for v in _limbs(y, s, by)]
-        if None not in sx + sy and \
-                float(max(sx) * max(sy)) * bound * bound < 1 / 16:
-            return s
-    return None
+def _certifies(x, y, size, blocks, turns):
+    """Whether ||x||^2 ||y||^2 bound^2 < 1/16, with the norms on Python
+    ints and the comparison exact; None where a sum of squares could
+    overflow int64 (n max(v)^2 >= 2^63), which is refused whatever the
+    bound says."""
+    if max(len(v) * int(v.max()) ** 2 for v in (x, y)) >= 1 << 63:
+        return None
+    bound = Fraction(_fft_error_bound(size.bit_length() - 1, blocks - 1,
+                                      turns))
+    sx, sy = (sum(int(e) ** 2 for e in v) for v in (x, y))
+    return sx * sy * bound * bound < Fraction(1, 16)
 
 
-def test_split_takes_the_widest_certified_width():
-    # _split passes over the widths that the largest entries' digits
-    # already refuse; it still returns the widest width that certifies,
-    # over one block and over two (with and without the shift)
+def test_certify_matches_the_bound_on_python_ints():
+    # _certify passes exactly the inputs whose norm product passes the
+    # a-priori bound, computed on Python ints, over one block and over
+    # two (with and without the shift); a sum of squares that could
+    # overflow int64 is refused
     r = CounterRng(9, "conv-width")
     for n, size in ((64, 128), (4096, 8192), (70001, 1 << 17)):
         spike = r.integers(0, 1 << 20, n)
         spike[n // 3] = (1 << 61) - 1
         pair = np.zeros(n, dtype=np.int64)
         pair[[1, n - 2]] = 1
-        for x, y in ((spike, pair), (pair, spike),
+        wide = (1 << 31) // int(n ** 0.5)  # n wide^2 just below 2^62
+        lone = np.zeros(n, dtype=np.int64)
+        lone[n // 2] = 2 * wide  # alone it passes the bound, not int64
+        seen = set()
+        for x, y in ((spike, pair), (pair, spike), (lone, pair),
                      (r.integers(0, 1 << 12, n), r.integers(0, 1 << 12, n)),
                      (r.integers(0, 10 ** 6, n), r.integers(0, 10 ** 6, n)),
                      (r.integers(0, 2, n).astype(np.uint8),
                       r.integers(0, 1 << 40, n)),
-                     (spike, spike)):
-            for blocks, shift in ((1, 0), (2, 0), (2, 1)):
-                want = _widest_width(x, y, size, blocks, shift)
-                assert want is not None
-                s, lx, ly = _split(x, y, size, blocks, shift)
-                assert s == want, (n, blocks, shift)
-                assert len(lx) == len(_limbs(x, s, int(x.max()).bit_length()))
+                     (r.integers(0, 2, n).astype(np.uint8),
+                      r.integers(0, 1 << 12, n)),
+                     (pair, r.integers(0, wide, n))):
+            for blocks, turns in ((1, 0), (2, 0), (2, 1)):
+                want = _certifies(x, y, size, blocks, turns)
+                seen.add(want)
+                if want:
+                    _certify(x, y, size, blocks, turns)
+                else:
+                    with pytest.raises(BadParams, match="a-priori"):
+                        _certify(x, y, size, blocks, turns)
+        assert seen == {None, False, True}, n
 
 
 def test_coefficient_beyond_old_crt_range():
     # 2^40 * 2^20 = 2^60 exceeds the NTT's CRT modulus ~7.5e17, where the
-    # double-prime lift wraps silently
-    x, y = [1 << 40, 3, 0, 5], [1 << 20, 0, 7, 0]
+    # double-prime lift wraps silently; such a product fails the a-priori
+    # bound and is refused.  Every answered coefficient is at most
+    # ||x|| ||y||, which the bound keeps below 1.1e15 (at its shortest
+    # length, N = 1), inside that range.
+    for x, y in (([1 << 40, 3, 0, 5], [1 << 20, 0, 7, 0]),
+                 ([1 << 40, 0, 0, 0], [1 << 20, 0, 0, 0])):
+        assert max(_schoolbook(x, y, 4)) >= _P1 * _P2
+        _refused(x, y, 4)
+    x, y = [1 << 21, 3, 0, 5], [1 << 20, 0, 7, 0]
     want = _schoolbook(x, y, 4)
-    assert max(want) >= _P1 * _P2
-    assert cyclic_convolve(x, y, 4).tolist() == want
-    assert cyclic_convolve([1 << 40, 0, 0, 0], [1 << 20, 0, 0, 0],
-                           4).tolist() == [1 << 60, 0, 0, 0]
+    got = cyclic_convolve(x, y, 4)
+    assert got.tolist() == want and max(want) < _P1 * _P2
+    assert np.array_equal(got, _convolve_ntt(np.array(x), np.array(y), 4))
+    assert cyclic_convolve([1 << 21, 0, 0, 0], [1 << 20, 0, 0, 0],
+                           4).tolist() == [1 << 41, 0, 0, 0]
+    assert 1 / (4 * _fft_error_bound(0)) < 1.1e15 < _P1 * _P2
 
 
 def test_mass_up_to_int64_answered():
-    # sum(x) sum(y) = 2^63 - 1, the largest mass allowed
-    assert cyclic_convolve([(1 << 63) - 1, 0], [1, 0], 2).tolist() == \
-        [(1 << 63) - 1, 0]
-    with pytest.raises(BadParams):
+    # a mass sum(x) sum(y) = 2^63 - 2^44, just below the largest allowed,
+    # is answered where the norms certify: 2^22 ones against 2^22 entries
+    # 2^19 - 1 (||x|| ||y|| = 2^22 (2^19 - 1) = 2.2e12, below the bound's
+    # 2.57e12 at N = 2^22).  The mass 2^63 - 1 of one entry 2^63 - 1
+    # against a one is refused by the a-priori bound, and the mass 2^63 of
+    # 2^62 against a two by the mass check.
+    n = 1 << 22
+    x = np.ones(n, dtype=np.uint8)
+    y = np.full(n, (1 << 19) - 1, dtype=np.int64)
+    assert n * n * ((1 << 19) - 1) == (1 << 63) - (1 << 44)
+    got = cyclic_convolve(x, y, n)
+    assert got.dtype == np.int64
+    assert (got == n * ((1 << 19) - 1)).all()
+    _refused([(1 << 63) - 1, 0], [1, 0], 2)
+    with pytest.raises(BadParams, match="sum"):
         cyclic_convolve([1 << 62, 0], [2, 0], 2)
 
 
@@ -222,14 +256,17 @@ def test_fft_ntt_naive_bit_identical():
 
 def test_fft_taken_on_large_indicators():
     # 2^16-scale indicator pairs: n = 65536 transforms directly, n = 65537
-    # pads to 2^18; both certify with one limb and match the NTT
+    # pads to 2^18; both pass the a-priori bound with a margin of more
+    # than 10^6 and match the NTT
     for n in (65536, 65537):
         r = CounterRng(n, "conv-fft-large")
         x = np.zeros(n, dtype=np.int64)
         y = np.zeros(n, dtype=np.int64)
         x[r.integers(0, n, 5000)] = 1
         y[r.integers(0, n, 20000)] = 1
-        assert _limb_counts(x, y, n) == (1, 1), n
+        size = n if n == 65536 else 1 << 18
+        assert 4 * _norm_product(x, y) * _fft_error_bound(
+            size.bit_length() - 1) < 1e-6, n
         fft = _convolve_fft(x, y, n)
         assert int(fft.sum()) == int(x.sum()) * int(y.sum())
         assert np.array_equal(fft, _convolve_ntt(x, y, n)), n
@@ -259,21 +296,24 @@ def test_narrow_and_shared_inputs_bit_identical():
 
 
 def test_narrow_indicator_against_large_entries():
-    # a uint8 indicator against 40-bit entries: y splits into limbs, and
-    # the a-priori bound takes the indicator's sum of squares on uint8.
+    # a uint8 indicator against 24-bit entries is answered, as uint8 and
+    # as int64, and against 40-bit entries refused either way; the
+    # a-priori bound takes the indicator's sum of squares on uint8.
     # 2048 ones: a sum of squares kept in uint8 would wrap to 0
     n = 4096
     r = CounterRng(5, "conv-narrow-wide")
     x = np.zeros(n, dtype=np.uint8)
     x[np.argsort(r.integers(0, 1 << 40, n))[:2048]] = 1
-    y = r.integers(0, 1 << 40, n)
     wide = x.astype(np.int64)
     assert _sum_squares(x) == 2048
-    assert _limb_counts(x, y, n) == _limb_counts(wide, y, n)
-    assert _limb_counts(x, y, n)[1] > 1
-    got = cyclic_convolve(x, y, n)
-    assert got.dtype == np.int64
-    assert np.array_equal(got, _convolve_ntt(wide, y, n))
+    y = r.integers(0, 1 << 24, n)
+    want = _convolve_ntt(wide, y, n)
+    for v in (x, wide):
+        got = cyclic_convolve(v, y, n)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+    y = r.integers(0, 1 << 40, n)
+    for v in (x, wide):
+        _refused(v, y, n)
 
 
 def test_transform_memory_bounded():
@@ -339,30 +379,22 @@ BLOCK_LENGTHS = (1, 2, 3, 5, 6, 7, 999, 1000, 1024, 65537, 1048572, 1048573)
 def test_one_and_two_blocks_bit_identical(n):
     # The route on one, two and four blocks gives the same int64 counts,
     # and all match an independent oracle: the NTT up to n = 65537, else
-    # the schoolbook convolution on an x of at most 41 points.  Indicators
-    # take one limb.  A 61-bit spike against two ones splits into limbs on
-    # every route at every length, so the outputs of two and four blocks
-    # (the wrapped products folded in, shifted by d) are certified limb
-    # pair by limb pair; up to n = 65537 entries up to 10^6 split too.
+    # the schoolbook convolution on an x of at most 40 points.  Both
+    # cases certify on every route: uint8 indicators, and int64 entries
+    # in [256, 1000), whose outputs on two and four blocks (the wrapped
+    # products folded in, shifted by d) the int64 path computes.
     r = CounterRng(n, "conv-blocks")
     ntt = n <= 65537
 
-    def draw(hi, count, dtype=np.int64):  # count positions valued [1, hi)
+    def draw(lo, hi, count, dtype=np.int64):  # count positions in [lo, hi)
         v = np.zeros(n, dtype=dtype)
-        v[r.integers(0, n, count)] = r.integers(1, hi, count)
+        v[r.integers(0, n, count)] = r.integers(lo, hi, count)
         return v
 
-    cases = [(draw(2, n if ntt else 40, np.uint8),
-              draw(2, n if ntt else n // 8, np.uint8))]
-    spike = draw(1 << 20, min(n, 40))
-    spike[n // 2] = (1 << 61) - 1
-    pair = np.zeros(n, dtype=np.int64)
-    pair[[0, n - 1]] = 1
-    assert min(_limb_counts(spike, pair, n)) == 1 < max(
-        _limb_counts(spike, pair, n))
-    cases.append((spike, pair))
-    if ntt:
-        cases.append((draw(10 ** 6, n), draw(10 ** 6, n)))
+    cases = [(draw(1, 2, n if ntt else 40, np.uint8),
+              draw(1, 2, n if ntt else n // 8, np.uint8)),
+             (draw(256, 1000, n if ntt else 40),
+              draw(256, 1000, n if ntt else n // 8))]
     for case, (x, y) in enumerate(cases):
         one = _convolve_fft(x, y, n, 1)
         assert one.dtype == np.int64, (n, case)
@@ -371,7 +403,7 @@ def test_one_and_two_blocks_bit_identical(n):
             assert got.dtype == np.int64, (n, case, blocks)
             assert got.flags.owndata and len(got) == n, (n, case, blocks)
             assert np.array_equal(got, one), (n, case, blocks)
-        if ntt and case != 1:  # the spike is past the NTT's CRT range
+        if ntt:
             want = _convolve_ntt(x.astype(np.int64), y.astype(np.int64), n)
         else:
             want = convolve_naive(x, y, n)
@@ -410,23 +442,15 @@ def test_four_blocks_move_aliased_coefficients(n, monkeypatch):
     assert np.array_equal(got, convolve_naive(x, y, n)), n
 
 
-def _route_limbs(x, y, n, blocks):
-    """The limb counts of x and y on the route over `blocks` blocks."""
-    h = -(-n // blocks)
-    size = 1 << (2 * h - 2).bit_length()
-    _, lx, ly = _split(x, y, size, blocks, min(blocks * h - n, 1))
-    return len(lx), len(ly)
-
-
 @pytest.mark.parametrize("n", (70000, 70001))
 def test_two_blocks_fold_into_two_inverse_transforms(n, monkeypatch,
                                                      two_cpus):
-    # m blocks take 2m rfft and m irfft per limb pair (one for
-    # indicators), half of each on the worker thread: the m^2 block
-    # products fold into m inverse transforms, grouped by a + b mod m, at
-    # even n (no shift) and odd n (a shift by d = mh - n: 1 for two
-    # blocks, 3 for four).  Entries up to 10^6 take two limbs a side, so
-    # 4m rfft (m per limb of each side) and 4m irfft (m per limb pair).
+    # m blocks take 2m rfft and m irfft, half of each on the worker
+    # thread: the m^2 block products fold into m inverse transforms,
+    # grouped by a + b mod m, at even n (no shift) and odd n (a shift by
+    # d = mh - n: 1 for two blocks, 3 for four), for indicators and for
+    # int64 entries below 1000 alike.  Entries up to 10^6 fail the
+    # a-priori bound and are refused before any transform runs.
     r = CounterRng(n, "conv-count")
     calls = {"rfft": [], "irfft": []}
 
@@ -441,18 +465,23 @@ def test_two_blocks_fold_into_two_inverse_transforms(n, monkeypatch,
 
     monkeypatch.setattr(np.fft, "rfft", spy("rfft"))
     monkeypatch.setattr(np.fft, "irfft", spy("irfft"))
-    for hi, limbs in ((2, 1), (10 ** 6, 2)):
+    for hi in (2, 1000):
         x, y = r.integers(0, hi, n), r.integers(0, hi, n)
         want = _convolve_fft(x, y, n, 1)
         for m in (2, 4):
-            assert _route_limbs(x, y, n, m) == (limbs, limbs), (m, hi)
             for seen in calls.values():
                 seen.clear()
             assert np.array_equal(_convolve_fft(x, y, n, m), want), (n, hi)
-            counts = (2 * m * limbs, m * limbs * limbs)
-            for (name, seen), count in zip(calls.items(), counts):
+            for (name, seen), count in zip(calls.items(), (2 * m, m)):
                 assert seen.count(True) == seen.count(False) == count // 2, \
                     (n, hi, m, name, seen)
+    x, y = r.integers(0, 10 ** 6, n), r.integers(0, 10 ** 6, n)
+    for m in (1, 2, 4):
+        for seen in calls.values():
+            seen.clear()
+        with pytest.raises(BadParams, match="a-priori"):
+            _convolve_fft(x, y, n, m)
+        assert calls == {"rfft": [], "irfft": []}, m
 
 
 def test_error_bound_counts_adds_and_one_turn(monkeypatch):
@@ -504,6 +533,24 @@ def test_shift_twiddles_within_the_assumed_error():
                            got.imag - np.sin(angle))
             assert float(err.max()) < convolve._TWIDDLE_ERR * 2.0 ** -53, \
                 (k, d)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 2.0 ** -60,
+                    reason="long double is no wider than float64 here")
+def test_numpy_twiddles_within_the_assumed_error():
+    # rfft of the unit impulse e_1 at length N returns w^j (j <= N/2,
+    # w = exp(-2 pi i / N)) through numpy's own twiddles; at every N =
+    # 2^1..2^21 they lie within _TWIDDLE_ERR units of 2^-53 of w^j
+    # computed in long double (at most 2.5 units on numpy 2.4.6)
+    pi = 4 * np.arctan(np.longdouble(1))
+    for k in range(1, 22):
+        size = 1 << k
+        impulse = np.zeros(size)
+        impulse[1] = 1
+        got = np.fft.rfft(impulse)
+        angle = -2 * pi * np.arange(size // 2 + 1, dtype=np.longdouble) / size
+        err = np.hypot(got.real - np.cos(angle), got.imag - np.sin(angle))
+        assert float(err.max()) < convolve._TWIDDLE_ERR * 2.0 ** -53, k
 
 
 def _fft_threads(n):
