@@ -64,8 +64,8 @@ raises BadParams.
   Cauchy-Schwarz puts the sum of norms at most ||x|| ||y||.  The bound
   bounds the cyclic length-N result, spilled coefficients included.
   It is computed from the exact norms of x and y (sums of squares in
-  int64) and must be below 1/4; an input that fails it, or whose sum of
-  squares could overflow int64, is refused.  So ||x||_2 ||y||_2, which
+  int64, or on Python ints where int64 could overflow) and must be below
+  1/4; an input that fails it is refused.  So ||x||_2 ||y||_2, which
   bounds every coefficient, is below about 2.7e12 at N = 2^21, 3.5e12 at
   N = 2^16 and 8e12 at N = 2^7.  For indicator vectors
   ||x||_2 ||y||_2 <= n <= 2^20 and the bound is about 1e-7.
@@ -129,13 +129,15 @@ _CHUNK = 1 << 15  # entries per step of the spectrum products and rounding
 _SPLIT_MIN = 1 << 16  # shortest n split into blocks
 
 
-def _sum_squares(v: np.ndarray) -> int | None:
-    """Exact sum of v[i]^2 (v >= 0), or None where int64 could overflow."""
+def _sum_squares(v: np.ndarray) -> int:
+    """Exact sum of v[i]^2 (v >= 0): in int64, or on Python ints _CHUNK
+    entries at a time where int64 could overflow."""
     top = int(v.max())
     if top <= 1:  # an indicator: each square is its entry
         return int(np.count_nonzero(v))
     if top * top * len(v) >= _INT64_END:
-        return None
+        return sum(sum(e * e for e in v[i:i + _CHUNK].tolist())
+                   for i in range(0, len(v), _CHUNK))
     # accumulate in int64 without a widened copy of v
     return int(np.einsum("i,i->", v, v, dtype=np.int64))
 
@@ -158,8 +160,7 @@ def _certify(x: np.ndarray, y: np.ndarray, size: int, blocks: int,
     length size over `blocks` index blocks (each output a sum of `blocks`
     products, `turns` products by a shift twiddle) on their exact norms."""
     bound = _fft_error_bound(size.bit_length() - 1, blocks - 1, turns)
-    sx, sy = _sum_squares(x), _sum_squares(y)
-    if sx is None or sy is None or float(sx * sy) * bound * bound >= 1 / 16:
+    if float(_sum_squares(x) * _sum_squares(y)) * bound * bound >= 1 / 16:
         raise BadParams("the a-priori error bound does not certify a "
                         "length-%d FFT convolution" % size)
 

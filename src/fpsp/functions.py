@@ -39,10 +39,12 @@ class FnTable:
         p = field.p
         if len(values) != p:
             raise BadParams("value table must have length p (index 0 unused)")
-        vals = np.asarray(values, dtype=np.int64) % p
-        if (vals[1:] == 0).any():
-            raise ZeroInCodomain("function takes value 0 on F_p^*")
+        vals = np.array(values, dtype=np.int64)  # the table's own copy
         vals[0] = 0  # unused slot, normalized for equality checks
+        if int(vals.min()) < 0 or int(vals.max()) >= p:
+            vals %= p
+        if not vals[1:].all():
+            raise ZeroInCodomain("function takes value 0 on F_p^*")
         self.field = field
         self.values = vals
         self.values.flags.writeable = False
@@ -77,7 +79,6 @@ def make_fn(field: PrimeField, kind: str, *, c: int | None = None,
     table (explicit values indexed 1..p-1 or 0..p-1).
     """
     p = field.p
-    xs = np.arange(p, dtype=np.int64)
     if kind == "const":
         if c is None:
             raise BadParams("const needs c")
@@ -86,20 +87,20 @@ def make_fn(field: PrimeField, kind: str, *, c: int | None = None,
         vals = np.full(p, c % p, dtype=np.int64)
         label = "const:%d" % (c % p)
     elif kind == "identity":
-        vals = xs.copy()
+        vals = np.arange(p, dtype=np.int64)
         label = "id"
     elif kind == "power":
         if k is None:
             raise BadParams("power needs k")
         # x^k on F_p^*; negative k acts through the group, via exponent
         # reduction mod p-1.
-        vals = powmod(xs, k % (p - 1), p)
+        vals = powmod(np.arange(p, dtype=np.int64), k % (p - 1), p)
         label = "power:%d" % k
     elif kind == "affine":
         if u is None or v is None:
             raise BadParams("affine needs u and v")
         u, v = u % p, v % p  # before the int64 arithmetic
-        vals = (u * xs + v) % p
+        vals = (u * np.arange(p, dtype=np.int64) + v) % p
         label = "affine:%d,%d" % (u, v)
     elif kind == "random":
         if seed is None:
@@ -112,6 +113,9 @@ def make_fn(field: PrimeField, kind: str, *, c: int | None = None,
     elif kind == "table":
         if table is None:
             raise BadParams("table kind needs values")
+        if not isinstance(table, np.ndarray):
+            # Python ints of any size reduce exactly before the int64 array
+            table = [v % p for v in table]
         arr = np.asarray(table, dtype=np.int64)
         if len(arr) == p - 1:
             vals = np.zeros(p, dtype=np.int64)
@@ -161,7 +165,7 @@ def read_fn_file(path: str, field: PrimeField) -> FnTable:
         vals = [v for _, (v,) in rows]
     if len(vals) != field.p - 1:
         raise ParseError("expected %d values, got %d" % (field.p - 1, len(vals)))
-    return make_fn(field, "table", table=np.array(vals, dtype=np.int64))
+    return make_fn(field, "table", table=vals)
 
 
 def _fiber_max(vals: np.ndarray) -> int:
@@ -213,8 +217,9 @@ def mu_product(g: FnTable, h: FnTable, domain: FSet | None = None) -> int:
     # keyed by id(h) with a weak reference to h: a dead h's id may be reused
     hit = g._mu_products.get(id(h))
     if hit is None or hit[0]() is not h:
-        hit = (weakref.ref(h),
-               _bincount_max(g.values[1:] * h.values[1:] % g.field.p))
+        prod = g.values[1:] * h.values[1:]
+        prod %= g.field.p
+        hit = (weakref.ref(h), _bincount_max(prod))
         g._mu_products[id(h)] = hit
     return hit[1]
 

@@ -133,11 +133,22 @@ def test_setop_and_affine(capsys):
     assert code == 2 and "bogus:1" in err
 
 
-def test_integers_beyond_int64_reduce_mod_p(capsys):
-    # set-spec and gen parameters are residues: any integer is reduced
-    # mod p before the int64 arithmetic, so none overflows
+def test_integers_beyond_int64_reduce_mod_p(tmp_path, capsys):
+    # set-spec and gen parameters and function-table file values are
+    # residues: any integer is reduced mod p before the int64 arithmetic,
+    # so none overflows; a table value that reduces to 0 is a data error
     big = 10 ** 20 - 1
+    tables = {}
+    for name, third in (("big", 1 << 70), ("small", (1 << 70) % 7),
+                        ("zero", 7 << 70)):
+        tables[name] = tmp_path / ("%s.fn" % name)
+        tables[name].write_text("p=7\n1\n2\n%d\n4\n5\n6\n" % third)
+    code, out, err = run(capsys, "mu", "--p", "7", "--g",
+                         "file:%s" % tables["zero"])
+    assert code == 2 and "value 0" in err and "Traceback" not in err
     for argv, small in (
+            (("mu", "--p", "7", "--g", "file:%s" % tables["big"]),
+             ("mu", "--p", "7", "--g", "file:%s" % tables["small"])),
             (("setop", "--p", "101", "--A", "interval:%d:4" % big,
               "--affine", "1,0"),
              ("setop", "--p", "101", "--A", "interval:%d:4" % (big % 101),
@@ -157,6 +168,8 @@ def test_integers_beyond_int64_reduce_mod_p(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 0 and "Traceback" not in err, argv
         assert (code, out) == run(capsys, *small)[:2], argv
+    assert run(capsys, "mu", "--p", "7", "--g",
+               "file:%s" % tables["big"])[:2] == (0, "2\n")
 
 
 def test_image_worked_example(capsys):

@@ -20,9 +20,15 @@ from oracles import _P1, _P2, _convolve_ntt, convolve_naive
 
 
 def _schoolbook(x, y, n):
-    """c[k] on Python ints, immune to any int64 overflow."""
-    return [sum(int(x[i]) * int(y[(k - i) % n]) for i in range(n))
-            for k in range(n)]
+    """c[k] on Python ints, immune to any int64 overflow, summed over the
+    pairs of nonzero entries."""
+    c = [0] * n
+    xs = [(i, v) for i, v in enumerate(map(int, x)) if v]
+    for j, w in enumerate(map(int, y)):
+        if w:
+            for i, v in xs:
+                c[(i + j) % n] += v * w
+    return c
 
 
 def _norm_product(x, y):
@@ -77,8 +83,9 @@ def test_large_entries_no_overflow():
 
 def test_magnitude_ladder_answered_or_refused():
     # entries below 2^12 are answered exactly; entries up to 10^6 and a
-    # 61-bit spike against two ones fail the a-priori bound (the spike's
-    # sum of squares would also overflow int64) and are refused
+    # 61-bit spike against two ones fail the a-priori bound and are
+    # refused (the spike's sum of squares, past int64, is exact on Python
+    # ints)
     r = CounterRng(3, "conv-ladder")
     n = 64
     x, y = r.integers(0, 1 << 12, n), r.integers(0, 1 << 12, n)
@@ -89,7 +96,7 @@ def test_magnitude_ladder_answered_or_refused():
     spike[5] = (1 << 61) - 1
     pair = np.zeros(n, dtype=np.int64)
     pair[[3, 40]] = 1
-    assert _sum_squares(spike) is None
+    assert _sum_squares(spike) == sum(v * v for v in spike.tolist())
     for x, y in ((r.integers(0, 10 ** 6, n), r.integers(0, 10 ** 6, n)),
                  (spike, pair), (pair, spike)):
         _refused(x, y, n)
@@ -97,11 +104,7 @@ def test_magnitude_ladder_answered_or_refused():
 
 def _certifies(x, y, size, blocks, turns):
     """Whether ||x||^2 ||y||^2 bound^2 < 1/16, with the norms on Python
-    ints and the comparison exact; None where a sum of squares could
-    overflow int64 (n max(v)^2 >= 2^63), which is refused whatever the
-    bound says."""
-    if max(len(v) * int(v.max()) ** 2 for v in (x, y)) >= 1 << 63:
-        return None
+    ints and the comparison exact."""
     bound = Fraction(_fft_error_bound(size.bit_length() - 1, blocks - 1,
                                       turns))
     sx, sy = (sum(int(e) ** 2 for e in v) for v in (x, y))
@@ -111,8 +114,9 @@ def _certifies(x, y, size, blocks, turns):
 def test_certify_matches_the_bound_on_python_ints():
     # _certify passes exactly the inputs whose norm product passes the
     # a-priori bound, computed on Python ints, over one block and over
-    # two (with and without the shift); a sum of squares that could
-    # overflow int64 is refused
+    # two (with and without the shift), also where a sum of squares
+    # overflows int64: `lone` alone (n lone^2 >= 2^63) against two ones
+    # is certified and answered exactly, the spike is refused
     r = CounterRng(9, "conv-width")
     for n, size in ((64, 128), (4096, 8192), (70001, 1 << 17)):
         spike = r.integers(0, 1 << 20, n)
@@ -121,7 +125,10 @@ def test_certify_matches_the_bound_on_python_ints():
         pair[[1, n - 2]] = 1
         wide = (1 << 31) // int(n ** 0.5)  # n wide^2 just below 2^62
         lone = np.zeros(n, dtype=np.int64)
-        lone[n // 2] = 2 * wide  # alone it passes the bound, not int64
+        lone[n // 2] = 2 * wide  # n lone^2 >= 2^63, far inside the bound
+        assert n * int(lone.max()) ** 2 >= 1 << 63
+        for x, y in ((lone, pair), (pair, lone)):
+            assert cyclic_convolve(x, y, n).tolist() == _schoolbook(x, y, n)
         seen = set()
         for x, y in ((spike, pair), (pair, spike), (lone, pair),
                      (r.integers(0, 1 << 12, n), r.integers(0, 1 << 12, n)),
@@ -139,7 +146,7 @@ def test_certify_matches_the_bound_on_python_ints():
                 else:
                     with pytest.raises(BadParams, match="a-priori"):
                         _certify(x, y, size, blocks, turns)
-        assert seen == {None, False, True}, n
+        assert seen == {False, True}, n
 
 
 def test_coefficient_beyond_old_crt_range():
@@ -509,6 +516,40 @@ def test_error_bound_counts_adds_and_one_turn(monkeypatch):
         assert seen == [want], (n, blocks)
         # an indicator's norms are at most n: far inside the 1/4 bound
         assert n * bound(*want) < 1e-6
+
+
+@pytest.mark.parametrize("n, blocks", ((1000, 1), (65521, 1), (1 << 20, 1),
+                                       (65537, 4), (524309, 4), (1048573, 4)))
+def test_dense_indicators_within_the_a_priori_bound(n, blocks, monkeypatch):
+    # At lengths the route takes on one block and on four, the largest
+    # distance of an inverse transform's output from its nearest integer,
+    # before rounding, stays below the a-priori bound the route certified
+    # (_fft_error_bound(k, m - 1, turns) ||x|| ||y||) on two dense (1/2)
+    # indicators.  The observed-to-bound ratio is printed.
+    factors, errors = [], []
+    bound, round_into = convolve._fft_error_bound, convolve._round_into
+
+    def spy_bound(k, adds=0, turns=0):
+        factors.append(bound(k, adds, turns))
+        return factors[-1]
+
+    def spy_round(out, part, offset, length):
+        if len(part):
+            errors.append(float(np.abs(part - np.rint(part)).max()))
+        return round_into(out, part, offset, length)
+
+    monkeypatch.setattr(convolve, "_fft_error_bound", spy_bound)
+    monkeypatch.setattr(convolve, "_round_into", spy_round)
+    r = CounterRng(n, "conv-margin")
+    x = r.integers(0, 2, n).astype(np.uint8)
+    y = r.integers(0, 2, n).astype(np.uint8)
+    assert _block_count(n) == blocks
+    got = cyclic_convolve(x, y, n)
+    assert int(got.sum()) == int(x.sum()) * int(y.sum())
+    limit = factors[0] * _norm_product(x, y)
+    assert len(factors) == 1 and max(errors) < limit, (max(errors), limit)
+    print("n=%d blocks=%d observed %.3g, bound %.3g, ratio %.3g"
+          % (n, blocks, max(errors), limit, max(errors) / limit))
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 2.0 ** -60,

@@ -9,6 +9,7 @@ from fpsp.field import make_field
 from fpsp.functions import (FnTable, f_image, make_fn, mu, parse_fn_spec,
                             pointwise_product, read_fn_file, write_fn_file)
 from fpsp.incidence import bilinear_hist
+from fpsp.rng import CounterRng
 from fpsp.sets import generate
 
 F7 = make_field(7)
@@ -221,3 +222,73 @@ def test_fn_table_explicit_values():
     assert t.values[0] == 0
     with pytest.raises(BadParams):
         FnTable(F7, np.arange(6))  # wrong length
+
+
+def _old_make_fn(field, kind, **kw):
+    """(values, label) as make_fn built them over np.arange(p) for every
+    kind, with FnTable's `% p` copy and zero check; values None where
+    that check refuses.  Table entries reduce mod p on Python ints, which
+    the old int64 conversion did only below 2^63."""
+    p = field.p
+    xs = np.arange(p, dtype=np.int64)
+    if kind == "const":
+        vals = np.full(p, kw["c"] % p, dtype=np.int64)
+        label = "const:%d" % (kw["c"] % p)
+    elif kind == "identity":
+        vals, label = xs.copy(), "id"
+    elif kind == "power":
+        vals = np.array([pow(int(x), kw["k"] % (p - 1), p) for x in xs])
+        label = "power:%d" % kw["k"]
+    elif kind == "affine":
+        u, v = kw["u"] % p, kw["v"] % p
+        vals, label = (u * xs + v) % p, "affine:%d,%d" % (u, v)
+    elif kind == "random":
+        vals = np.zeros(p, dtype=np.int64)
+        vals[1:] = CounterRng(kw["seed"], "fn:p=%d" % p).integers(1, p, p - 1)
+        label = "random:%d" % kw["seed"]
+    else:
+        arr = np.array([v % p for v in kw["table"]], dtype=np.int64)
+        vals = np.zeros(p, dtype=np.int64)
+        vals[p - len(arr):] = arr  # p - 1 values start at index 1
+        label = "table"
+    vals = np.asarray(vals, dtype=np.int64) % p
+    if (vals[1:] == 0).any():
+        return None, label
+    vals[0] = 0
+    return vals, label
+
+
+def test_every_kind_matches_the_old_construction():
+    # values, label and the ZeroInCodomain refusal of every kind, at a
+    # small and a large p; tables reduce negative, >= p and beyond-int64
+    # entries, given as p - 1 or p values
+    for p in (101, 65537):
+        f = make_field(p)
+        xs = list(range(1, p))
+        cases = [("const", dict(c=c)) for c in (1, p - 1, p + 3, -5, 0, p)]
+        cases += [("identity", {})]
+        cases += [("power", dict(k=k)) for k in (0, 1, 2, 3, -1, p - 1)]
+        cases += [("affine", dict(u=u, v=v))
+                  for u, v in ((1, 0), (2, 5), (p + 3, -1), (0, 4), (1, 1),
+                               (0, 0))]
+        cases += [("random", dict(seed=s)) for s in (0, 11)]
+        cases += [("table", dict(table=t)) for t in (
+            [x * 3 for x in xs], [-x for x in xs], [x + p for x in xs],
+            [x + (p << 70) for x in xs], [0] + xs, [5] + xs,
+            [(1 << 70) * x for x in xs], xs[:-1] + [p],
+            xs[:-1] + [p << 70])]
+        for kind, kw in cases:
+            want, label = _old_make_fn(f, kind, **kw)
+            if want is None:
+                with pytest.raises(ZeroInCodomain):
+                    make_fn(f, kind, **kw)
+                continue
+            got = make_fn(f, kind, **kw)
+            assert got.label == label, (p, kind, kw)
+            assert got.values.dtype == np.int64
+            assert got.values.tolist() == want.tolist(), (p, kind, kw)
+        # numpy tables: negative and >= p entries still reduce
+        arr = np.array(xs, dtype=np.int64)
+        for table in (arr - p, arr + 5 * p, np.concatenate(([9], arr))):
+            assert np.array_equal(make_fn(f, "table", table=table).values,
+                                  make_fn(f, "identity").values)

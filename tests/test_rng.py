@@ -9,11 +9,14 @@ verbatim.  `rng_stream_sha256.txt` pins two large draws the same way: a
 """
 
 import hashlib
+import importlib.util
 import os
+import sys
 
 import numpy as np
 import pytest
 
+from fpsp import rng
 from fpsp.errors import BadParams
 from fpsp.field import make_field
 from fpsp.functions import make_fn
@@ -60,6 +63,55 @@ def test_stream_is_sha256_of_key_and_counter():
     assert r.u64() == int.from_bytes(blocks[5:13], "little")
     assert r.bytes(100) == blocks[13:113]
     assert r._counter == 4 and r._buf == blocks[113:128]
+
+
+def test_builtin_sha256_is_hashlib_sha256():
+    # the constructor resolved at import is CPython's own SHA-256 where
+    # the interpreter has one; its blocks equal hashlib's on counters of
+    # 1 to 7 digits, with keys putting the message on each side of the
+    # 55/56- and 64-byte padding boundaries of one and two SHA-256 blocks
+    for name in ("_sha2", "_sha256"):
+        if importlib.util.find_spec(name) is not None:
+            assert rng._sha256 is importlib.import_module(name).sha256
+            break
+    else:
+        assert rng._sha256 is hashlib.sha256
+    for digits in range(1, 8):
+        counter = 10 ** digits - 1
+        for size in (1, 31, 54, 55, 56, 57, 63, 64, 65, 119, 120, 128):
+            stem = b"fpsp|0||%d" % counter
+            r = CounterRng(0, "x" * max(0, size - len(stem)))
+            r._counter = counter
+            message = r._key + b"|%d" % counter
+            assert len(message) == max(size, len(stem))
+            assert r.bytes(32) == hashlib.sha256(message).digest(), message
+
+
+def _rng_on_hashlib(monkeypatch):
+    """A fresh copy of the rng module imported where neither _sha2 nor
+    _sha256 exists, so it takes the hashlib.sha256 fallback."""
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    spec = importlib.util.spec_from_file_location("fpsp._rng_on_hashlib",
+                                                  rng.__file__)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_hashlib_fallback_gives_the_same_stream(monkeypatch):
+    fallback = _rng_on_hashlib(monkeypatch)
+    assert fallback._sha256 is hashlib.sha256
+    p = 1048573
+    draws = (lambda r: r.bytes(1000),
+             lambda r: r.integers(1, p, 2 * _CHUNK + 5),
+             lambda r: r.subset(p, 3000),
+             lambda r: r.bytes(77))
+    ours, theirs = CounterRng(4, "fb"), fallback.CounterRng(4, "fb")
+    for draw in draws:
+        a, b = draw(ours), draw(theirs)
+        assert (a == b) if isinstance(a, bytes) else np.array_equal(a, b)
+    assert (ours._counter, ours._buf) == (theirs._counter, theirs._buf)
 
 
 def test_same_key_same_stream():
