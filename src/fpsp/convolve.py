@@ -85,26 +85,28 @@ raises BadParams.
   first measurement.
 * Threads.  Where a second thread may run (the process is not a
   multiprocessing child, whose pool already keeps every core busy, and
-  may run on at least two CPUs), m > 1 blocks run their transforms two
-  at a time, on the calling thread and on one worker thread (numpy's FFT
-  releases the GIL) that takes every other one: 2m forward transforms in
-  m rounds, the products formed half the chunks on each thread, then m
-  inverse transforms in m/2 rounds.  After each
-  inverse round both threads round its two outputs, split at result
-  index n/2 so that no entry is written by both (two outputs at
-  n = 1048573 took 5.5 ms instead of 11 ms on one thread).  Elsewhere
-  everything runs on the calling thread, in the same order.
+  may run on at least two CPUs), m > 1 blocks share each step between
+  the calling thread and one worker thread (numpy's FFT releases the
+  GIL) through one fork-join, _both, which returns only once both
+  threads are done: the worker takes the even-indexed forward transforms
+  and the calling thread the odd ones, each forms the products over half
+  the chunks, the m inverse transforms run two at a time, one on each,
+  and each output is rounded in two halves, one on each.  An output's
+  linear length is at most n, so its halves add into disjoint entries of
+  the result.  Elsewhere the same calls run on the calling thread, in
+  the same order.
 * Working set.  Products are formed, and outputs rounded, in chunks of
   2^15 entries, written over the spectra and outputs they read, and every
-  buffer is freed before the next is allocated; the int64 result (which
-  owns its n entries) is allocated once the inverse transforms have
-  consumed their spectra.  One indicator histogram at n = 1048573 on
-  four blocks (N = 2^19, 4 MB per spectrum or float64 output) holds at
-  most six spectra while two forward transforms run, each with numpy 2's
-  2 MB float64 copy of a uint8 block; then all eight while the four
-  outputs are formed over X_0..X_3, the peak (41.5-42.3 MB of numpy
-  arrays on numpy 2.4, 38.2 MB on one thread; 42.1 MB on one block);
-  then the outputs, transformed back and rounded beside the result.
+  buffer is freed before the next is allocated: each inverse transform
+  drops its spectrum, and the int64 result (which owns its n entries) is
+  allocated after the first two.  One indicator histogram at n = 1048573
+  on four blocks (N = 2^19, 4 MB per spectrum or float64 output) gathers
+  the eight block spectra while the threads run their forward
+  transforms, each with numpy 2's 2 MB float64 copy of a uint8 block;
+  it holds all eight while the four outputs are formed over X_0..X_3,
+  the peak (40.5-42.3 MB of numpy arrays on numpy 2.4, 38.1 MB on one
+  thread; 42.1 MB on one block); then two outputs at a time, transformed
+  back and rounded beside the result.
 
 Cutting one long transform into cache-sized ones follows Bailey, "FFTs
 in external or hierarchical memory", J. Supercomputing 4 (1990).
@@ -165,35 +167,25 @@ def _certify(x: np.ndarray, y: np.ndarray, size: int, blocks: int,
                         "length-%d FFT convolution" % size)
 
 
-def _two_threads(fn, items: list, pool):
-    """Yield (tag, fn(v)) for each (tag, v) taken off the front of items.
-    With a pool, its one worker thread takes every other item, a step
-    ahead of this thread, and is handed its next item as soon as its
-    result is collected, before any result is yielded.  Taking an item
-    drops the list's reference to v, and an exception raised on either
-    thread reaches the caller."""
-    def hand_off():
-        tag, v = items.pop(0)
-        return tag, pool.submit(fn, v)
-
-    busy = hand_off() if pool is not None and items else None
-    while busy is not None or items:
-        ready = []
-        if items:
-            tag, v = items.pop(0)
-            ready.append((tag, fn(v)))
-            del v
-        if busy is not None:
-            ready.append((busy[0], busy[1].result()))
-            busy = hand_off() if items else None
-        while ready:
-            yield ready.pop(0)
+def _both(pool, first, second):
+    """(first(), second()): first on the pool's one worker thread while
+    second runs on the calling thread, or both in that order on the
+    calling thread when pool is None.  An exception raised by either call
+    reaches the caller only once both have ended."""
+    if pool is None:
+        return first(), second()
+    job = pool.submit(first)
+    try:
+        got = second()
+    finally:
+        job.exception()  # waits for the worker without raising
+    return job.result(), got
 
 
 @contextlib.contextmanager
 def _worker(wanted: bool):
-    """A pool of one worker thread for _two_threads, or None (everything
-    runs on the calling thread) unless wanted and _second_thread()."""
+    """A pool of one worker thread for _both, or None (_both then runs
+    both calls on the calling thread) unless wanted and _second_thread()."""
     if not (wanted and _second_thread()):
         yield None
         return
@@ -253,20 +245,19 @@ def _products(fx: list, fy: list, turn, pool) -> list:
 
     end = len(fx[0])
     cut = -(-end // (2 * _CHUNK)) * _CHUNK
-    for _ in _two_threads(lambda span: run(*span),
-                          [(0, (0, cut)), (1, (cut, end))], pool):
-        pass
+    _both(pool, lambda: run(0, cut), lambda: run(cut, end))
     return fx
 
 
 def _round_into(out: np.ndarray, part: np.ndarray, offset: int,
                 length: int) -> int:
-    """Round part, add part[j] into out[offset + j] for j < length
-    (offset + length <= n), and return the sum of every rounded
-    entry of part; raise BadParams unless every entry lies within 1/4 of
-    an integer.  part is spent (overwritten by its rounding errors).
-    Works in chunks of _CHUNK entries, so no temporary is longer than a
-    chunk."""
+    """Round part, add part[j] into out[(offset + j) mod n] for j < length
+    (offset mod n + length <= 2n: the added range wraps past the end of
+    out at most once), and return the sum of every rounded entry of part;
+    raise BadParams unless every entry lies within 1/4 of an integer.
+    part is spent (overwritten by its rounding errors).  Works in chunks
+    of _CHUNK entries, so no temporary is longer than a chunk."""
+    n = len(out)
     total = 0
     for i in range(0, len(part), _CHUNK):
         chunk = part[i:i + _CHUNK]
@@ -278,36 +269,13 @@ def _round_into(out: np.ndarray, part: np.ndarray, offset: int,
         ints = near.astype(np.int64)
         total += int(ints.sum())
         ints = ints[:max(0, length - i)]
-        out[offset + i:offset + i + len(ints)] += ints
+        start = (offset + i) % n
+        wrap = start + len(ints) - n  # entries that run past the end
+        if wrap > 0:
+            out[:wrap] += ints[-wrap:]
+            ints = ints[:-wrap]
+        out[start:start + len(ints)] += ints
     return total
-
-
-def _round_split(out: np.ndarray, parts: list, pool) -> list:
-    """_round_into for each (offset, length, part) of parts, with
-    offset + length <= 2n (an entry wraps past the end of out at most
-    once), on two threads: the worker takes every entry landing in
-    out[0:n/2) and the calling thread every entry landing in out[n/2:n),
-    so the two never write the same entry; the unadded tail part[length:]
-    of the k-th part goes to thread k mod 2.  Returns each part's sum of
-    rounded entries."""
-    n = len(out)
-    cut = n // 2
-    pieces = ([], [])
-    for k, (offset, length, part) in enumerate(parts):
-        # entry j lands at offset + j before the wrap, offset + j - n after
-        for side, (lo, hi) in enumerate(((0, cut), (cut, n))):
-            for base in (offset, offset - n):
-                j0, j1 = max(lo - base, 0), min(hi - base, length)
-                if j0 < j1:
-                    pieces[side].append((k, part[j0:j1], base + j0, j1 - j0))
-        pieces[k % 2].append((k, part[length:], 0, 0))
-    totals = [0] * len(parts)
-    for _, sums in _two_threads(
-            lambda todo: [(k, _round_into(out, *args)) for k, *args in todo],
-            list(enumerate(pieces)), pool):
-        for k, total in sums:
-            totals[k] += total
-    return totals
 
 
 def _spill(u: np.ndarray, v: np.ndarray, start: int, stop: int) -> list:
@@ -335,20 +303,22 @@ def _convolve_fft(x: np.ndarray, y: np.ndarray, n: int,
     vecs = [v[a * h:(a + 1) * h] for v in (x, y) for a in range(m)]
     sums = [int(v.sum(dtype=np.int64)) for v in vecs]
     with _worker(m > 1) as pool:
-        specs = dict(_two_threads(lambda v: np.fft.rfft(v, size),
-                                  list(enumerate(vecs)), pool))
+        specs = [None] * (2 * m)
+        specs[0::2], specs[1::2] = _both(
+            pool, lambda: [np.fft.rfft(v, size) for v in vecs[0::2]],
+            lambda: [np.fft.rfft(v, size) for v in vecs[1::2]])
         turn = _twiddles(size, d) if d else None  # after the forward peak
-        prods = _products([specs[a] for a in range(m)],
-                          [specs[m + a] for a in range(m)], turn, pool)
-        # drop the input spectra: only the products, written over the
-        # X spectra, are left
+        # output t's spectrum, written over X_t; dropping specs frees the
+        # Y spectra
+        spectra = dict(enumerate(_products(specs[:m], specs[m:], turn,
+                                           pool)))
         del specs
-        # one spectrum per output, tagged with its index offset, exact
-        # mass and linear length (at most size); `fixes` moves each
-        # product coefficient past size, which the length-size inverse
-        # transform wraps onto the output's head, to its own index
-        todo, fixes = [], []
-        for t, prod in enumerate(prods):
+        # each output's index offset, exact mass and linear length (at
+        # most size); `fixes` moves each product coefficient past size,
+        # which the length-size inverse transform wraps onto the output's
+        # head, to its own index
+        shapes, fixes = [], []
+        for t in range(m):
             offset, mass, length = t * h % n, 0, 0
             for a in range(m):
                 b = (t - a) % m
@@ -364,25 +334,32 @@ def _convolve_fft(x: np.ndarray, y: np.ndarray, n: int,
                 for k, c in enumerate(_spill(u, v, size - lag, end - lag)):
                     fixes += [((offset + k) % n, -c),
                               ((offset + size + k) % n, c)]
-            todo.append(((offset, mass, length), prod))
-        del prods, prod
-        # the inverse transforms two at a time, one per thread; both
-        # threads then round the two outputs, split at index n/2
-        out, masses, totals = None, [], []
-        while todo:
-            pair, todo = todo[:2], todo[2:]
-            parts = []
-            for (offset, mass, length), part in _two_threads(
-                    lambda sp: np.fft.irfft(sp, size), pair, pool):
-                masses.append(mass)
-                parts.append((offset, length, part))
-            del part
+            shapes.append((offset, mass, length))
+
+        def inverse(t):
+            # output t's inverse transform (None past the last output),
+            # which drops its spectrum
+            return lambda: (np.fft.irfft(spectra.pop(t), size) if t < m
+                            else None)
+
+        # the inverse transforms two at a time, one per thread
+        out, cut = None, size // 2
+        for t in range(0, m, 2):
+            parts = _both(pool, inverse(t), inverse(t + 1))
             if out is None:  # allocated once the first spectra are freed
                 out = np.zeros(n, dtype=np.int64)
-            totals += _round_split(out, parts, pool)
-            del parts
-        if masses != totals:
-            raise BadParams("FFT convolution lost mass")
+            # each output rounded in two halves, one per thread; where
+            # m > 1 its length is at most n, so the halves write disjoint
+            # entries of out
+            for (offset, mass, length), part in zip(shapes[t:t + 2], parts):
+                if mass != sum(_both(
+                        pool,
+                        lambda: _round_into(out, part[:cut], offset,
+                                            min(length, cut)),
+                        lambda: _round_into(out, part[cut:], offset + cut,
+                                            max(0, length - cut)))):
+                    raise BadParams("FFT convolution lost mass")
+            del parts, part
     for k, c in fixes:
         out[k] += c
     return out

@@ -208,7 +208,8 @@ def mu_product(g: FnTable, h: FnTable, domain: FSet | None = None) -> int:
     On a domain A the fibers are counted over the |A| products g(a)h(a).
     The whole-domain value is one bincount over the products, computed
     once per (g, h) pair; only the int is kept, on g, so no product
-    table outlives the call."""
+    table outlives the call.  A constant h (nonzero, as every table
+    value is) keeps g's fibers, so then it is mu(g)."""
     if g.field != h.field:
         raise FieldMismatch("tables over different fields")
     if domain is not None:
@@ -217,9 +218,14 @@ def mu_product(g: FnTable, h: FnTable, domain: FSet | None = None) -> int:
     # keyed by id(h) with a weak reference to h: a dead h's id may be reused
     hit = g._mu_products.get(id(h))
     if hit is None or hit[0]() is not h:
-        prod = g.values[1:] * h.values[1:]
-        prod %= g.field.p
-        hit = (weakref.ref(h), _bincount_max(prod))
+        hv = h.values[1:]
+        if hv.min() == hv.max():
+            got = mu(g)
+        else:
+            prod = g.values[1:] * hv
+            prod %= g.field.p
+            got = _bincount_max(prod)
+        hit = (weakref.ref(h), got)
         g._mu_products[id(h)] = hit
     return hit[1]
 

@@ -331,8 +331,10 @@ def _pair_count(alpha, t: np.ndarray, beta: np.ndarray | None, p: int,
         return Hist(p, values,
                     None if support else counts.astype(np.int64, copy=False))
 
-    def reduce(span):
-        lo, hi, space = span
+    def reduce(lo, hi, space):
+        # rows lo..hi-1 through space, one chunk at a time; None for none
+        if lo == hi:
+            return None
         out = np.zeros(p, dtype=bool) if support else None
         for i in range(lo, hi, len(space)):
             j = min(i + len(space), hi)
@@ -351,15 +353,15 @@ def _pair_count(alpha, t: np.ndarray, beta: np.ndarray | None, p: int,
 
     with convolve._worker(rows > 1 and rows * width >= PAIR_THREAD_MIN
                           ) as pool:
+        # one thread takes every row unless the worker takes half
         halves = 1 if pool is None else 2
         buf = np.empty((min(rows, max(halves, 4_000_000 // width)), width),
                        dtype=np.int64)
         cut, part = -(-rows // halves), -(-len(buf) // halves)
-        spans = [(k, (k * cut, min(rows, (k + 1) * cut),
-                      buf[k * part:(k + 1) * part])) for k in range(halves)]
-        out, *rest = [got for _, got in convolve._two_threads(
-            reduce, spans, pool)]
-    for other in rest:
+        out, other = convolve._both(pool,
+                                    lambda: reduce(0, cut, buf[:part]),
+                                    lambda: reduce(cut, rows, buf[part:]))
+    if other is not None:
         if support:
             out |= other
         else:

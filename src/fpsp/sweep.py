@@ -46,6 +46,11 @@ CHAIN_NAMES = ("lemma", "composite", "eplus", "phi")
 _GP_RETRIES = 64
 
 
+def _whole(v) -> bool:
+    """Whether v is an int and not a bool (JSON true would pass as 1)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 class SweepConfig:
     """Validated sweep description.  See from_dict for the key set."""
 
@@ -87,7 +92,7 @@ class SweepConfig:
 
         cfg.primes = want_list("primes")
         for p in cfg.primes:
-            if not isinstance(p, int) or p < 3:
+            if not _whole(p) or p < 3:
                 raise ConfigError("bad prime %r" % (p,))
         cfg.families = want_list("families")
         for fam in cfg.families:
@@ -96,7 +101,7 @@ class SweepConfig:
         cfg.sizes = []
         for triple in want_list("sizes"):
             if (not isinstance(triple, (list, tuple)) or len(triple) != 3
-                    or not all(isinstance(v, int) and v >= 1
+                    or not all(_whole(v) and v >= 1
                                for v in triple)):
                 raise ConfigError("sizes entries must be [na, nb, nc] of "
                                   "positive ints, got %r" % (triple,))
@@ -111,7 +116,7 @@ class SweepConfig:
             cfg.sizes.append((na, nb, nc))
         cfg.seeds = want_list("seeds")
         for s in cfg.seeds:
-            if not isinstance(s, int) or s < 0:
+            if not _whole(s) or s < 0:
                 raise ConfigError("bad seed %r" % (s,))
         cfg.g_specs = [str(s) for s in want_list("g", ["id"])]
         cfg.h_specs = [str(s) for s in want_list("h", ["const:1"])]
@@ -129,7 +134,7 @@ class SweepConfig:
             if tid not in THEOREMS:
                 raise ConfigError("unknown theorem id %r" % (tid,))
         k = raw.get("k", "auto")
-        if k != "auto" and (not isinstance(k, int) or k < 1):
+        if k != "auto" and (not _whole(k) or k < 1):
             raise ConfigError("k must be \"auto\" or an integer >= 1")
         cfg.k = k
         eps = raw.get("eps")
@@ -147,7 +152,7 @@ class SweepConfig:
         cfg.collinear_cap = raw.get("collinear_cap", COLLINEAR_CAP)
         for nm in ("triples_cap", "collinear_cap"):
             v = getattr(cfg, nm)
-            if not isinstance(v, int) or v < 1:
+            if not _whole(v) or v < 1:
                 raise ConfigError("%s must be a positive integer" % nm)
         if "phi" in cfg.chains:
             for _, nb, nc in cfg.sizes:

@@ -254,7 +254,9 @@ def lemma_chain_check(a: FSet, b: FSet, c: FSet, g: FnTable, h: FnTable,
     lv = level_set(r, k_sel)
     xk, n_k = lv.x, lv.n_k
 
-    bigm = solution_count_M(a, b, c, xk, kind)
+    # M = |A| sum_{x in X_k} r(x), read off the histogram X_k came from
+    counts = r.hist.counts
+    bigm = a.size * int(counts[counts >= k_sel].sum())
     e1, i1 = _energy_and_incidences(kern1, a, xk, c, g, h, triples_cap)
     e2, i2 = _energy_and_incidences(kern2, a, xk, fimg, g, h, triples_cap)
     e4 = moment(r, 4)

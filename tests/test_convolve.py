@@ -5,6 +5,7 @@ whose norms the a-priori error bound cannot certify."""
 import os
 import sys
 import threading
+import time
 from fractions import Fraction
 from multiprocessing import get_context
 
@@ -698,3 +699,109 @@ def test_worker_failures_reach_the_caller(monkeypatch, two_cpus):
             monkeypatch.setattr(np.fft, "irfft", spy)
             with pytest.raises(BadParams, match=match):
                 _convolve_fft(x, y, n, blocks)
+
+
+def _tagged(tag, seen, wait=0.0):
+    """A call that waits `wait` seconds, then records (tag, whether it ran
+    on the main thread) in seen and returns tag."""
+    def run():
+        time.sleep(wait)
+        seen.append((tag, threading.current_thread()
+                     is threading.main_thread()))
+        return tag
+    return run
+
+
+def test_both_without_a_pool_runs_in_order_on_the_caller():
+    seen = []
+    got = convolve._both(None, _tagged("first", seen), _tagged("second", seen))
+    assert got == ("first", "second")
+    assert seen == [("first", True), ("second", True)]
+
+
+def test_both_runs_first_on_the_worker(two_cpus):
+    seen = []
+    with convolve._worker(True) as pool:
+        assert pool is not None
+        got = convolve._both(pool, _tagged("first", seen),
+                             _tagged("second", seen))
+    assert got == ("first", "second")
+    assert sorted(seen) == [("first", False), ("second", True)]
+
+
+def test_both_raises_only_after_both_calls_end(two_cpus):
+    # the failing call ends at once; the other is still running, and is
+    # recorded as done before the exception reaches the caller, whichever
+    # thread failed
+    def fail():
+        raise BadParams("failed")
+
+    with convolve._worker(True) as pool:
+        for slow_on in ("worker", "caller"):
+            seen = []
+            slow = _tagged(slow_on, seen, 0.2)
+            with pytest.raises(BadParams, match="failed"):
+                convolve._both(pool, *((slow, fail) if slow_on == "worker"
+                                       else (fail, slow)))
+            assert seen == [(slow_on, slow_on == "caller")]
+
+
+def _near_integers(r, count):
+    """count integers in [0, 100) and the same plus noise below 1/4."""
+    ints = r.integers(0, 100, count)
+    return ints, ints + (r.integers(0, 401, count) - 200) / 1000
+
+
+def test_round_into_wraps_the_tail_to_the_head():
+    # entry j of a part is added at (offset + j) mod n for j < length, so
+    # a range that runs past the end of out continues at its head, inside
+    # one chunk or across chunks; the entries from length on are rounded
+    # and counted in the total but not added
+    out = np.zeros(10, dtype=np.int64)
+    part = np.arange(1, 8) + 0.1
+    assert convolve._round_into(out, part, 6, 6) == 28
+    assert out.tolist() == [5, 6, 0, 0, 0, 0, 1, 2, 3, 4]
+    chunk = convolve._CHUNK
+    r = CounterRng(3, "conv-wrap")
+    for n, offset, length, extra in ((3 * chunk // 2, chunk + 5,
+                                      chunk + 100, 9),
+                                     (2 * chunk + 3, 2 * chunk + 2, 40, 0),
+                                     (chunk + 1, 0, chunk + 1, chunk)):
+        ints, part = _near_integers(r, length + extra)
+        want = np.zeros(n, dtype=np.int64)
+        np.add.at(want, (offset + np.arange(length)) % n, ints[:length])
+        out = np.zeros(n, dtype=np.int64)
+        assert convolve._round_into(out, part, offset, length) == ints.sum()
+        assert np.array_equal(out, want), (n, offset, length)
+
+
+def test_wrapping_output_rounded_in_halves_on_two_threads(two_cpus):
+    # the last of four outputs at n = 70001 (offset 3h, length up to the
+    # transform length 2^16 <= n) runs past the end of the result; its two
+    # halves, rounded at once on the worker and the calling thread as the
+    # route rounds them, give the result and total of one rounding of the
+    # whole output on one thread
+    n, size = 70001, 1 << 16
+    offset, cut = 3 * 17501, size // 2
+    r = CounterRng(4, "conv-halves")
+    base = r.integers(0, 1000, n)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with convolve._worker(True) as pool:
+            for length in (size, size - 7, cut - 3):
+                ints, part = _near_integers(r, size)
+                one, two = base.copy(), base.copy()
+                total = convolve._round_into(one, part.copy(), offset,
+                                             length)
+                halves = convolve._both(
+                    pool,
+                    lambda: convolve._round_into(two, part[:cut], offset,
+                                                 min(length, cut)),
+                    lambda: convolve._round_into(two, part[cut:],
+                                                 offset + cut,
+                                                 max(0, length - cut)))
+                assert sum(halves) == total == ints.sum(), length
+                assert np.array_equal(two, one), length
+    finally:
+        sys.setswitchinterval(interval)

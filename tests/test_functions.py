@@ -6,8 +6,10 @@ import pytest
 from fpsp.errors import (BadParams, FieldMismatch, ParseError, ZeroInA,
                          ZeroInCodomain)
 from fpsp.field import make_field
-from fpsp.functions import (FnTable, f_image, make_fn, mu, parse_fn_spec,
-                            pointwise_product, read_fn_file, write_fn_file)
+from fpsp import functions
+from fpsp.functions import (FnTable, f_image, make_fn, mu, mu_product,
+                            parse_fn_spec, pointwise_product, read_fn_file,
+                            write_fn_file)
 from fpsp.incidence import bilinear_hist
 from fpsp.rng import CounterRng
 from fpsp.sets import generate
@@ -50,6 +52,32 @@ def test_mu_domain_restricted():
     assert mu(sq, zero_only) == 0  # 0 is outside the domain of g
     with pytest.raises(FieldMismatch):
         mu(sq, generate(F101, "interval", start=1, size=3))
+
+
+def test_mu_product_with_a_constant_h_is_mu_of_g(monkeypatch):
+    # A nonzero constant h keeps g's fibers: the whole-domain mu(g*h) is
+    # mu(g), which g keeps once computed, so no product is counted.  A
+    # table that is constant on F_p^* but for one entry is not constant.
+    bincounts = []
+    real = functions._bincount_max
+    monkeypatch.setattr(functions, "_bincount_max",
+                        lambda vals: bincounts.append(1) or real(vals))
+    for p, spec in ((7, "power:3"), (101, "random:5"), (1009, "random:6"),
+                    (1009, "power:4")):
+        f = make_field(p)
+        g = parse_fn_spec(f, spec)
+        mu(g)
+        for c in (1, 2, p - 1):
+            h = make_fn(f, "const", c=c)
+            bincounts.clear()
+            got = mu_product(g, h)
+            assert bincounts == [], (p, spec, c)
+            assert got == mu(g) == mu(pointwise_product(g, h)), (p, spec, c)
+        vals = np.full(p, 3)
+        vals[p - 1] = 4
+        h = FnTable(f, vals)
+        assert mu_product(g, h) == mu(pointwise_product(g, h)), (p, spec)
+        assert bincounts, (p, spec)
 
 
 def test_zero_in_codomain_rejected():

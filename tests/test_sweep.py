@@ -55,6 +55,11 @@ def test_config_defaults():
     {"k": 0},                             # below 1
     {"k": "first"},                       # not auto
     {"triples_cap": 0},                   # not positive
+    {"seeds": [True]},                    # JSON true is not the int 1
+    {"sizes": [[True, 8, 8]]},
+    {"k": True},
+    {"triples_cap": True},
+    {"collinear_cap": True},
     {"bogus": 1},                         # unknown key
     {"chains": ["phi"], "primes": [257], "sizes": [[4, 120, 8]]},  # phi gate
     {"eps": "abc"},                       # not a number

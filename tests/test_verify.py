@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fpsp.energy import moment, popular_diff, rep_fn
+from fpsp.energy import level_set, moment, popular_diff, rep_fn
 from fpsp.errors import (BadP, BadParams, EmptySet, HypothesisViolated,
                          ZeroDivisor, ZeroInA)
 from fpsp.field import make_field
@@ -198,6 +198,29 @@ def test_lemma_chain_seeded_grid():
         g = make_fn(F101, gk, **gkw)
         rep = lemma_chain_check(a, b, c, g, _one(F101), kind)
         assert rep.ok, (trial, rep.failures())
+
+
+def test_lemma_chain_M_is_the_solution_count():
+    # the chain reads M off the histogram its level set came from; it is
+    # the solution count over A x B x C x X_k, for either kind and for the
+    # automatic level as for a fixed one
+    rng = CounterRng(5, "chain-M")
+    for trial in range(8):
+        kind = ("sum", "prod")[trial % 2]
+        f = (F101, make_field(1009))[trial % 3 == 0]
+        sizes = [2 + int(rng.below(6)), 8 + int(rng.below(24)),
+                 4 + int(rng.below(24))]
+        a, b, c = [generate(f, "random", size=size, seed=trial,
+                            instance_id="m%d%s" % (trial, tag),
+                            zero_free=True)
+                   for size, tag in zip(sizes, "abc")]
+        g = make_fn(f, "random", seed=trial, instance_id="m-g")
+        r = rep_fn(b, c, "difference" if kind == "sum" else "ratio")
+        for k in ("auto", 1, 2):
+            rep = lemma_chain_check(a, b, c, g, _one(f), kind, k=k)
+            xk = level_set(r, rep.instance["k"]).x
+            assert rep.instance["M"] == solution_count_M(a, b, c, xk, kind), \
+                (trial, kind, k)
 
 
 def test_lemma_chain_rejects():
