@@ -333,9 +333,9 @@ def test_transform_memory_bounded():
 
     The route cuts each uint8 indicator into four blocks, and every
     transform has length 2^19 (4 MB per spectrum or float64 output).  The
-    forward transforms hold at most six block spectra while two more run,
-    each with the 2 MB float64 copy numpy 2's rfft makes of a uint8 block
-    (38.8 MB traced, with the two 1 MB indicators).  The four output
+    forward transforms run two at a time, one per thread, each with the
+    2 MB float64 copy numpy 2's rfft makes of a uint8 block, until all
+    eight block spectra are held.  The four output
     spectra G_t = sum_a X_a Y_(t-a mod 4) are then formed 32 Ki entries at
     a time over X_0..X_3, each thread holding its chunk's four outputs and
     their product temporaries beside the eight spectra: the peak,
