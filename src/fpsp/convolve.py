@@ -1,4 +1,4 @@
-"""Exact integer cyclic convolution by a certified float FFT.
+"""Exact cyclic convolution of 0/1 vectors by a certified float FFT.
 
 This is the "transform" route behind representation-function histograms,
 so counts must come out bit-exact.  It cuts each input into m = 1, 2 or 4
@@ -9,13 +9,10 @@ rfft/irfft spectra in float64.  There is one route and no fallback: a
 result is returned only when it is certified exact, and any failed check
 raises BadParams.
 
-* Inputs.  x and y are 1-D integer vectors of length n with nonnegative
-  entries and sum(x) sum(y) < 2^63 (checked on Python ints).  Every
-  coefficient is at most that mass, so every partial sum below stays
-  exact in int64.  Each input is kept in its narrowest exact dtype:
-  uint8 when every entry is below 256 (indicators), else int64.  Sums
-  and sums of squares are taken with dtype=int64 (np.dot would
-  accumulate in uint8 and wrap).
+* Inputs.  x and y are 1-D integer vectors of length n whose entries are
+  all 0 or 1 (indicators), taken as uint8; anything else is refused
+  before any transform runs.  Block sums are taken with dtype=int64
+  (np.dot would accumulate in uint8 and wrap).
 * Blocks.  x = sum_a z^(ah) x_a and y likewise (a < m; the last blocks
   may be short), so x y = sum_ab z^((a+b)h) x_a y_b.  Mod z^n - 1,
   z^(mh) = z^d with d = mh - n (0 <= d < m), so a product with a + b >= m
@@ -37,17 +34,20 @@ raises BadParams.
   of an FFT convolution of length 2^k by
       ||x||_2 ||y||_2 ((1+e)^3k (1+e sqrt5)^(3k+1) (1+b)^3k - 1)
   with e = 2^-53 the unit roundoff and b a bound on the error of each
-  computed twiddle factor.  numpy builds a twiddle as the product of two
-  table entries, each libm sin/cos of a rounded angle (within about 3e),
-  and the complex product adds up to e sqrt5; b = 10e is taken here, not
-  the e/sqrt2 of correctly rounded twiddles.  The tests'
-  test_numpy_twiddles_within_the_assumed_error checks b on the running
-  numpy: rfft of the unit impulse e_1 returns numpy's own w^j, within
-  2.5e of a long-double reference at N = 2^1..2^21 on numpy 2.4.6.  The
-  bound is stated for a radix-2 complex transform; numpy's real
-  transform of a power-of-two length runs radix-4 and radix-2 passes,
-  each radix-4 pass doing the work of two radix-2 levels, and is assumed,
-  not shown, to be covered by it.
+  computed twiddle factor: b = 10e, which no argument gives (numpy
+  multiplies two table entries, each libm sin/cos of a rounded angle);
+  test_numpy_twiddles_within_the_assumed_error measures numpy's own w^j,
+  rfft of the unit impulse e_1, within 2.5e of long double at
+  N = 2^1..2^21 on numpy 2.4.6.  The bound counts k radix-2 levels, each
+  applying to an entry at most one twiddle product (1 + e sqrt5)(1+b)
+  and one addition 1+e; numpy's real transform runs radix-4 and radix-2
+  passes.  A staged transform errs by at most its stages' local error
+  factors times the product of their norms (Higham, Accuracy and
+  Stability of Numerical Algorithms, 2nd ed., 2002, sec. 24.1).  A
+  radix-4 pass has the norm of two radix-2 levels (2 = sqrt2 sqrt2) and,
+  as a textbook butterfly, applies to an entry one twiddle product and
+  two additions (its products by +-i are exact), within the two levels'
+  factors.  That numpy's passes have those operation counts is assumed.
   Each G_t is a computed sum of m products: each carries at most m - 1
   more roundings 1+e.  Where d > 0 the wrapped products are summed and
   multiplied once by W: one more complex product 1 + e sqrt5 and one
@@ -63,12 +63,12 @@ raises BadParams.
   r = 1 if d > 0 else 0, and since b = t - a mod m is a bijection,
   Cauchy-Schwarz puts the sum of norms at most ||x|| ||y||.  The bound
   bounds the cyclic length-N result, spilled coefficients included.
-  It is computed from the exact norms of x and y (sums of squares in
-  int64, or on Python ints where int64 could overflow) and must be below
-  1/4; an input that fails it is refused.  So ||x||_2 ||y||_2, which
-  bounds every coefficient, is below about 2.7e12 at N = 2^21, 3.5e12 at
-  N = 2^16 and 8e12 at N = 2^7.  For indicator vectors
-  ||x||_2 ||y||_2 <= n <= 2^20 and the bound is about 1e-7.
+  An indicator's squared norm is its point count, so the bound is taken
+  on the support sizes, ||x||_2 ||y||_2 <= n, and must be below 1/4; a
+  pair that fails it is refused.  At n <= 2^20 the factor times n is at
+  most 9.3e-8 (one block at n = 2^20), 2.7e6 times below 1/4, so a
+  looser per-pass constant would still certify; full indicators first
+  fail at n = 2^41.
 * A posteriori.  Every output of every inverse transform lies within 1/4
   of an integer, and its rounded mass is exactly the sum of
   sum(x_a) sum(y_b) over its products.
@@ -126,22 +126,8 @@ import numpy as np
 from .errors import BadParams
 
 _TWIDDLE_ERR = 10  # twiddle error bound, in units of 2^-53
-_INT64_END = 1 << 63
 _CHUNK = 1 << 15  # entries per step of the spectrum products and rounding
 _SPLIT_MIN = 1 << 16  # shortest n split into blocks
-
-
-def _sum_squares(v: np.ndarray) -> int:
-    """Exact sum of v[i]^2 (v >= 0): in int64, or on Python ints _CHUNK
-    entries at a time where int64 could overflow."""
-    top = int(v.max())
-    if top <= 1:  # an indicator: each square is its entry
-        return int(np.count_nonzero(v))
-    if top * top * len(v) >= _INT64_END:
-        return sum(sum(e * e for e in v[i:i + _CHUNK].tolist())
-                   for i in range(0, len(v), _CHUNK))
-    # accumulate in int64 without a widened copy of v
-    return int(np.einsum("i,i->", v, v, dtype=np.int64))
 
 
 def _fft_error_bound(k: int, adds: int = 0, turns: int = 0) -> float:
@@ -156,13 +142,13 @@ def _fft_error_bound(k: int, adds: int = 0, turns: int = 0) -> float:
                       + (3 * k + turns) * math.log1p(_TWIDDLE_ERR * e))
 
 
-def _certify(x: np.ndarray, y: np.ndarray, size: int, blocks: int,
-             turns: int) -> None:
-    """Raise BadParams unless x and y pass the a-priori bound at transform
-    length size over `blocks` index blocks (each output a sum of `blocks`
-    products, `turns` products by a shift twiddle) on their exact norms."""
+def _certify(sx: int, sy: int, size: int, blocks: int, turns: int) -> None:
+    """Raise BadParams unless indicators of sx and sy points (their
+    squared norms) pass the a-priori bound at transform length size over
+    `blocks` index blocks (each output a sum of `blocks` products, `turns`
+    products by a shift twiddle)."""
     bound = _fft_error_bound(size.bit_length() - 1, blocks - 1, turns)
-    if float(_sum_squares(x) * _sum_squares(y)) * bound * bound >= 1 / 16:
+    if float(sx * sy) * bound * bound >= 1 / 16:
         raise BadParams("the a-priori error bound does not certify a "
                         "length-%d FFT convolution" % size)
 
@@ -288,9 +274,9 @@ def _spill(u: np.ndarray, v: np.ndarray, start: int, stop: int) -> list:
 
 def _convolve_fft(x: np.ndarray, y: np.ndarray, n: int,
                   blocks: int = 1) -> np.ndarray:
-    """Cyclic convolution of nonnegative uint8 or int64 vectors of length
-    n with sum(x) sum(y) < 2^63, over `blocks` (1, 2 or 4) index blocks,
-    certified exact (see the module docstring)."""
+    """Cyclic convolution of 0/1 vectors of length n (unchecked here), over
+    `blocks` (1, 2 or 4) index blocks, certified exact (see the module
+    docstring)."""
     m = blocks
     h = -(-n // m)
     size = (n if m == 1 and n & (n - 1) == 0
@@ -298,10 +284,10 @@ def _convolve_fft(x: np.ndarray, y: np.ndarray, n: int,
     # a product of blocks a + b >= m lands at (a + b) h = (a + b - m) h + d
     # mod n: in output a + b - m, shifted by d
     d = m * h - n
-    _certify(x, y, size, m, min(d, 1))
     # vecs[a] is block a of x, vecs[m + a] block a of y
     vecs = [v[a * h:(a + 1) * h] for v in (x, y) for a in range(m)]
     sums = [int(v.sum(dtype=np.int64)) for v in vecs]
+    _certify(sum(sums[:m]), sum(sums[m:]), size, m, min(d, 1))
     with _worker(m > 1) as pool:
         specs = [None] * (2 * m)
         specs[0::2], specs[1::2] = _both(
@@ -382,35 +368,29 @@ def _block_count(n: int) -> int:
     return 1 if n < _SPLIT_MIN or n & (n - 1) == 0 else 4
 
 
-def _counts(v, n: int) -> tuple[np.ndarray, int]:
-    """v in its narrowest exact dtype (uint8 when every entry is below
-    256, else int64) and its exact sum, if v is 1-D of length n with
-    integer entries in [0, 2^63)."""
+def _indicator(v, n: int) -> np.ndarray:
+    """v as uint8, if v is 1-D of length n with integer entries all 0 or
+    1."""
     v = np.asarray(v)
     if v.ndim != 1 or len(v) != n:
         raise BadParams("cyclic_convolve needs both vectors 1-D of length n")
     if v.dtype.kind not in "iu":
         raise BadParams("cyclic_convolve needs integer entries, got %s"
                         % v.dtype)
-    top = int(v.max())
-    if int(v.min()) < 0 or top >= _INT64_END:
-        raise BadParams("cyclic_convolve needs entries in [0, 2^63)")
-    v = v.astype(np.uint8 if top < 256 else np.int64, copy=False)
-    return v, (int(v.sum(dtype=np.int64)) if top * n < _INT64_END
-               else sum(v.tolist()))
+    if int(v.min()) < 0 or int(v.max()) > 1:
+        raise BadParams("cyclic_convolve needs entries 0 or 1")
+    return v.astype(np.uint8, copy=False)
 
 
 def cyclic_convolve(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
-    """Exact c[k] = sum_i x[i] * y[(k - i) mod n] for 0 <= k < n.
+    """Exact c[k] = #{i : x[i] = y[(k - i) mod n] = 1} for 0 <= k < n.
 
-    x and y are 1-D nonnegative integer vectors of length n with
-    sum(x) sum(y) < 2^63.  Anything else, or a transform the checks in
-    the module docstring cannot certify, raises BadParams.
+    x and y are 1-D integer vectors of length n whose entries are all 0
+    or 1.  Anything else, or a transform the checks in the module
+    docstring cannot certify, raises BadParams.
     """
     n = operator.index(n)
     if n <= 0:
         raise BadParams("cyclic_convolve needs n >= 1")
-    (x, mx), (y, my) = _counts(x, n), _counts(y, n)
-    if mx * my >= _INT64_END:
-        raise BadParams("cyclic_convolve needs sum(x) sum(y) < 2^63")
-    return _convolve_fft(x, y, n, _block_count(n))
+    return _convolve_fft(_indicator(x, n), _indicator(y, n), n,
+                         _block_count(n))

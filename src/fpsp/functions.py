@@ -130,28 +130,39 @@ def make_fn(field: PrimeField, kind: str, *, c: int | None = None,
     return FnTable(field, vals, label)
 
 
-def parse_fn_spec(field: PrimeField, spec: str) -> FnTable:
-    """Parse the compact spec grammar used by the CLI and sweep configs:
-    const:<c> | id | power:<k> | affine:<u>,<v> | random:<seed> | file:<path>.
-    """
+_SPEC_ARGS = {"id": (), "const": ("c",), "power": ("k",),
+              "affine": ("u", "v"), "random": ("seed",)}
+
+
+def fn_spec_args(spec: str) -> tuple[str, dict]:
+    """The make_fn kind and keyword arguments, or ("file", {"path": ...}),
+    of a spec in the grammar of the CLI and sweep configs, const:<c> | id |
+    power:<k> | affine:<u>,<v> | random:<seed> | file:<path>.  Syntax
+    only: no table is built.  Anything else raises ParseError."""
+    if not isinstance(spec, str):
+        raise ParseError("bad function spec %r" % (spec,))
     spec = spec.strip()
-    try:
-        if spec == "id":
-            return make_fn(field, "identity")
-        if spec.startswith("const:"):
-            return make_fn(field, "const", c=int(spec[6:]))
-        if spec.startswith("power:"):
-            return make_fn(field, "power", k=int(spec[6:]))
-        if spec.startswith("affine:"):
-            u_s, v_s = spec[7:].split(",")
-            return make_fn(field, "affine", u=int(u_s), v=int(v_s))
-        if spec.startswith("random:"):
-            return make_fn(field, "random", seed=int(spec[7:]))
-        if spec.startswith("file:"):
-            return read_fn_file(spec[5:], field)
-    except (ValueError, BadParams) as exc:
-        raise ParseError("bad function spec %r: %s" % (spec, exc))
+    kind, colon, arg = spec.partition(":")
+    if kind == "file" and colon:
+        return kind, {"path": arg}
+    vals = arg.split(",") if colon else []
+    if kind in _SPEC_ARGS and len(vals) == len(_SPEC_ARGS[kind]):
+        try:
+            return ("identity" if kind == "id" else kind,
+                    dict(zip(_SPEC_ARGS[kind], map(int, vals))))
+        except ValueError as exc:
+            raise ParseError("bad function spec %r: %s" % (spec, exc))
     raise ParseError("bad function spec %r" % spec)
+
+
+def parse_fn_spec(field: PrimeField, spec: str) -> FnTable:
+    """The table of a spec in fn_spec_args's grammar."""
+    kind, args = fn_spec_args(spec)
+    try:
+        return (read_fn_file(args["path"], field) if kind == "file"
+                else make_fn(field, kind, **args))
+    except (ValueError, BadParams) as exc:
+        raise ParseError("bad function spec %r: %s" % (spec.strip(), exc))
 
 
 def write_fn_file(path: str, fn: FnTable) -> None:

@@ -32,9 +32,9 @@ from fractions import Fraction
 from multiprocessing import Pool
 
 from .energy import normalize_eps
-from .errors import BadEpsilon, BadParams, ConfigError
+from .errors import BadEpsilon, BadParams, ConfigError, ParseError
 from .field import make_field
-from .functions import parse_fn_spec
+from .functions import fn_spec_args, parse_fn_spec
 from .incidence import COLLINEAR_CAP, TRIPLES_CAP
 from .rng import CounterRng
 from .sets import FAMILIES, generate, subgroup_orders
@@ -118,8 +118,13 @@ class SweepConfig:
         for s in cfg.seeds:
             if not _whole(s) or s < 0:
                 raise ConfigError("bad seed %r" % (s,))
-        cfg.g_specs = [str(s) for s in want_list("g", ["id"])]
-        cfg.h_specs = [str(s) for s in want_list("h", ["const:1"])]
+        cfg.g_specs = want_list("g", ["id"])
+        cfg.h_specs = want_list("h", ["const:1"])
+        for spec in cfg.g_specs + cfg.h_specs:
+            try:  # syntax only: tables built here would stay in every worker
+                fn_spec_args(spec)
+            except ParseError as exc:
+                raise ConfigError(str(exc))
         cfg.kinds = [str(s) for s in want_list("kinds", ["sum"])]
         for kd in cfg.kinds:
             if kd not in ("sum", "prod"):

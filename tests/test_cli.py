@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from fpsp import sweep
 from fpsp.cli import dispatch, parse_set_spec, read_rows_file
 from fpsp.errors import ParseError
 from fpsp.field import make_field
@@ -419,6 +420,24 @@ def test_sweep_bad_config(tmp_path, capsys):
     code, _, _ = run(capsys, "sweep", "--config",
                      str(tmp_path / "absent.json"))
     assert code == 2
+
+
+def test_sweep_bad_function_spec_fails_at_load(tmp_path, capsys,
+                                              monkeypatch):
+    # a spec is checked for syntax when the config loads (exit 2, nothing
+    # on stdout), before any instance builds a table
+    def no_table(field, spec):
+        raise AssertionError("table built for %r" % spec)
+
+    monkeypatch.setattr(sweep, "parse_fn_spec", no_table)
+    for g in (["idd"], [True], ["id", "power:x"]):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"primes": [101], "families": ["interval"],
+                                    "sizes": [[4, 8, 8]], "seeds": [0],
+                                    "g": g}))
+        code, out, err = run(capsys, "sweep", "--config", str(path))
+        assert code == 2 and out == "", g
+        assert "error:" in err and "spec" in err, (g, err)
 
 
 # -- dispatch plumbing -------------------------------------------------------

@@ -1,10 +1,11 @@
-"""Exact convolution: the certified float FFT against the schoolbook and
-NTT oracles of tests/oracles.py, bit for bit, and its refusal of inputs
-whose norms the a-priori error bound cannot certify."""
+"""Exact convolution of 0/1 vectors: the certified float FFT against the
+schoolbook and NTT oracles of tests/oracles.py, bit for bit, its refusal
+of any other input, and its a-priori error bound on point counts."""
 
 import os
 import sys
 import threading
+import math
 import time
 from fractions import Fraction
 from multiprocessing import get_context
@@ -14,22 +15,10 @@ import pytest
 
 from fpsp import convolve
 from fpsp.convolve import (_block_count, _certify, _convolve_fft,
-                           _fft_error_bound, _sum_squares, cyclic_convolve)
+                           _fft_error_bound, cyclic_convolve)
 from fpsp.errors import BadParams
 from fpsp.rng import CounterRng
-from oracles import _P1, _P2, _convolve_ntt, convolve_naive
-
-
-def _schoolbook(x, y, n):
-    """c[k] on Python ints, immune to any int64 overflow, summed over the
-    pairs of nonzero entries."""
-    c = [0] * n
-    xs = [(i, v) for i, v in enumerate(map(int, x)) if v]
-    for j, w in enumerate(map(int, y)):
-        if w:
-            for i, v in xs:
-                c[(i + j) % n] += v * w
-    return c
+from oracles import _convolve_ntt, convolve_naive
 
 
 def _norm_product(x, y):
@@ -37,18 +26,13 @@ def _norm_product(x, y):
     return (sum(int(v) ** 2 for v in x) * sum(int(v) ** 2 for v in y)) ** 0.5
 
 
-def _refused(x, y, n):
-    with pytest.raises(BadParams, match="a-priori"):
-        cyclic_convolve(x, y, n)
-
-
 def test_lengths_small_sweep():
     # every length 1..40 takes the direct power-of-two transform (length
     # 1 included) or the pad-and-fold path
     for n in range(1, 41):
         r = CounterRng(n, "conv-small")
-        x = r.integers(0, 50, n)
-        y = r.integers(0, 50, n)
+        x = r.integers(0, 2, n)
+        y = r.integers(0, 2, n)
         got = cyclic_convolve(x, y, n)
         want = convolve_naive(x, y, n)
         assert np.array_equal(got, want), "length %d" % n
@@ -57,136 +41,10 @@ def test_lengths_small_sweep():
 def test_awkward_prime_lengths():
     for n in (17, 97, 101, 257, 1009):
         r = CounterRng(n, "conv-awkward")
-        x = r.integers(0, 1000, n)
-        y = r.integers(0, 1000, n)
+        x = r.integers(0, 2, n)
+        y = r.integers(0, 2, n)
         assert np.array_equal(cyclic_convolve(x, y, n),
                               convolve_naive(x, y, n)), n
-
-
-def test_large_entries_no_overflow():
-    # entries below 2^17 give coefficients up to 2.7e11, far outside a
-    # single 30-bit prime, and are answered exactly in int64; entries up
-    # to 10^6 fail the a-priori bound on their whole norms and are refused
-    r = CounterRng(0, "conv-big")
-    n = 64
-    x = r.integers(0, 1 << 17, n)
-    y = r.integers(0, 1 << 17, n)
-    got = cyclic_convolve(x, y, n)
-    want = _schoolbook(x, y, n)
-    assert got.dtype == np.int64 and got.tolist() == want
-    assert np.array_equal(got, _convolve_ntt(x, y, n))
-    assert max(want) > 998244353  # only meaningful past one prime
-    x = r.integers(0, 10 ** 6, n)
-    y = r.integers(0, 10 ** 6, n)
-    assert _norm_product(x, y) * _fft_error_bound(6) >= 0.25
-    _refused(x, y, n)
-
-
-def test_magnitude_ladder_answered_or_refused():
-    # entries below 2^12 are answered exactly; entries up to 10^6 and a
-    # 61-bit spike against two ones fail the a-priori bound and are
-    # refused (the spike's sum of squares, past int64, is exact on Python
-    # ints)
-    r = CounterRng(3, "conv-ladder")
-    n = 64
-    x, y = r.integers(0, 1 << 12, n), r.integers(0, 1 << 12, n)
-    got = cyclic_convolve(x, y, n)
-    assert np.array_equal(got, convolve_naive(x, y, n))
-    assert got.tolist() == _schoolbook(x, y, n)
-    spike = r.integers(0, 1 << 20, n)
-    spike[5] = (1 << 61) - 1
-    pair = np.zeros(n, dtype=np.int64)
-    pair[[3, 40]] = 1
-    assert _sum_squares(spike) == sum(v * v for v in spike.tolist())
-    for x, y in ((r.integers(0, 10 ** 6, n), r.integers(0, 10 ** 6, n)),
-                 (spike, pair), (pair, spike)):
-        _refused(x, y, n)
-
-
-def _certifies(x, y, size, blocks, turns):
-    """Whether ||x||^2 ||y||^2 bound^2 < 1/16, with the norms on Python
-    ints and the comparison exact."""
-    bound = Fraction(_fft_error_bound(size.bit_length() - 1, blocks - 1,
-                                      turns))
-    sx, sy = (sum(int(e) ** 2 for e in v) for v in (x, y))
-    return sx * sy * bound * bound < Fraction(1, 16)
-
-
-def test_certify_matches_the_bound_on_python_ints():
-    # _certify passes exactly the inputs whose norm product passes the
-    # a-priori bound, computed on Python ints, over one block and over
-    # two (with and without the shift), also where a sum of squares
-    # overflows int64: `lone` alone (n lone^2 >= 2^63) against two ones
-    # is certified and answered exactly, the spike is refused
-    r = CounterRng(9, "conv-width")
-    for n, size in ((64, 128), (4096, 8192), (70001, 1 << 17)):
-        spike = r.integers(0, 1 << 20, n)
-        spike[n // 3] = (1 << 61) - 1
-        pair = np.zeros(n, dtype=np.int64)
-        pair[[1, n - 2]] = 1
-        wide = (1 << 31) // int(n ** 0.5)  # n wide^2 just below 2^62
-        lone = np.zeros(n, dtype=np.int64)
-        lone[n // 2] = 2 * wide  # n lone^2 >= 2^63, far inside the bound
-        assert n * int(lone.max()) ** 2 >= 1 << 63
-        for x, y in ((lone, pair), (pair, lone)):
-            assert cyclic_convolve(x, y, n).tolist() == _schoolbook(x, y, n)
-        seen = set()
-        for x, y in ((spike, pair), (pair, spike), (lone, pair),
-                     (r.integers(0, 1 << 12, n), r.integers(0, 1 << 12, n)),
-                     (r.integers(0, 10 ** 6, n), r.integers(0, 10 ** 6, n)),
-                     (r.integers(0, 2, n).astype(np.uint8),
-                      r.integers(0, 1 << 40, n)),
-                     (r.integers(0, 2, n).astype(np.uint8),
-                      r.integers(0, 1 << 12, n)),
-                     (pair, r.integers(0, wide, n))):
-            for blocks, turns in ((1, 0), (2, 0), (2, 1)):
-                want = _certifies(x, y, size, blocks, turns)
-                seen.add(want)
-                if want:
-                    _certify(x, y, size, blocks, turns)
-                else:
-                    with pytest.raises(BadParams, match="a-priori"):
-                        _certify(x, y, size, blocks, turns)
-        assert seen == {False, True}, n
-
-
-def test_coefficient_beyond_old_crt_range():
-    # 2^40 * 2^20 = 2^60 exceeds the NTT's CRT modulus ~7.5e17, where the
-    # double-prime lift wraps silently; such a product fails the a-priori
-    # bound and is refused.  Every answered coefficient is at most
-    # ||x|| ||y||, which the bound keeps below 1.1e15 (at its shortest
-    # length, N = 1), inside that range.
-    for x, y in (([1 << 40, 3, 0, 5], [1 << 20, 0, 7, 0]),
-                 ([1 << 40, 0, 0, 0], [1 << 20, 0, 0, 0])):
-        assert max(_schoolbook(x, y, 4)) >= _P1 * _P2
-        _refused(x, y, 4)
-    x, y = [1 << 21, 3, 0, 5], [1 << 20, 0, 7, 0]
-    want = _schoolbook(x, y, 4)
-    got = cyclic_convolve(x, y, 4)
-    assert got.tolist() == want and max(want) < _P1 * _P2
-    assert np.array_equal(got, _convolve_ntt(np.array(x), np.array(y), 4))
-    assert cyclic_convolve([1 << 21, 0, 0, 0], [1 << 20, 0, 0, 0],
-                           4).tolist() == [1 << 41, 0, 0, 0]
-    assert 1 / (4 * _fft_error_bound(0)) < 1.1e15 < _P1 * _P2
-
-
-def test_mass_up_to_int64_answered():
-    # a mass sum(x) sum(y) = 2^63 - 2^44, just below the largest allowed,
-    # is answered where the norms certify: 2^22 ones against 2^22 entries
-    # 2^19 - 1 (||x|| ||y|| = 2^22 (2^19 - 1) = 2.2e12, below the bound's
-    # 2.57e12 at N = 2^22).  The mass 2^63 - 1 of one entry 2^63 - 1
-    # against a one is refused by the a-priori bound, and the mass 2^63 of
-    # 2^62 against a two by the mass check.
-    n = 1 << 22
-    x = np.ones(n, dtype=np.uint8)
-    y = np.full(n, (1 << 19) - 1, dtype=np.int64)
-    assert n * n * ((1 << 19) - 1) == (1 << 63) - (1 << 44)
-    got = cyclic_convolve(x, y, n)
-    assert got.dtype == np.int64
-    assert (got == n * ((1 << 19) - 1)).all()
-    _refused([(1 << 63) - 1, 0], [1, 0], 2)
-    with pytest.raises(BadParams, match="sum"):
-        cyclic_convolve([1 << 62, 0], [2, 0], 2)
 
 
 def test_negative_entries_refused():
@@ -205,9 +63,69 @@ def test_two_dimensional_input_refused():
                         np.ones((2, 2), dtype=np.int64), 2)
 
 
+def test_non_indicators_refused_before_any_transform(monkeypatch):
+    # an entry other than 0 or 1 in any integer dtype, float entries, a
+    # 2-D input or a length mismatch, on either side, raises BadParams
+    # before any rfft runs
+    calls = []
+    rfft = np.fft.rfft
+
+    def spy(*args, **kwargs):
+        calls.append(len(args[0]))
+        return rfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", spy)
+    n = 1000
+    ones = np.zeros(n, dtype=np.uint8)
+    ones[::7] = 1
+
+    def with_entry(value, dtype):
+        v = ones.astype(dtype)
+        v[500] = value
+        return v
+
+    for bad in (with_entry(2, np.int64), with_entry(255, np.uint8),
+                with_entry(-1, np.int64), ones.astype(np.float64),
+                np.ones((2, n // 2), dtype=np.uint8), ones[:-1]):
+        for x, y in ((bad, ones), (ones, bad)):
+            with pytest.raises(BadParams, match="cyclic_convolve needs"):
+                cyclic_convolve(x, y, n)
+    assert calls == []
+    assert np.array_equal(cyclic_convolve(ones, ones, n),
+                          convolve_naive(ones, ones, n))
+    assert calls
+
+
+def test_certify_takes_point_counts():
+    # An indicator's squared norm is its point count.  At N = 2^21, on one
+    # block and on four (with and without the shift twiddle), two
+    # 2^20-point indicators pass, and of two count pairs 10^-9 inside and
+    # outside the bound the first passes and the second is refused, each
+    # as the bound compared exactly on Fractions says.  Full indicators of
+    # length N first fail at N = 2^41, so only a direct call reaches a
+    # refusal.
+    size = 1 << 21
+    for blocks, turns in ((1, 0), (4, 0), (4, 1)):
+        bound = Fraction(_fft_error_bound(21, blocks - 1, turns))
+        edge = math.isqrt(int(1 / (16 * bound * bound)))
+        verdicts = []
+        for sx, sy in ((1 << 20, 1 << 20), (edge - edge // 10 ** 9, edge),
+                       (edge + edge // 10 ** 9, edge)):
+            verdicts.append(sx * sy * bound * bound < Fraction(1, 16))
+            if verdicts[-1]:
+                _certify(sx, sy, size, blocks, turns)
+            else:
+                with pytest.raises(BadParams, match="a-priori"):
+                    _certify(sx, sy, size, blocks, turns)
+        assert verdicts == [True, True, False], (blocks, turns)
+    _certify(1 << 40, 1 << 40, 1 << 40, 1, 0)
+    with pytest.raises(BadParams, match="a-priori"):
+        _certify(1 << 41, 1 << 41, 1 << 41, 1, 0)
+
+
 def test_numpy_integer_length():
-    got = cyclic_convolve(np.array([1, 2]), np.array([3, 4]), np.int64(2))
-    assert got.tolist() == [11, 10]
+    got = cyclic_convolve(np.array([1, 0]), np.array([0, 1]), np.int64(2))
+    assert got.tolist() == [0, 1]
 
 
 def test_indicator_autocorrelation_identity():
@@ -222,44 +140,44 @@ def test_indicator_autocorrelation_identity():
 
 
 def test_length_one_and_errors():
-    assert cyclic_convolve(np.array([7]), np.array([6]), 1).tolist() == [42]
+    assert cyclic_convolve(np.array([1]), np.array([1]), 1).tolist() == [1]
     with pytest.raises(BadParams):
-        cyclic_convolve(np.array([1, 2]), np.array([1]), 2)
+        cyclic_convolve(np.array([1, 0]), np.array([1]), 2)
     with pytest.raises(BadParams):
         cyclic_convolve(np.array([], dtype=np.int64),
                         np.array([], dtype=np.int64), 0)
 
 
 def test_seeded_random_lengths_loop():
-    # 60 random (length, values) instances, mixed magnitudes
+    # 60 random (length, density) instances, empty and full vectors
+    # included
     rng = CounterRng(42, "conv-loop")
     for trial in range(60):
         n = 1 + int(rng.below(300))
-        hi = 2 + int(rng.below(5000))
-        x = rng.integers(0, hi, n)
-        y = rng.integers(0, hi, n)
+        cut = int(rng.below(n + 1))
+        x = (rng.integers(0, n, n) < cut).astype(np.int64)
+        y = (rng.integers(0, n, n) < cut).astype(np.int64)
         assert np.array_equal(cyclic_convolve(x, y, n),
-                              convolve_naive(x, y, n)), (trial, n, hi)
+                              convolve_naive(x, y, n)), (trial, n, cut)
 
 
 def test_fft_ntt_naive_bit_identical():
     # power-of-two lengths (direct), pad-and-fold lengths, and p - 1 for
-    # p in {101, 257, 1009, 10007}; indicators and small integer entries
+    # p in {101, 257, 1009, 10007}
     lengths = (2, 8, 64, 1024, 3, 17, 97, 1009, 100, 256, 1008, 10006)
     for n in lengths:
         r = CounterRng(n, "conv-fft")
-        for hi in (2, 50):
-            x = r.integers(0, hi, n)
-            y = r.integers(0, hi, n)
-            if n > 1024:  # keep the schoolbook loop short: at most 40 x[i]
-                keep = np.zeros(n, dtype=bool)
-                keep[r.integers(0, n, 40)] = True
-                x[~keep] = 0
-            fft = _convolve_fft(x, y, n)
-            assert fft.dtype == np.int64
-            assert np.array_equal(fft, _convolve_ntt(x, y, n)), (n, hi)
-            assert np.array_equal(fft, convolve_naive(x, y, n)), (n, hi)
-            assert np.array_equal(cyclic_convolve(x, y, n), fft), (n, hi)
+        x = r.integers(0, 2, n)
+        y = r.integers(0, 2, n)
+        if n > 1024:  # keep the schoolbook loop short: at most 40 x[i]
+            keep = np.zeros(n, dtype=bool)
+            keep[r.integers(0, n, 40)] = True
+            x[~keep] = 0
+        fft = _convolve_fft(x, y, n)
+        assert fft.dtype == np.int64
+        assert np.array_equal(fft, _convolve_ntt(x, y, n)), n
+        assert np.array_equal(fft, convolve_naive(x, y, n)), n
+        assert np.array_equal(cyclic_convolve(x, y, n), fft), n
 
 
 def test_fft_taken_on_large_indicators():
@@ -301,27 +219,6 @@ def test_narrow_and_shared_inputs_bit_identical():
             assert np.array_equal(shared, cyclic_convolve(v, v.copy(), n))
         if n <= 1024:
             assert np.array_equal(want, convolve_naive(x, y, n)), n
-
-
-def test_narrow_indicator_against_large_entries():
-    # a uint8 indicator against 24-bit entries is answered, as uint8 and
-    # as int64, and against 40-bit entries refused either way; the
-    # a-priori bound takes the indicator's sum of squares on uint8.
-    # 2048 ones: a sum of squares kept in uint8 would wrap to 0
-    n = 4096
-    r = CounterRng(5, "conv-narrow-wide")
-    x = np.zeros(n, dtype=np.uint8)
-    x[np.argsort(r.integers(0, 1 << 40, n))[:2048]] = 1
-    wide = x.astype(np.int64)
-    assert _sum_squares(x) == 2048
-    y = r.integers(0, 1 << 24, n)
-    want = _convolve_ntt(wide, y, n)
-    for v in (x, wide):
-        got = cyclic_convolve(v, y, n)
-        assert got.dtype == np.int64 and np.array_equal(got, want)
-    y = r.integers(0, 1 << 40, n)
-    for v in (x, wide):
-        _refused(v, y, n)
 
 
 def test_transform_memory_bounded():
@@ -385,37 +282,32 @@ BLOCK_LENGTHS = (1, 2, 3, 5, 6, 7, 999, 1000, 1024, 65537, 1048572, 1048573)
 
 @pytest.mark.parametrize("n", BLOCK_LENGTHS)
 def test_one_and_two_blocks_bit_identical(n):
-    # The route on one, two and four blocks gives the same int64 counts,
-    # and all match an independent oracle: the NTT up to n = 65537, else
-    # the schoolbook convolution on an x of at most 40 points.  Both
-    # cases certify on every route: uint8 indicators, and int64 entries
-    # in [256, 1000), whose outputs on two and four blocks (the wrapped
-    # products folded in, shifted by d) the int64 path computes.
+    # The route on one, two and four blocks gives the same int64 counts
+    # on uint8 indicators (on two and four blocks with the wrapped
+    # products folded in, shifted by d), and all match an independent
+    # oracle: the NTT up to n = 65537, else the schoolbook convolution on
+    # an x of at most 40 points.
     r = CounterRng(n, "conv-blocks")
     ntt = n <= 65537
 
-    def draw(lo, hi, count, dtype=np.int64):  # count positions in [lo, hi)
-        v = np.zeros(n, dtype=dtype)
-        v[r.integers(0, n, count)] = r.integers(lo, hi, count)
+    def draw(count):  # an indicator of at most count points
+        v = np.zeros(n, dtype=np.uint8)
+        v[r.integers(0, n, count)] = 1
         return v
 
-    cases = [(draw(1, 2, n if ntt else 40, np.uint8),
-              draw(1, 2, n if ntt else n // 8, np.uint8)),
-             (draw(256, 1000, n if ntt else 40),
-              draw(256, 1000, n if ntt else n // 8))]
-    for case, (x, y) in enumerate(cases):
-        one = _convolve_fft(x, y, n, 1)
-        assert one.dtype == np.int64, (n, case)
-        for blocks in (2, 4):
-            got = _convolve_fft(x, y, n, blocks)
-            assert got.dtype == np.int64, (n, case, blocks)
-            assert got.flags.owndata and len(got) == n, (n, case, blocks)
-            assert np.array_equal(got, one), (n, case, blocks)
-        if ntt:
-            want = _convolve_ntt(x.astype(np.int64), y.astype(np.int64), n)
-        else:
-            want = convolve_naive(x, y, n)
-        assert np.array_equal(one, want), (n, case)
+    x, y = draw(n if ntt else 40), draw(n if ntt else n // 8)
+    one = _convolve_fft(x, y, n, 1)
+    assert one.dtype == np.int64, n
+    for blocks in (2, 4):
+        got = _convolve_fft(x, y, n, blocks)
+        assert got.dtype == np.int64, (n, blocks)
+        assert got.flags.owndata and len(got) == n, (n, blocks)
+        assert np.array_equal(got, one), (n, blocks)
+    if ntt:
+        want = _convolve_ntt(x.astype(np.int64), y.astype(np.int64), n)
+    else:
+        want = convolve_naive(x, y, n)
+    assert np.array_equal(one, want), n
 
 
 @pytest.mark.parametrize("n", (524309, 786433, 1048573))
@@ -456,9 +348,7 @@ def test_two_blocks_fold_into_two_inverse_transforms(n, monkeypatch,
     # m blocks take 2m rfft and m irfft, half of each on the worker
     # thread: the m^2 block products fold into m inverse transforms,
     # grouped by a + b mod m, at even n (no shift) and odd n (a shift by
-    # d = mh - n: 1 for two blocks, 3 for four), for indicators and for
-    # int64 entries below 1000 alike.  Entries up to 10^6 fail the
-    # a-priori bound and are refused before any transform runs.
+    # d = mh - n: 1 for two blocks, 3 for four).
     r = CounterRng(n, "conv-count")
     calls = {"rfft": [], "irfft": []}
 
@@ -473,23 +363,15 @@ def test_two_blocks_fold_into_two_inverse_transforms(n, monkeypatch,
 
     monkeypatch.setattr(np.fft, "rfft", spy("rfft"))
     monkeypatch.setattr(np.fft, "irfft", spy("irfft"))
-    for hi in (2, 1000):
-        x, y = r.integers(0, hi, n), r.integers(0, hi, n)
-        want = _convolve_fft(x, y, n, 1)
-        for m in (2, 4):
-            for seen in calls.values():
-                seen.clear()
-            assert np.array_equal(_convolve_fft(x, y, n, m), want), (n, hi)
-            for (name, seen), count in zip(calls.items(), (2 * m, m)):
-                assert seen.count(True) == seen.count(False) == count // 2, \
-                    (n, hi, m, name, seen)
-    x, y = r.integers(0, 10 ** 6, n), r.integers(0, 10 ** 6, n)
-    for m in (1, 2, 4):
+    x, y = r.integers(0, 2, n), r.integers(0, 2, n)
+    want = _convolve_fft(x, y, n, 1)
+    for m in (2, 4):
         for seen in calls.values():
             seen.clear()
-        with pytest.raises(BadParams, match="a-priori"):
-            _convolve_fft(x, y, n, m)
-        assert calls == {"rfft": [], "irfft": []}, m
+        assert np.array_equal(_convolve_fft(x, y, n, m), want), (n, m)
+        for (name, seen), count in zip(calls.items(), (2 * m, m)):
+            assert seen.count(True) == seen.count(False) == count // 2, \
+                (n, m, name, seen)
 
 
 def test_error_bound_counts_adds_and_one_turn(monkeypatch):

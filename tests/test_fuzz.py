@@ -3,7 +3,6 @@ and the "auto" choice against the enumeration, and the FFT against the
 NTT oracle of tests/oracles.py, over random primes and sizes plus the
 edge cases p = 3, a full field, |A| = 1, 0 in the sets and small sets at
 p = 1048573, and on two index blocks at seeded primes past 2^16; the
-FFT's answers and refusals on either side of its a-priori bound; the
 batched CounterRng draws against a scalar `below` oracle; the fast paths
 of the per-instance quantities (grouped moments, mu over gathered
 values, the cached mu(g*h)) against their direct forms; and the pair
@@ -14,7 +13,6 @@ replaced."""
 import copy
 import itertools
 import math
-from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +23,7 @@ from fpsp.convolve import _convolve_fft
 from fpsp.energy import (RepFn, dyadic_buckets, energy_popular, level_counts,
                          level_set, moment, popular_diff, popular_sum_core,
                          rep_fn, select_dyadic_k)
-from fpsp.errors import BadP, BadParams, EmptySet
+from fpsp.errors import BadP, EmptySet
 from fpsp.field import is_prime, make_field
 from fpsp.functions import (_unit_image, f_image, make_fn, mu, mu_product,
                             pointwise_product)
@@ -36,7 +34,7 @@ from fpsp.sets import FSet, _pair_count, combine, generate
 from fpsp.verify import (_KERNEL_OF, _energy_and_incidences,
                          count_N_shifted, count_X, holder_weighted_sum,
                          quad_energy, solution_count_M)
-from oracles import _P1, _P2, _convolve_ntt, solution_count_M_brute
+from oracles import _convolve_ntt, solution_count_M_brute
 
 P_LARGE = 1048573
 NTT_MAX_P = 5000  # the NTT oracle is slow past a few thousand points
@@ -152,67 +150,6 @@ def test_two_block_transform_matches_enumeration(monkeypatch):
             monkeypatch.setattr(convolve, "_block_count",
                                 lambda n, blocks=blocks: blocks)
             _routes_agree(f, b, c, (trial, p, blocks, b.size, c.size))
-
-
-def _percival(k, adds, turns):
-    """The a-priori error factor of the fpsp.convolve docstring at length
-    2^k, with `adds` more roundings and `turns` more twiddle products, in
-    50-digit decimal arithmetic."""
-    with localcontext() as ctx:
-        ctx.prec = 50
-        e = Decimal(2) ** -53
-        return ((1 + e) ** (3 * k + adds)
-                * (1 + e * Decimal(5).sqrt()) ** (3 * k + 1 + turns)
-                * (1 + convolve._TWIDDLE_ERR * e) ** (3 * k + turns) - 1)
-
-
-def test_fft_answers_exactly_or_refuses_at_its_bound():
-    # int64 vectors scaled so that ||x|| ||y|| lands at 0.5 to 2 times
-    # 1/(4 bound) of one block, at lengths from 7 to 65537, on 1, 2 and 4
-    # blocks (the bound grows by m - 1 roundings and, where d = mh - n > 0,
-    # one twiddle product).  Each call is refused exactly when the bound,
-    # from sums of squares on Python ints, fails; else it returns the NTT
-    # oracle's answer, every coefficient below its CRT range _P1 * _P2.
-    rng = CounterRng(2, "fuzz-bound")
-    seen = {m: set() for m in (1, 2, 4)}
-    for n in (7, 64, 999, 4096, 65537):
-        def bound_on(m):  # at the route's transform length for m blocks
-            h = -(-n // m)
-            size = (n if m == 1 and n & (n - 1) == 0
-                    else 1 << (2 * h - 2).bit_length())
-            return _percival(size.bit_length() - 1, m - 1, min(m * h - n, 1))
-
-        edge = 1 / (4 * float(bound_on(1)))
-        for f in (0.5, 0.9, 0.99, 1.01, 1.1, 2.0):
-            x, y = (rng.integers(0, 1 << 20, n) for _ in range(2))
-            norms = math.sqrt(sum(int(v) ** 2 for v in x)
-                              * sum(int(v) ** 2 for v in y))
-            scale = math.sqrt(f * edge / norms)
-            x, y = ((v * scale).astype(np.int64) for v in (x, y))
-            squares = (sum(int(v) ** 2 for v in x)
-                       * sum(int(v) ** 2 for v in y))
-            want = None
-            for m in (1, 2, 4):
-                bound = bound_on(m)
-                with localcontext() as ctx:
-                    ctx.prec = 50
-                    margin = squares * bound * bound * 16
-                # far from the edge, where the package's float bound and
-                # this one could round to different sides
-                assert abs(margin - 1) > Decimal("1e-9"), (n, f, m)
-                tag = (n, f, m, float(margin))
-                if margin >= 1:
-                    with pytest.raises(BadParams, match="a-priori"):
-                        _convolve_fft(x, y, n, m)
-                    seen[m].add(False)
-                    continue
-                if want is None:
-                    want = _convolve_ntt(x, y, n)
-                got = _convolve_fft(x, y, n, m)
-                assert np.array_equal(got, want), tag
-                assert int(got.max()) < _P1 * _P2, tag
-                seen[m].add(True)
-    assert all(s == {False, True} for s in seen.values()), seen
 
 
 # Spans that reject about a quarter of all 64-bit words (2^62 + 1 and

@@ -65,6 +65,10 @@ def test_config_defaults():
     {"eps": "abc"},                       # not a number
     {"eps": "1/0"},                       # zero denominator
     {"eps": 2},                           # outside (0,1), phi not run
+    {"g": ["idd"]},                       # misspelt function spec
+    {"h": ["affine:1"]},                  # affine needs u and v
+    {"g": [True]},                        # a spec must be a string
+    {"h": [1]},
 ])
 def test_config_rejects(broken):
     # primes=4 passes the >= 3 gate here; make_field rejects it later, so
