@@ -164,10 +164,12 @@ def popular_diff(b: FSet, c: FSet) -> FSet:
     return FSet._from_sorted(b.field, hist.values[keep])
 
 
-def normalize_eps(eps: Fraction | float | None, size: int) -> Fraction:
+def normalize_eps(eps: Fraction | float | str | None, size: int) -> Fraction:
     """Epsilon handling shared by the popularity machinery: None means the
     default 1/log2(size) (rationalized so comparisons stay exact), anything
-    else is converted to a Fraction; the result must land in (0,1)."""
+    else is converted to a Fraction: a string is read exactly ("a/b",
+    "0.1", "1e-1"), a float keeps its binary value; the result must land
+    in (0,1)."""
     if eps is None:
         if size < 3:
             raise BadEpsilon("default eps = 1/log2|C| needs |C| >= 3")
@@ -195,8 +197,11 @@ def popular_sum_core(c: FSet, eps: Fraction | float | None = None
     p = c.field.p
     hist = rep_fn(c, c, "sum").hist
     num, den = eps.numerator, eps.denominator
-    # r(x) * |C+C| >= eps * |C|^2  <=>  r(x) * |C+C| * den >= num * |C|^2
-    keep = hist.counts * len(hist.values) * den >= num * c.size * c.size
+    # r(x) * |C+C| >= eps * |C|^2  <=>  r(x) >= ceil(num |C|^2 / (den |C+C|))
+    # as r(x) is an integer; the bound is a Python int, so a float eps's
+    # denominator (2^55 for 0.1) cannot overflow int64 here
+    keep = hist.counts >= -(-num * c.size * c.size
+                            // (den * len(hist.values)))
     pset = FSet._from_sorted(c.field, hist.values[keep])
     ce = c.elements()
     # |{c'': c'+c'' in P}| >= (1-eps)|C|  <=>  den*count >= (den-num)*|C|

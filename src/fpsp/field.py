@@ -47,7 +47,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for 64-bit inputs."""
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_WITNESSES:
         if n % small == 0:
             return n == small
     d, r = n - 1, 0
@@ -157,19 +157,11 @@ class PrimeField:
         # two length-B power runs and one outer product, reduced in place.
         # Every product is below p^2 <= 2^40, so int64 is exact.
         p, g = self.p, self.root
-
-        def powers(base: int, count: int) -> np.ndarray:
-            out = np.empty(count, dtype=np.int64)
-            acc = 1
-            for e in range(count):
-                out[e] = acc
-                acc = acc * base % p
-            return out
-
         n = p - 1
         width = math.isqrt(n - 1) + 1
         rows = -(-n // width)
-        low, high = powers(g, width), powers(pow(g, width, p), rows)
+        low = powmod(g, np.arange(width), p)
+        high = powmod(pow(g, width, p), np.arange(rows), p)
         grid = np.empty((rows, width), dtype=np.int64)
         np.multiply(high[:, None], low[None, :], out=grid)
         grid %= p

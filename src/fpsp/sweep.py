@@ -26,9 +26,9 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import os
 import statistics
 import time
-from fractions import Fraction
 from multiprocessing import Pool
 
 from .energy import normalize_eps
@@ -66,8 +66,10 @@ class SweepConfig:
         na <= nb), seeds.  Optional: g, h (function spec lists, default
         identity and const 1), kinds (default ["sum"]), chains (default
         ["lemma"]), theorems (default []), k ("auto" or an integer level),
-        eps (float or "num/den" string, phi chain only), triples_cap,
-        collinear_cap.
+        eps (phi chain only: a string is read exactly, as "a/b" or a
+        decimal, as `fpsp verify phi --eps` reads it; a number keeps its
+        binary value), triples_cap, collinear_cap.  A file: function spec
+        must name an existing file; its table is read per instance.
         """
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
@@ -122,9 +124,11 @@ class SweepConfig:
         cfg.h_specs = want_list("h", ["const:1"])
         for spec in cfg.g_specs + cfg.h_specs:
             try:  # syntax only: tables built here would stay in every worker
-                fn_spec_args(spec)
+                kind, args = fn_spec_args(spec)
             except ParseError as exc:
                 raise ConfigError(str(exc))
+            if kind == "file" and not os.path.isfile(args["path"]):
+                raise ConfigError("function spec %r: no such file" % spec)
         cfg.kinds = [str(s) for s in want_list("kinds", ["sum"])]
         for kd in cfg.kinds:
             if kd not in ("sum", "prod"):
@@ -148,7 +152,7 @@ class SweepConfig:
                 raise ConfigError("eps must be a number or \"num/den\" "
                                   "string")
             try:  # the range check phi_chain makes; size is unused here
-                normalize_eps(_parse_eps(eps), 0)
+                normalize_eps(eps, 0)
             except (ValueError, ZeroDivisionError, OverflowError,
                     BadEpsilon) as exc:
                 raise ConfigError("bad eps %r: %s" % (eps, exc))
@@ -182,14 +186,6 @@ class SweepConfig:
         return list(itertools.product(self.primes, self.families,
                                       self.sizes, self.seeds, self.g_specs,
                                       self.h_specs))
-
-
-def _parse_eps(eps):
-    if eps is None:
-        return None
-    if isinstance(eps, str) and "/" in eps:
-        return Fraction(eps)
-    return float(eps)
 
 
 def _descriptor_id(desc) -> str:
@@ -268,7 +264,7 @@ def _instance_payload(cfg: SweepConfig, desc) -> dict:
             reports.append((ch, eplus_chain(a, b, c, g, h,
                                             cap=cfg.triples_cap)))
         else:  # phi
-            reports.append((ch, phi_chain(b, c, eps=_parse_eps(cfg.eps))))
+            reports.append((ch, phi_chain(b, c, eps=cfg.eps)))
     ident = _descriptor_id(desc)
     chains = [dict(rep.to_dict(), chain=label, id=ident)
               for label, rep in reports]

@@ -440,6 +440,33 @@ def test_sweep_bad_function_spec_fails_at_load(tmp_path, capsys,
         assert "error:" in err and "spec" in err, (g, err)
 
 
+def test_sweep_missing_function_file_fails_at_load(tmp_path, capsys):
+    # a file: spec naming no file is refused when the config loads (exit
+    # 2, nothing on stdout), not by the first instance that reads it
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"primes": [101], "families": ["interval"],
+                                "sizes": [[4, 8, 8]], "seeds": [0],
+                                "h": ["file:%s" % (tmp_path / "absent.txt")]}))
+    code, out, err = run(capsys, "sweep", "--config", str(path))
+    assert code == 2 and out == ""
+    assert "error:" in err and "absent.txt" in err and "Errno" not in err
+
+
+def test_sweep_and_verify_phi_read_decimal_eps_alike(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"primes": [101], "families": ["interval"],
+                                "sizes": [[4, 8, 8]], "seeds": [0],
+                                "chains": ["phi"], "eps": "0.1"}))
+    code, out, _ = run(capsys, "sweep", "--config", str(path))
+    assert code == 0
+    [chain] = json.loads(out)["report"]["chains"]
+    code, out, _ = run(capsys, "verify", "phi", "--p", "101",
+                       "--B", "interval:1:10", "--eps", "0.1")
+    assert code == 0
+    assert chain["instance"]["eps"] == json.loads(out)["instance"]["eps"] \
+        == "1/10"
+
+
 # -- dispatch plumbing -------------------------------------------------------
 
 

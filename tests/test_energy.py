@@ -164,11 +164,28 @@ def test_popular_sum_core_exact_boundary():
     assert pset.elements().tolist() == [2, 3, 4, 5, 6]
 
 
+def test_popular_sum_core_float_eps_exact():
+    # a float eps keeps its binary value (0.1 = m / 2^55), whose denominator
+    # times r(x) |C+C| passes 2^63 from |C| = 16 on
+    c = generate(F101, "random", size=32, seed=1)
+    r = rep_fn(c, c, "sum")
+    support = np.flatnonzero(r.counts).tolist()
+    for eps in (0.1, 0.2, Fraction(1, 10)):
+        num, den = Fraction(eps).numerator, Fraction(eps).denominator
+        want = [x for x in support if int(r.counts[x]) * len(support) * den
+                >= num * c.size * c.size]
+        assert popular_sum_core(c, eps)[0].elements().tolist() == want, eps
+
+
 def test_normalize_eps():
     assert normalize_eps(Fraction(1, 4), 100) == Fraction(1, 4)
     assert normalize_eps(None, 8) == Fraction(1, 3)  # 1/log2(8)
     got = normalize_eps(0.25, 10)
     assert got == Fraction(1, 4)
+    # a string is read exactly, as `--eps` is; a float keeps its binary value
+    for text in ("0.1", "1/10", "1e-1"):
+        assert normalize_eps(text, 10) == Fraction(1, 10), text
+    assert normalize_eps(0.1, 10) == Fraction(0.1) != Fraction(1, 10)
     for bad in (Fraction(0), Fraction(1), Fraction(3, 2), 0.0, -0.5):
         with pytest.raises(BadEpsilon):
             normalize_eps(bad, 10)

@@ -10,7 +10,7 @@ import pytest
 
 from fpsp import functions, verify
 from fpsp.energy import rep_fn
-from fpsp.errors import ConfigError
+from fpsp.errors import ConfigError, ParseError
 from fpsp.field import PrimeField, make_field
 from fpsp.sets import generate
 from fpsp.sweep import (SweepConfig, _instance_payload, build_instance_sets,
@@ -65,6 +65,7 @@ def test_config_defaults():
     {"eps": "abc"},                       # not a number
     {"eps": "1/0"},                       # zero denominator
     {"eps": 2},                           # outside (0,1), phi not run
+    {"eps": True},                        # JSON true is not the number 1
     {"g": ["idd"]},                       # misspelt function spec
     {"h": ["affine:1"]},                  # affine needs u and v
     {"g": [True]},                        # a spec must be a string
@@ -170,6 +171,49 @@ def test_eps_accepts_fraction_string_and_float():
         res = run_sweep(_cfg(families=["interval"], seeds=[0],
                              chains=["phi"], eps=eps))
         assert res["report"]["n_failures"] == 0
+
+
+# SHA-256 of report_json for the phi grid _cfg(chains=["phi"], eps=...),
+# pinned while a string eps without "/" was still read as a float: an
+# "a/b" string and a JSON number keep their bytes.
+EPS_REPORT_SHA256 = {
+    "1/5": "d17cca2933ead0731e7b84c4b4b34c9d9bfe42bff6d59432db01ec05b2563050",
+    0.1: "ae62e13fb3fa4d597ee219f708a384e17c604e21cce29aec80a9e7c15c6efcc7",
+}
+
+
+def test_eps_string_read_exactly_number_keeps_binary_value():
+    for eps, want in EPS_REPORT_SHA256.items():
+        rep = run_sweep(_cfg(chains=["phi"], eps=eps))["report"]
+        got = hashlib.sha256(report_json(rep).encode()).hexdigest()
+        assert got == want, eps
+    # Fraction(0.1) is the double nearest 1/10, exactly
+    for eps, want in (("0.1", "1/10"), ("1e-1", "1/10"), ("1/10", "1/10"),
+                      (0.1, "3602879701896397/36028797018963968")):
+        rep = run_sweep(_cfg(families=["interval"], seeds=[0],
+                             chains=["phi"], eps=eps))["report"]
+        assert [c["instance"]["eps"] for c in rep["chains"]] == [want], eps
+        assert rep["config"]["eps"] == eps
+
+
+def test_file_spec_must_exist_at_load(tmp_path):
+    missing = tmp_path / "absent.txt"
+    for key in ("g", "h"):
+        with pytest.raises(ConfigError, match="absent.txt"):
+            SweepConfig.from_dict(_cfg(**{key: ["file:%s" % missing]}))
+    with pytest.raises(ConfigError):  # a directory is not a table file
+        SweepConfig.from_dict(_cfg(g=["file:%s" % tmp_path]))
+    # the table is read per instance: a present file loads, and one of the
+    # wrong length fails only when its instance runs
+    good, short = tmp_path / "good.txt", tmp_path / "short.txt"
+    functions.write_fn_file(str(good),
+                            functions.make_fn(make_field(101), "power", k=3))
+    short.write_text("p=101\n1\n2\n")
+    cfg = SweepConfig.from_dict(_cfg(seeds=[0], g=["file:%s" % good]))
+    assert run_sweep(cfg)["report"]["n_failures"] == 0
+    cfg = SweepConfig.from_dict(_cfg(seeds=[0], g=["file:%s" % short]))
+    with pytest.raises(ParseError):
+        _instance_payload(cfg, cfg.descriptors()[0])
 
 
 def test_load_config_file(tmp_path):
