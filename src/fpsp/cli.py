@@ -32,7 +32,6 @@ ignored.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -48,7 +47,7 @@ from .incidence import (COLLINEAR_CAP, MATERIALIZE_CAP, TRIPLES_CAP,
                         rudnev_ratio, structural_collinear)
 from .sets import (FAMILIES, FSet, _format_lines, _read_lines, affine,
                    combine, generate, read_set_file)
-from .sweep import load_config_file, rows_csv, run_sweep
+from .sweep import load_config_file, report_json, rows_csv, run_sweep
 from .verify import (THEOREMS, ThmInstance, composite_N_check, eplus_chain,
                      lemma_chain_check, n_chain_check, phi_chain,
                      theorem_ratio)
@@ -123,7 +122,7 @@ def _emit_set(a: FSet, out: str | None, what: str = "set") -> None:
 
 
 def _emit_json(data, out: str | None = None) -> None:
-    blob = json.dumps(data, sort_keys=True, indent=1)
+    blob = report_json(data)
     if out:
         with open(out, "w") as fh:
             fh.write(blob + "\n")

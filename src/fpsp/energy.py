@@ -168,14 +168,16 @@ def normalize_eps(eps: Fraction | float | str | None, size: int) -> Fraction:
     """Epsilon handling shared by the popularity machinery: None means the
     default 1/log2(size) (rationalized so comparisons stay exact), anything
     else is converted to a Fraction: a string is read exactly ("a/b",
-    "0.1", "1e-1"), a float keeps its binary value; the result must land
-    in (0,1)."""
+    "0.1", "1e-1"), a float keeps its binary value up to a denominator of
+    2^62; the result must land in (0,1)."""
     if eps is None:
         if size < 3:
             raise BadEpsilon("default eps = 1/log2|C| needs |C| >= 3")
         eps = Fraction(1.0 / math.log2(size)).limit_denominator(1 << 40)
-    elif not isinstance(eps, Fraction):
+    elif isinstance(eps, float):
         eps = Fraction(eps).limit_denominator(1 << 62)
+    else:
+        eps = Fraction(eps)
     if not 0 < eps < 1:
         raise BadEpsilon("eps must be in (0,1), got %s" % eps)
     return eps

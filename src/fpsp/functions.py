@@ -32,7 +32,7 @@ from .sets import FSet, _format_lines, _pair_count, _read_lines
 class FnTable:
     """A function F_p^* -> F_p^* as a flat lookup table."""
 
-    __slots__ = ("field", "values", "label", "_mu", "_mu_products",
+    __slots__ = ("field", "values", "label", "_mu", "_mu_product",
                  "__weakref__")
 
     def __init__(self, field: PrimeField, values: np.ndarray, label: str = ""):
@@ -50,7 +50,7 @@ class FnTable:
         self.values.flags.writeable = False
         self.label = label
         self._mu = None  # mu over all of F_p^*, once computed
-        self._mu_products: dict = {}  # id(h) -> (weakref(h), mu(self*h))
+        self._mu_product = None  # (weakref(h), mu(self*h)) of the last h
 
     def __call__(self, x: int) -> int:
         x %= self.field.p
@@ -217,17 +217,17 @@ def mu_product(g: FnTable, h: FnTable, domain: FSet | None = None) -> int:
     """mu(g*h, domain), equal to mu(pointwise_product(g, h), domain).
 
     On a domain A the fibers are counted over the |A| products g(a)h(a).
-    The whole-domain value is one bincount over the products, computed
-    once per (g, h) pair; only the int is kept, on g, so no product
-    table outlives the call.  A constant h (nonzero, as every table
-    value is) keeps g's fibers, so then it is mu(g)."""
+    The whole-domain value is one bincount over the products.  Only the
+    int is kept, on g, for the last h it was paired with (a sweep
+    instance pairs each g with one h), so no product table outlives the
+    call and no table keeps more than one value.  A constant h (nonzero,
+    as every table value is) keeps g's fibers, so then it is mu(g)."""
     if g.field != h.field:
         raise FieldMismatch("tables over different fields")
     if domain is not None:
         dom = _domain(g, domain)
         return _fiber_max(g.values[dom] * h.values[dom] % g.field.p)
-    # keyed by id(h) with a weak reference to h: a dead h's id may be reused
-    hit = g._mu_products.get(id(h))
+    hit = g._mu_product
     if hit is None or hit[0]() is not h:
         hv = h.values[1:]
         if hv.min() == hv.max():
@@ -236,8 +236,7 @@ def mu_product(g: FnTable, h: FnTable, domain: FSet | None = None) -> int:
             prod = g.values[1:] * hv
             prod %= g.field.p
             got = _bincount_max(prod)
-        hit = (weakref.ref(h), got)
-        g._mu_products[id(h)] = hit
+        hit = g._mu_product = (weakref.ref(h), got)
     return hit[1]
 
 

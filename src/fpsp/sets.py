@@ -44,7 +44,7 @@ import numpy as np
 from . import convolve
 from .errors import (BadParams, FieldMismatch, ParseError, ZeroDilation,
                      ZeroDivisor)
-from .field import PrimeField, factorize
+from .field import PrimeField, factorize, powmod
 from .rng import CounterRng
 
 FAMILIES = ("interval", "ap", "gp", "mul_subgroup", "random", "explicit")
@@ -93,7 +93,7 @@ class FSet:
                          else elems, dtype=np.int64)
         if len(arr):
             mask[arr % field.p] = True
-        return cls(field, mask)
+        return cls._from_mask(field, mask)
 
     @property
     def size(self) -> int:
@@ -192,14 +192,7 @@ def generate(field: PrimeField, family: str, *, start: int | None = None,
                 raise BadParams("gp start must be nonzero")
             if ratio % p == 0:
                 raise BadParams("gp ratio must be nonzero")
-            vals = []
-            acc = start % p
-            for _ in range(size):
-                vals.append(acc)
-                acc = acc * ratio % p
-            elems = np.array(vals, dtype=np.int64)
-            if len(set(vals)) != size:
-                raise BadParams("gp repeats elements (ratio order too small)")
+            elems = start % p * powmod(ratio % p, np.arange(size), p) % p
         else:  # random
             rng = CounterRng(seed, instance_id if instance_id is not None
                              else "set:p=%d:n=%d" % (p, size))
@@ -228,8 +221,8 @@ class Hist:
     inputs.  The large-input kernel and the transform route build the
     dense length-p array anyway; it is kept in `dense`, and the sparse
     form is read off it on first use.  `dense` of a sparse Hist is built
-    on first use.  A support-only count from the transform keeps a bool
-    mask in `dense`, read only by `support`.
+    on first use.  A support-only count from either dense route keeps a
+    bool mask in `dense`, read only by `support`; its counts are None.
     """
 
     __slots__ = ("p", "_values", "_counts", "_dense")
@@ -248,8 +241,9 @@ class Hist:
 
     @property
     def counts(self) -> np.ndarray | None:
-        if self._counts is None and self._dense is not None:
-            self._counts = self._dense[self.values]
+        d = self._dense
+        if self._counts is None and d is not None and d.dtype != bool:
+            self._counts = d[self.values]
         return self._counts
 
     @property
@@ -303,10 +297,11 @@ def _pair_count(alpha, t: np.ndarray, beta: np.ndarray | None, p: int,
     and sorted (np.unique) into the sparse form.  Above, rows are
     enumerated into one buffer of about 4e6 cells, so memory stays
     bounded, and reduced into a length-p bincount, or a boolean scatter
-    for the support.  From PAIR_THREAD_MIN cells, where a second thread
-    may run (convolve._second_thread), the calling thread and one worker
-    each take half the rows, through their own half of the buffer, into
-    their own bincount (or mask); the two are then summed (or OR-ed).
+    for the support; either is kept as the Hist's dense array.  From
+    PAIR_THREAD_MIN cells, where a second thread may run
+    (convolve._second_thread), the calling thread and one worker each take
+    half the rows, through their own half of the buffer, into their own
+    bincount (or mask); the two are then summed (or OR-ed).
     """
     rows = len(alpha) if np.ndim(alpha) else len(beta)
     shared = None if np.ndim(alpha) else alpha * t
@@ -366,7 +361,7 @@ def _pair_count(alpha, t: np.ndarray, beta: np.ndarray | None, p: int,
             out |= other
         else:
             out += other
-    return Hist(p, np.flatnonzero(out)) if support else Hist(p, dense=out)
+    return Hist(p, dense=out)
 
 
 def _pair_transform(x: FSet, y: FSet, op: str,

@@ -54,9 +54,10 @@ def _whole(v) -> bool:
 class SweepConfig:
     """Validated sweep description.  See from_dict for the key set."""
 
-    __slots__ = ("primes", "families", "sizes", "seeds", "g_specs",
-                 "h_specs", "kinds", "chains", "theorems", "k", "eps",
-                 "triples_cap", "collinear_cap")
+    # the config keys, in to_dict's order
+    __slots__ = ("primes", "families", "sizes", "seeds", "g", "h", "kinds",
+                 "chains", "theorems", "k", "eps", "triples_cap",
+                 "collinear_cap")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepConfig":
@@ -73,10 +74,7 @@ class SweepConfig:
         """
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        known = {"primes", "families", "sizes", "seeds", "g", "h", "kinds",
-                 "chains", "theorems", "k", "eps", "triples_cap",
-                 "collinear_cap"}
-        extra = set(raw) - known
+        extra = set(raw) - set(cls.__slots__)
         if extra:
             raise ConfigError("unknown config keys: %s"
                               % ", ".join(sorted(extra)))
@@ -120,9 +118,9 @@ class SweepConfig:
         for s in cfg.seeds:
             if not _whole(s) or s < 0:
                 raise ConfigError("bad seed %r" % (s,))
-        cfg.g_specs = want_list("g", ["id"])
-        cfg.h_specs = want_list("h", ["const:1"])
-        for spec in cfg.g_specs + cfg.h_specs:
+        cfg.g = want_list("g", ["id"])
+        cfg.h = want_list("h", ["const:1"])
+        for spec in cfg.g + cfg.h:
             try:  # syntax only: tables built here would stay in every worker
                 kind, args = fn_spec_args(spec)
             except ParseError as exc:
@@ -171,21 +169,18 @@ class SweepConfig:
         return cfg
 
     def to_dict(self) -> dict:
-        return {"primes": list(self.primes),
-                "families": list(self.families),
-                "sizes": [list(t) for t in self.sizes],
-                "seeds": list(self.seeds),
-                "g": list(self.g_specs), "h": list(self.h_specs),
-                "kinds": list(self.kinds), "chains": list(self.chains),
-                "theorems": list(self.theorems), "k": self.k,
-                "eps": self.eps, "triples_cap": self.triples_cap,
-                "collinear_cap": self.collinear_cap}
+        """The config by its keys, each list a copy (sizes as lists)."""
+        out = {key: getattr(self, key) for key in self.__slots__}
+        for key, val in out.items():
+            if isinstance(val, list):
+                out[key] = list(map(list, val) if key == "sizes" else val)
+        return out
 
     def descriptors(self) -> list:
         """The instance grid, in fixed declaration order."""
         return list(itertools.product(self.primes, self.families,
-                                      self.sizes, self.seeds, self.g_specs,
-                                      self.h_specs))
+                                      self.sizes, self.seeds, self.g,
+                                      self.h))
 
 
 def _descriptor_id(desc) -> str:

@@ -25,7 +25,8 @@ chain enumerates the kernel once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+import operator
+from dataclasses import asdict, dataclass, field as dc_field
 from fractions import Fraction
 
 import numpy as np
@@ -79,22 +80,18 @@ class Check:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "relation": self.relation,
-                "lhs": int(self.lhs), "rhs": int(self.rhs),
-                "passed": bool(self.passed), "note": self.note}
+        return asdict(self)
+
+
+_RELATIONS = {"<=": operator.le, ">=": operator.ge, "==": operator.eq}
 
 
 def _mk_check(name: str, relation: str, lhs: int, rhs: int,
               note: str = "") -> Check:
-    if relation == "<=":
-        ok = lhs <= rhs
-    elif relation == ">=":
-        ok = lhs >= rhs
-    elif relation == "==":
-        ok = lhs == rhs
-    else:
+    if relation not in _RELATIONS:
         raise BadParams("unknown relation %r" % relation)
-    return Check(name, relation, int(lhs), int(rhs), bool(ok), note)
+    return Check(name, relation, int(lhs), int(rhs),
+                 bool(_RELATIONS[relation](lhs, rhs)), note)
 
 
 @dataclass(frozen=True)
@@ -109,8 +106,7 @@ class ReportRow:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs,
-                "ratio": self.ratio, "note": self.note}
+        return asdict(self)
 
 
 def _mk_row(name: str, lhs: float, rhs: float, note: str = "") -> ReportRow:
@@ -648,22 +644,14 @@ class RatioRow:
         return _csv_row(self.to_dict())
 
     def to_dict(self) -> dict:
-        out = {"theorem": self.theorem, "p": self.p, "family": self.family,
-               "seed": self.seed, "na": self.na, "nb": self.nb,
-               "nc": self.nc, "nd": self.nd, "m": self.m, "lhs": self.lhs,
-               "rhs": self.rhs, "ratio": self.ratio, "hyp_ok": self.hyp_ok,
-               "relation": self.relation}
-        if self.exact_pass is not None:
-            out["exact_pass"] = self.exact_pass
-        if self.extras:
-            out["extras"] = self.extras
+        """The fields by name, leaving out a None exact_pass and empty
+        extras."""
+        out = asdict(self)
+        if out["exact_pass"] is None:
+            del out["exact_pass"]
+        if not out["extras"]:
+            del out["extras"]
         return out
-
-
-def _need(inst: ThmInstance, *names):
-    for nm in names:
-        if getattr(inst, nm) is None:
-            raise BadParams("theorem instance needs %s" % nm)
 
 
 def theorem_ratio(theorem_id: str, inst: ThmInstance,
@@ -689,6 +677,10 @@ def theorem_ratio(theorem_id: str, inst: ThmInstance,
     h2 = inst.h2 if inst.h2 is not None else h
     if a.size == 0 or b.size == 0 or c.size == 0 or d.size == 0:
         raise BadParams("theorem_ratio needs nonempty sets")
+    missing = [nm for nm in ("g", "h") if getattr(inst, nm) is None]
+    if missing and theorem_id not in ("HIS_1_1", "Vinh_1_2",
+                                      "Cor_1_11_Warren"):
+        raise BadParams("theorem instance needs %s" % missing[0])
     na, nb, nc, nd = a.size, b.size, c.size, d.size
 
     # p^{3/5} and p^{5/8} size hypotheses, decided by cross-powering
@@ -718,7 +710,6 @@ def theorem_ratio(theorem_id: str, inst: ThmInstance,
             t = p * na ** 2 - ms * np_ * na
             exact_pass = t <= 0 or t * t <= p ** 3 * ms * np_
     elif theorem_id in ("HH_1_1", "HH_1_2", "PM_1_3", "PM_1_4"):
-        _need(inst, "g", "h")
         fimg = f_image(g, h, a, b)
         if theorem_id in ("HH_1_1", "PM_1_3"):
             bc = combine(b, c, "prod")
@@ -743,7 +734,6 @@ def theorem_ratio(theorem_id: str, inst: ThmInstance,
             # f(A, B) with g = x, h = 1 and f(D, C) with g = -x, h = -1
             f1, f2 = _unit_image(a, b, 1), _unit_image(d, c, -1)
         else:
-            _need(inst, "g", "h")
             f1, f2 = f_image(g, h, a, b), f_image(g2, h2, d, c)
         if theorem_id == "T_1_5":
             bc = combine(b, c, "diff")
@@ -773,7 +763,6 @@ def theorem_ratio(theorem_id: str, inst: ThmInstance,
         if theorem_id == "T_1_6":
             hyp_ok = hyp_ok and extras["mu_equal"]
     elif theorem_id in ("Cor_1_7", "Cor_1_10"):
-        _need(inst, "g", "h")
         fimg = f_image(g, h, a, a)
         if theorem_id == "Cor_1_7":
             m = mu(g)
@@ -791,7 +780,6 @@ def theorem_ratio(theorem_id: str, inst: ThmInstance,
             extras["ratio_diff"] = extras["lhs_diff"] / rhs
         hyp_ok = le35(na)
     elif theorem_id in ("Cor_1_8", "Cor_mult"):
-        _need(inst, "g", "h")
         fimg = f_image(g, h, a, b)
         if theorem_id == "Cor_1_8":
             m = mu(g)
@@ -812,7 +800,6 @@ def theorem_ratio(theorem_id: str, inst: ThmInstance,
         extras.update({"n_image": fimg.size, "n_combined": bc.size})
         hyp_ok = na <= nb and na <= nc and le35(nb) and le35(nc)
     else:  # T_1_12_threshold
-        _need(inst, "g", "h")
         eps = Fraction(inst.eps)
         if not 0 < eps < 1:
             raise BadParams("threshold eps must be in (0,1), got %s" % eps)

@@ -313,6 +313,40 @@ def test_verify_lemma_chain_json(capsys):
                                                   "E4_level_recon"}
 
 
+def test_verify_lemma_chain_k(capsys):
+    base = ("verify", "lemma-chain", "--p", "101", "--A", "interval:1:4",
+            "--B", "interval:1:8")
+    code, out, _ = run(capsys, *base, "--k", "2")
+    assert code == 0 and json.loads(out)["instance"]["k"] == 2
+    code, out, err = run(capsys, *base, "--k", "x")
+    assert code == 2 and out == "" and "--k" in err
+    # r_{B-B} peaks at |B| = 8, so level 9 is empty and the line check
+    # gives way to a skipped row
+    code, out, _ = run(capsys, *base, "--k", "9")
+    rep = json.loads(out)
+    assert code == 0 and rep["instance"]["n_k"] == 0
+    assert {"name": "collinear_R1_skipped", "lhs": 0.0, "rhs": 1.0,
+            "ratio": 0.0, "note": "empty level set"} in rep["rows"]
+    assert "collinear_R1_literal" not in {c["name"] for c in rep["checks"]}
+
+
+# A literal line-bound failure (fiber of g = x^2 split by h), as in the
+# criterion-3 grid: exact failures exit 1.
+FAILING_LEMMA = ("verify", "lemma-chain", "--p", "101",
+                 "--A", "explicit:65,66,67,68", "--B", "interval:7:8",
+                 "--C", "interval:62:8", "--g", "power:2",
+                 "--h", "random:12", "--kind", "prod")
+
+
+def test_verify_lemma_chain_exact_failure_exits_1(capsys):
+    code, out, err = run(capsys, *FAILING_LEMMA)
+    assert code == 1 and "FAIL (collinear_R1_literal)" in err
+    rep = json.loads(out)
+    assert rep["ok"] is False
+    assert [c["name"] for c in rep["checks"] if not c["passed"]] == \
+        ["collinear_R1_literal"]
+
+
 def test_verify_nchain_modes(capsys):
     code, out, _ = run(capsys, "verify", "n-chain", "--p", "7",
                        "--B", "explicit:1,2,3")
@@ -373,6 +407,15 @@ def test_verify_theorem_strict_and_missing(capsys):
     code, _, _ = run(capsys, "verify", "theorem", "--id", "T_0_0",
                      "--p", "101", "--A", "full")
     assert code == 2
+
+
+def test_verify_theorem_threshold_eps(capsys):
+    base = ("verify", "theorem", "--id", "T_1_12_threshold", "--p", "101",
+            "--A", "interval:1:10", "--g", "id", "--h", "const:1")
+    code, out, _ = run(capsys, *base, "--eps", "1/7")
+    assert code == 0 and json.loads(out)["extras"]["eps"] == "1/7"
+    code, out, err = run(capsys, *base, "--eps", "abc")
+    assert code == 2 and out == "" and "bad eps" in err
 
 
 # -- sweep -----------------------------------------------------------------
@@ -453,18 +496,21 @@ def test_sweep_missing_function_file_fails_at_load(tmp_path, capsys):
 
 
 def test_sweep_and_verify_phi_read_decimal_eps_alike(tmp_path, capsys):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"primes": [101], "families": ["interval"],
-                                "sizes": [[4, 8, 8]], "seeds": [0],
-                                "chains": ["phi"], "eps": "0.1"}))
-    code, out, _ = run(capsys, "sweep", "--config", str(path))
-    assert code == 0
-    [chain] = json.loads(out)["report"]["chains"]
-    code, out, _ = run(capsys, "verify", "phi", "--p", "101",
-                       "--B", "interval:1:10", "--eps", "0.1")
-    assert code == 0
-    assert chain["instance"]["eps"] == json.loads(out)["instance"]["eps"] \
-        == "1/10"
+    # a denominator above 2^62 is kept exactly too, not rounded to 2^62
+    for eps, want in (("0.1", "1/10"),
+                      ("1/4611686018427387905", "1/4611686018427387905")):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"primes": [101], "families": ["interval"],
+                                    "sizes": [[4, 8, 8]], "seeds": [0],
+                                    "chains": ["phi"], "eps": eps}))
+        code, out, _ = run(capsys, "sweep", "--config", str(path))
+        assert code == 0
+        [chain] = json.loads(out)["report"]["chains"]
+        code, out, _ = run(capsys, "verify", "phi", "--p", "101",
+                           "--B", "interval:1:10", "--eps", eps)
+        assert code == 0
+        assert chain["instance"]["eps"] \
+            == json.loads(out)["instance"]["eps"] == want
 
 
 # -- dispatch plumbing -------------------------------------------------------

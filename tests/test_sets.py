@@ -43,6 +43,22 @@ def test_gp_family():
         generate(F7, "gp", start=0, ratio=3, size=2)
     with pytest.raises(BadParams):
         generate(F7, "gp", start=1, ratio=0, size=2)
+    # against the multiply-by-ratio loop, parameters beyond int64 included:
+    # a size within the ratio's order gives the loop's orbit, a larger one
+    # repeats and raises
+    for f, start, ratio in ((F101, 5, 3), (F101, 7, 10), (F101, -4, -2),
+                            (make_field(1048573), 10 ** 20, -10 ** 19 - 2)):
+        for size in (0, 1, 9, 10, 50, 100):
+            want, x = set(), start % f.p
+            for _ in range(size):
+                want.add(x)
+                x = x * ratio % f.p
+            if len(want) < size:
+                with pytest.raises(BadParams):
+                    generate(f, "gp", start=start, ratio=ratio, size=size)
+            else:
+                got = generate(f, "gp", start=start, ratio=ratio, size=size)
+                assert got.elements().tolist() == sorted(want)
 
 
 def test_mul_subgroup():
@@ -142,6 +158,22 @@ def test_dense_support_allocates_one_mask():
     assert not sup.mask.flags.writeable
 
 
+def test_from_elements_allocates_one_mask():
+    # FSet.from_elements takes the mask it builds without copying it: one
+    # length-p bool array for a 64-element random set
+    import tracemalloc
+    p = 1048573
+    f = make_field(p)
+    tracemalloc.start()
+    try:
+        a = generate(f, "random", size=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p <= peak < p + p // 2, peak
+    assert a.size == 64 and not a.mask.flags.writeable
+
+
 def test_transform_support_gathers_bools():
     # with support=True, prod and ratio read the support off the
     # convolution as a bool gather through the discrete logs (0 set
@@ -160,6 +192,7 @@ def test_transform_support_gathers_bools():
             assert np.array_equal(got, want > 0), (with_zero, op)
             assert bool(got[0]) == with_zero
             assert Hist(f.p, dense=got).support(f).mask is got
+            assert Hist(f.p, dense=got).counts is None  # support only
 
 
 def test_combine_against_brute_200():

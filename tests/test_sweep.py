@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fpsp import functions, verify
+from fpsp.cli import dispatch
 from fpsp.energy import rep_fn
 from fpsp.errors import ConfigError, ParseError
 from fpsp.field import PrimeField, make_field
@@ -33,7 +34,7 @@ def _cfg(**over):
 
 def test_config_defaults():
     cfg = SweepConfig.from_dict(_cfg())
-    assert cfg.g_specs == ["id"] and cfg.h_specs == ["const:1"]
+    assert cfg.g == ["id"] and cfg.h == ["const:1"]
     assert cfg.kinds == ["sum"] and cfg.chains == ["lemma"]
     assert cfg.theorems == [] and cfg.k == "auto"
     # round trip through to_dict revalidates cleanly
@@ -140,6 +141,27 @@ def test_sweep_workers_do_not_change_report():
             res = run_sweep(raw, workers=workers)
             assert report_json(res["report"]) == report_json(res1["report"])
             assert res["meta"]["workers"] == workers
+
+
+def test_sweep_failure_rows(tmp_path):
+    # One of the two instances fails the plain line bound, the check the
+    # criterion-3 grid records as red: the report names that one check,
+    # the pool of two workers gives the same bytes, and the CLI exits 1.
+    raw = {"primes": [101], "families": ["interval"], "sizes": [[4, 8, 8]],
+           "seeds": [0], "g": ["power:2", "id"], "h": ["random:12"],
+           "kinds": ["prod"]}
+    blobs = [report_json(run_sweep(raw, workers=w)["report"])
+             for w in (1, 2)]
+    assert blobs[0] == blobs[1]
+    rep = json.loads(blobs[0])
+    assert rep["n_failures"] == 1
+    assert rep["failures"] == [{
+        "id": "p=101|interval|na=4,nb=8,nc=8|seed=0|g=power:2|h=random:12",
+        "chain": "lemma:prod", "check": "collinear_R1_literal"}]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert dispatch(["sweep", "--config", str(path), "--workers", "2",
+                     "--out", str(tmp_path / "report.json")]) == 1
 
 
 def test_sweep_aggregates_and_csv():
