@@ -57,10 +57,7 @@ for variant, third, m in (("sum_E1", bset, mu(g)), ("sum_E2", img, mu(g)),
     fast = proof_incidences(variant, a, x, third, g, h)
     cfg = build_proof_config(variant, a, x, third, g, h)
     slow = incidences(cfg)
-    e = quad_energy("E1_sum" if variant == "sum_E1" else
-                    "E2_sum" if variant == "sum_E2" else
-                    "E3_prod" if variant == "prod_E1" else "E4_prod",
-                    a, x, third, g, h)
+    e = quad_energy(variant, a, x, third, g, h)
     assert fast == slow
     assert e <= m * m * fast
     print("%-8s  %4d points  %4d planes  I = %6d  E = %6d  %s"

@@ -34,11 +34,11 @@ from .sets import (FAMILIES, FSet, affine, combine, generate,
                    write_set_file)
 from .sweep import SweepConfig, load_config_file, report_json, rows_csv, \
     run_sweep
-from .verify import (CSV_HEADER, QUAD_VARIANTS, THEOREMS, ChainReport,
-                     Check, RatioRow, ReportRow, ThmInstance,
-                     composite_N_check, count_N_shifted, count_X,
-                     eplus_chain, holder_weighted_sum, lemma_chain_check,
-                     n_chain_check, phi_chain, phi_count, quad_energy,
-                     solution_count_M, theorem_ratio)
+from .verify import (CSV_HEADER, THEOREMS, ChainReport, Check, RatioRow,
+                     ReportRow, ThmInstance, composite_N_check,
+                     count_N_shifted, count_X, eplus_chain,
+                     holder_weighted_sum, lemma_chain_check, n_chain_check,
+                     phi_chain, phi_count, quad_energy, solution_count_M,
+                     theorem_ratio)
 
 __version__ = "0.1.0"

@@ -203,6 +203,7 @@ def _proof_pairs(variant: str, a: FSet, x: FSet, third: FSet, g: FnTable,
 
     E1 variants: pairs run over A x C (third = C), ts = X elements.
     E2 variants: pairs run over A x X, ts = f(A,B) elements (third = F).
+    The pairs are the grid of one row per element of A, raveled.
     A point lies on a plane iff alpha*t + beta collides across the two
     product factors, and the quad energy is the same histogram taken with
     multiplicity.
@@ -213,41 +214,33 @@ def _proof_pairs(variant: str, a: FSet, x: FSet, third: FSet, g: FnTable,
         raise FieldMismatch("mixed fields in proof config")
     if not a.is_zero_free:
         raise ZeroInA("0 in A")
-    p = a.field.p
-    ae = a.elements()
-    ga = g.values[ae]
-    ha = h.values[ae]
     if variant in ("prod_E1", "prod_E2") and not x.is_zero_free:
         raise ZeroDivisor("prod variants need 0 not in X")
+    p = a.field.p
+    ae = a.elements()
+    ga = g.values[ae][:, None]
+    ha = h.values[ae][:, None]
+    if variant.endswith("E1"):
+        col, ts = third.elements(), x.elements()
+    else:
+        col, ts = x.elements(), third.elements()
     # prod_E1 with 0 in C gives alpha = 0 pairs; those are still fine: the
     # plane rows carry a fixed -1 (E1) or +1 (E2) in the third slot, so
     # distinct raw planes are never scalar multiples of each other and the
     # kernel-collision identity does not care whether alpha vanishes.
     if variant == "sum_E1":
-        ce = third.elements()
-        alpha = np.repeat(ga, len(ce))
-        beta = (np.repeat(ga, len(ce))
-                * ((np.repeat(ha, len(ce)) + np.tile(ce, len(ae))) % p)) % p
-        ts = x.elements()
+        alpha, beta = ga, ga * ((ha + col) % p) % p
     elif variant == "prod_E1":
-        ce = third.elements()
-        alpha = np.repeat(ga, len(ce)) * np.tile(ce, len(ae)) % p
-        beta = np.repeat(ga * ha % p, len(ce))
-        ts = x.elements()
+        alpha, beta = ga * col % p, ga * ha % p
     elif variant == "sum_E2":
-        xe = x.elements()
-        alpha = np.repeat(a.field.inverses(ga), len(xe))
-        w = (np.repeat(ha, len(xe)) + np.tile(xe, len(ae))) % p
-        beta = (-w) % p
-        ts = third.elements()
+        alpha, beta = a.field.inverses(ga), -(ha + col) % p
     else:  # prod_E2
-        xe = x.elements()
-        inv_g, inv_x = a.field.inverses(ga), a.field.inverses(xe)
-        alpha = np.repeat(inv_g, len(xe)) * np.tile(inv_x, len(ae)) % p
-        w = np.repeat(ha, len(xe)) * np.tile(inv_x, len(ae)) % p
-        beta = (-w) % p
-        ts = third.elements()
-    return alpha, beta, ts
+        inv_x = a.field.inverses(col)
+        alpha = a.field.inverses(ga) * inv_x % p
+        beta = -(ha * inv_x % p) % p
+    grid = (len(ae), len(col))
+    return (np.broadcast_to(alpha, grid).ravel(),
+            np.broadcast_to(beta, grid).ravel(), ts)
 
 
 def _dedup_pairs(alpha: np.ndarray, beta: np.ndarray,

@@ -221,8 +221,9 @@ class Hist:
     inputs.  The large-input kernel and the transform route build the
     dense length-p array anyway; it is kept in `dense`, and the sparse
     form is read off it on first use.  `dense` of a sparse Hist is built
-    on first use.  A support-only count from either dense route keeps a
-    bool mask in `dense`, read only by `support`; its counts are None.
+    on first use.  A support-only count has no counts on any route: its
+    counts are None, a dense route keeps a bool mask in `dense`, read only
+    by `support`, and sum_squares refuses it.
     """
 
     __slots__ = ("p", "_values", "_counts", "_dense")
@@ -258,6 +259,8 @@ class Hist:
         2^31, as the capped kernels do.  Zeros add nothing, so a dense
         array is summed as it stands, without reading its support off."""
         c = self._dense if self._counts is None else self._counts
+        if c is None or c.dtype == bool:
+            raise BadParams("a support-only Hist has no counts to square")
         return int(np.dot(c, c))
 
     def at(self, xs: np.ndarray) -> np.ndarray:
@@ -372,7 +375,7 @@ def _pair_transform(x: FSet, y: FSet, op: str,
     negate Y in that group.  For prod and ratio the pairs with a zero
     factor all land on 0 and are counted apart (callers keep 0 out of a
     ratio's Y), and support=True reads off the bool mask counts > 0 in
-    place of the counts."""
+    place of the counts, for every op."""
     f = x.field
     xe, ye = x.elements(), y.elements()
     n = f.p
@@ -386,7 +389,7 @@ def _pair_transform(x: FSet, y: FSet, op: str,
     yv[(-ye) % n if op in ("diff", "ratio") else ye] = 1
     hist = convolve.cyclic_convolve(xv, yv, n)
     if op in ("sum", "diff"):
-        return hist
+        return hist > 0 if support else hist
     # counts[g^e] = hist[e], gathered as bools for the support (5 ms
     # against 11 ms for int64 at p = 1048573); [0] is set next
     counts = (hist > 0 if support else hist)[f.dlog_table]

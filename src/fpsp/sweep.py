@@ -88,7 +88,7 @@ class SweepConfig:
             val = raw[key]
             if not isinstance(val, list) or not val:
                 raise ConfigError("%r must be a nonempty list" % key)
-            return val
+            return list(val)
 
         cfg.primes = want_list("primes")
         for p in cfg.primes:

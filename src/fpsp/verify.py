@@ -35,30 +35,24 @@ from .energy import (energy_popular, level_counts, level_set, moment,
                      normalize_eps, popular_diff, popular_sum_core, rep_fn,
                      select_dyadic_k)
 from .errors import (BadP, BadParams, EmptySet, FieldMismatch,
-                     HypothesisViolated, SizeCap, ZeroDivisor, ZeroInA)
+                     HypothesisViolated, SizeCap, ZeroDivisor)
 from .functions import FnTable, _unit_image, f_image, mu, mu_product
 from .incidence import (COLLINEAR_CAP, TRIPLES_CAP, _dedup_pairs,
                         _proof_pairs, bilinear_hist, structural_collinear)
 from .sets import FSet, combine
 
-QUAD_VARIANTS = ("E1_sum", "E2_sum", "E3_prod", "E4_prod")
-
-# energy variant -> kernel name in the incidence module
-_KERNEL_OF = {
-    "E1_sum": "sum_E1",
-    "E2_sum": "sum_E2",
-    "E3_prod": "prod_E1",
-    "E4_prod": "prod_E2",
-}
-
-# theorem id -> the sets its statement reads (the CSV records 0 for the
-# sizes of the rest)
+# theorem id -> (the sets its statement reads, the operation it applies to
+# B and C, or to A on the rows that read A alone; None on the rows about
+# |A+A| and |AA|).  The CSV records 0 for the sizes of the other sets.
 THEOREMS = {
-    "HIS_1_1": "a", "Vinh_1_2": "a",
-    "HH_1_1": "abc", "HH_1_2": "abc", "PM_1_3": "abc", "PM_1_4": "abc",
-    "T_1_5": "abcd", "T_1_6": "abcd", "Cor_1_7": "a", "Cor_1_8": "abc",
-    "T_1_9": "abcd", "Cor_1_10": "a", "Cor_1_11_Warren": "abcd",
-    "Cor_mult": "abc", "T_1_12_threshold": "a",
+    "HIS_1_1": ("a", None), "Vinh_1_2": ("a", None),
+    "HH_1_1": ("abc", "prod"), "HH_1_2": ("abc", "sum"),
+    "PM_1_3": ("abc", "prod"), "PM_1_4": ("abc", "sum"),
+    "T_1_5": ("abcd", "diff"), "T_1_6": ("abcd", "sum"),
+    "Cor_1_7": ("a", "sum"), "Cor_1_8": ("abc", "sum"),
+    "T_1_9": ("abcd", "prod"), "Cor_1_10": ("a", "prod"),
+    "Cor_1_11_Warren": ("abcd", "prod"), "Cor_mult": ("abc", "prod"),
+    "T_1_12_threshold": ("a", None),
 }
 
 PHI_CAP = 100
@@ -147,20 +141,25 @@ def quad_energy(variant: str, a: FSet, x: FSet, third: FSet, g: FnTable,
                 h: FnTable, cap: int = TRIPLES_CAP) -> int:
     """E = sum_t N_t^2 for the variant's value map over its index triples.
 
-    E1_sum:  v(a, x, c) = g(a)(x + c + h(a))    over A x X x C
-    E3_prod: v(a, x, c) = g(a)(x c + h(a))      over A x X x C
-    E2_sum:  w(a, x, F) = F/g(a) - x - h(a)     over A x X x f(A,B)
-    E4_prod: w(a, x, F) = F/(g(a) x) - h(a)/x   over A x X x f(A,B)
+    sum_E1:  v(a, x, c) = g(a)(x + c + h(a))    over A x X x C
+    prod_E1: v(a, x, c) = g(a)(x c + h(a))      over A x X x C
+    sum_E2:  w(a, x, F) = F/g(a) - x - h(a)     over A x X x f(A,B)
+    prod_E2: w(a, x, F) = F/(g(a) x) - h(a)/x   over A x X x f(A,B)
 
-    third is C for the E1 shapes and the image set for the E2 shapes.
-    Every variant factors through the kernel alpha*t + beta with (alpha,
-    beta) taken WITH multiplicity, so this is the squared l2 norm of the
-    same histogram the incidence counts use before deduplication.
+    The variants are incidence.VARIANTS; third is C for the E1 shapes and
+    the image set for the E2 shapes.  Every variant factors through the
+    kernel alpha*t + beta with (alpha, beta) taken WITH multiplicity, so
+    this is the squared l2 norm of the same histogram the incidence
+    counts use before deduplication.
     """
-    if variant not in QUAD_VARIANTS:
-        raise BadParams("unknown quad-energy variant %r" % variant)
-    alpha, beta, ts = _proof_pairs(_KERNEL_OF[variant], a, x, third, g, h)
+    alpha, beta, ts = _proof_pairs(variant, a, x, third, g, h)
     return bilinear_hist(alpha, beta, ts, a.field.p, cap).sum_squares()
+
+
+def _mult(op: str, g: FnTable, h: FnTable, domain: FSet | None = None) -> int:
+    """The multiplicity the proofs divide by: mu(g*h) for prod, mu(g) for
+    sum and diff, over domain (default all of F_p^*)."""
+    return mu_product(g, h, domain) if op == "prod" else mu(g, domain)
 
 
 def _energy_and_incidences(kernel: str, a: FSet, x: FSet, third: FSet,
@@ -237,13 +236,8 @@ def lemma_chain_check(a: FSet, b: FSet, c: FSet, g: FnTable, h: FnTable,
     if a.size > b.size:
         raise BadParams("chain needs |A| <= |B|")
     field = a.field
-    var1 = "E1_sum" if kind == "sum" else "E3_prod"
-    var2 = "E2_sum" if kind == "sum" else "E4_prod"
-    kern1, kern2 = _KERNEL_OF[var1], _KERNEL_OF[var2]
-    if kind == "sum":
-        m, mu_a = mu(g), mu(g, a)
-    else:
-        m, mu_a = mu_product(g, h), mu_product(g, h, a)
+    kern1, kern2 = kind + "_E1", kind + "_E2"
+    m, mu_a = _mult(kind, g, h), _mult(kind, g, h, a)
     fimg = f_image(g, h, a, b)
     r = rep_fn(b, c, "difference" if kind == "sum" else "ratio")
     k_sel = select_dyadic_k(r) if k == "auto" else int(k)
@@ -459,7 +453,7 @@ def n_chain_check(b: FSet, c: FSet, pset: FSet | None = None) -> ChainReport:
 def eplus_chain(a: FSet, b: FSet, c: FSet, g: FnTable, h: FnTable,
                 cap: int = TRIPLES_CAP) -> ChainReport:
     """The additive-energy transfer step.  With D = B - C as a set and
-    W the E2_sum quad energy of (A, D, f(A,B)):
+    W the sum_E2 quad energy of (A, D, f(A,B)):
 
       |A|^2 E^+(B, D) <= W   exactly,
 
@@ -474,7 +468,7 @@ def eplus_chain(a: FSet, b: FSet, c: FSet, g: FnTable, h: FnTable,
     d = combine(b, c, "diff")
     fimg = f_image(g, h, a, b)
     eplus = int(moment(rep_fn(b, d, "difference"), 2))
-    w = quad_energy("E2_sum", a, d, fimg, g, h, cap=cap)
+    w = quad_energy("sum_E2", a, d, fimg, g, h, cap=cap)
     m = mu(g)
     checks = [
         _mk_check("A2_eplus_le_W", "<=", a.size ** 2 * eplus, w,
@@ -499,8 +493,7 @@ def eplus_chain(a: FSet, b: FSet, c: FSet, g: FnTable, h: FnTable,
 # -- popular-sum machinery ---------------------------------------------------
 
 
-def phi_count(b: FSet, c: FSet, pset: FSet, pprime: FSet,
-              cap: int = PHI_CAP) -> int:
+def phi_count(b: FSet, c: FSet, pset: FSet, pprime: FSet) -> int:
     """phi = |{(a, bb, cc, d) in B x C x C x B : bb - cc in P' and
     a+bb, a+cc, d+cc, d+bb all in P}|.
 
@@ -509,8 +502,8 @@ def phi_count(b: FSet, c: FSet, pset: FSet, pprime: FSet,
     a boolean Gram matrix."""
     if not (b.field == c.field == pset.field == pprime.field):
         raise FieldMismatch("mixed fields in phi_count")
-    if b.size > cap or c.size > cap:
-        raise SizeCap("phi_count capped at |B|, |C| <= %d" % cap)
+    if b.size > PHI_CAP or c.size > PHI_CAP:
+        raise SizeCap("phi_count capped at |B|, |C| <= %d" % PHI_CAP)
     be, ce = b.elements(), c.elements()
     if len(be) == 0 or len(ce) == 0:
         return 0
@@ -521,7 +514,7 @@ def phi_count(b: FSet, c: FSet, pset: FSet, pprime: FSet,
     return int((gram[sel] ** 2).sum())
 
 
-def phi_chain(b: FSet, c: FSet, eps=None, cap: int = PHI_CAP) -> ChainReport:
+def phi_chain(b: FSet, c: FSet, eps=None) -> ChainReport:
     """The popular-sum core machinery on (B, C).
 
     P = popular sums of C at threshold eps, C' the core of elements whose
@@ -540,8 +533,8 @@ def phi_chain(b: FSet, c: FSet, eps=None, cap: int = PHI_CAP) -> ChainReport:
     log factor)."""
     if b.size == 0 or c.size == 0:
         raise EmptySet("phi chain needs nonempty sets")
-    if b.size > cap or c.size > cap:
-        raise SizeCap("phi chain capped at |B|, |C| <= %d" % cap)
+    if b.size > PHI_CAP or c.size > PHI_CAP:
+        raise SizeCap("phi chain capped at |B|, |C| <= %d" % PHI_CAP)
     eps = normalize_eps(eps, c.size)
     num, den = eps.numerator, eps.denominator
     pset, core = popular_sum_core(c, eps)
@@ -570,7 +563,7 @@ def phi_chain(b: FSet, c: FSet, eps=None, cap: int = PHI_CAP) -> ChainReport:
                             2 * delta - 1, "dyadic bucket upper edge"))
     e43_core = moment(rcore, Fraction(4, 3))
     e43_full = moment(rep_fn(c, c, "difference"), Fraction(4, 3))
-    phi = phi_count(b, core, pset, pprime, cap=cap)
+    phi = phi_count(b, core, pset, pprime)
     rows.append(_mk_row("E43_core_vs_bucket", e43_core,
                         pprime.size * float(delta) ** (4.0 / 3.0),
                         "termwise once the bucket edges hold"))
@@ -667,6 +660,7 @@ def theorem_ratio(theorem_id: str, inst: ThmInstance,
     """
     if theorem_id not in THEOREMS:
         raise BadParams("unknown theorem id %r" % theorem_id)
+    used, op = THEOREMS[theorem_id]
     a = inst.a
     p = a.field.p
     b = inst.b if inst.b is not None else a
@@ -692,14 +686,47 @@ def theorem_ratio(theorem_id: str, inst: ThmInstance,
 
     relation = "lower"
     exact_pass = None
-    extras: dict = {}
     m = 0
     hyp_ok = True
 
-    if theorem_id in ("HIS_1_1", "Vinh_1_2"):
+    if op is None:  # the rows on |A+A| and |AA|
+        if theorem_id == "T_1_12_threshold":
+            eps = Fraction(inst.eps)
+            if not 0 < eps < 1:
+                raise BadParams("threshold eps must be in (0,1), got %s"
+                                % eps)
+            num, den = eps.numerator, eps.denominator
+            # the conditions below raise sizes to the 8*den-th power
+            if den > THRESHOLD_EPS_DEN_CAP:
+                raise BadParams("threshold eps needs a denominator <= %d, "
+                                "got %s" % (THRESHOLD_EPS_DEN_CAP, eps))
+            fimg = f_image(g, h, a, a)
         ms = combine(a, a, "sum").size
         np_ = combine(a, a, "prod").size
         extras = {"n_sumset": ms, "n_prodset": np_}
+    else:
+        # the image f(A, B), and f(D, C) under g2, h2 on the rows that read
+        # D, against B op C; the rows that read A alone put A for B and C
+        left, right = (a, a) if used == "a" else (b, c)
+        if theorem_id == "Cor_1_11_Warren":
+            # f(A, B) with g = x, h = 1 and f(D, C) with g = -x, h = -1,
+            # and no multiplicity factor
+            images = [_unit_image(a, b, 1), _unit_image(d, c, -1)]
+            mults = [1]
+        else:
+            images = [f_image(g, h, a, left)]
+            mults = [_mult(op, g, h)]
+            if "d" in used:
+                images.append(f_image(g2, h2, d, c))
+                mults.append(_mult(op, g2, h2))
+        n_bc = combine(left, right, op).size
+        m = max(mults)
+        sizes = [f.size for f in images]
+        lhs = max(*sizes, n_bc)
+        names = ("n_image",) if len(sizes) == 1 else ("n_image1", "n_image2")
+        extras = dict(zip(names, sizes), n_combined=n_bc)
+
+    if theorem_id in ("HIS_1_1", "Vinh_1_2"):
         relation = "upper"
         if theorem_id == "HIS_1_1":
             lhs = na ** 3
@@ -709,108 +736,7 @@ def theorem_ratio(theorem_id: str, inst: ThmInstance,
             rhs = ms * np_ * na / p + math.sqrt(p * ms * np_)
             t = p * na ** 2 - ms * np_ * na
             exact_pass = t <= 0 or t * t <= p ** 3 * ms * np_
-    elif theorem_id in ("HH_1_1", "HH_1_2", "PM_1_3", "PM_1_4"):
-        fimg = f_image(g, h, a, b)
-        if theorem_id in ("HH_1_1", "PM_1_3"):
-            bc = combine(b, c, "prod")
-            m = mu_product(g, h)
-        else:
-            bc = combine(b, c, "sum")
-            m = mu(g)
-        extras = {"n_image": fimg.size, "n_combined": bc.size}
-        if theorem_id.startswith("HH"):
-            lhs = fimg.size * bc.size
-            rhs = min(na * nb ** 2 * nc / (p * m * m), p * nb / m)
-        else:
-            lhs = max(fimg.size, bc.size)
-            rhs = min(
-                na ** 0.2 * nb ** 0.8 * nc ** 0.2 / m ** 0.8,
-                nb * nc ** 0.5 / m,
-                nb * na ** 0.5 / m,
-                nb ** (2 / 3) * nc ** (1 / 3) * na ** (1 / 3) / m ** (2 / 3))
-            hyp_ok = le58(na) and le58(nb) and le58(nc)
-    elif theorem_id in ("T_1_5", "T_1_6", "T_1_9", "Cor_1_11_Warren"):
-        if theorem_id == "Cor_1_11_Warren":
-            # f(A, B) with g = x, h = 1 and f(D, C) with g = -x, h = -1
-            f1, f2 = _unit_image(a, b, 1), _unit_image(d, c, -1)
-        else:
-            f1, f2 = f_image(g, h, a, b), f_image(g2, h2, d, c)
-        if theorem_id == "T_1_5":
-            bc = combine(b, c, "diff")
-            m = max(mu(g), mu(g2))
-            rhs = (nb ** (23 / 36) * nc ** (13 / 36) * na ** (7 / 36)
-                   * nd ** (1 / 36) / m ** (8 / 9))
-        elif theorem_id == "T_1_6":
-            bc = combine(b, c, "sum")
-            m = max(mu(g), mu(g2))
-            extras["mu_equal"] = mu(g) == mu(g2)
-            rhs = (nc ** (5 / 18) * nb ** (13 / 18) * na ** (1 / 6)
-                   * nd ** (1 / 18) / m ** (8 / 9))
-        elif theorem_id == "T_1_9":
-            bc = combine(b, c, "prod")
-            m = max(mu_product(g, h), mu_product(g2, h2))
-            rhs = (nc ** (5 / 18) * nb ** (13 / 18) * na ** (1 / 6)
-                   * nd ** (1 / 18) / m ** (8 / 9))
-        else:  # Warren shape: no multiplicity factor
-            bc = combine(b, c, "prod")
-            m = 1
-            rhs = (nc ** (5 / 18) * nb ** (13 / 18) * na ** (1 / 6)
-                   * nd ** (1 / 18))
-        lhs = max(f1.size, f2.size, bc.size)
-        extras.update({"n_image1": f1.size, "n_image2": f2.size,
-                       "n_combined": bc.size})
-        hyp_ok = (na <= nb and nd <= nc and le35(nb) and le35(nc))
-        if theorem_id == "T_1_6":
-            hyp_ok = hyp_ok and extras["mu_equal"]
-    elif theorem_id in ("Cor_1_7", "Cor_1_10"):
-        fimg = f_image(g, h, a, a)
-        if theorem_id == "Cor_1_7":
-            m = mu(g)
-            primary = combine(a, a, "sum")
-            other = combine(a, a, "diff")
-            extras["n_diffset"] = other.size
-            extras["lhs_diff"] = max(fimg.size, other.size)
-        else:
-            m = mu_product(g, h)
-            primary = combine(a, a, "prod")
-        lhs = max(fimg.size, primary.size)
-        rhs = na ** (11 / 9)
-        extras.update({"n_image": fimg.size, "n_combined": primary.size})
-        if "lhs_diff" in extras:
-            extras["ratio_diff"] = extras["lhs_diff"] / rhs
-        hyp_ok = le35(na)
-    elif theorem_id in ("Cor_1_8", "Cor_mult"):
-        fimg = f_image(g, h, a, b)
-        if theorem_id == "Cor_1_8":
-            m = mu(g)
-            bc = combine(b, c, "sum")
-            rhs = (nb ** (13 / 18) * nc ** (5 / 18) * na ** (2 / 9)
-                   / m ** (8 / 9))
-            bcd = combine(b, c, "diff")
-            extras["lhs_diff"] = max(fimg.size, bcd.size)
-            extras["rhs_diff"] = (nb ** (23 / 36) * nc ** (13 / 36)
-                                  * na ** (2 / 9) / m ** (8 / 9))
-            extras["ratio_diff"] = extras["lhs_diff"] / extras["rhs_diff"]
-        else:
-            m = mu_product(g, h)
-            bc = combine(b, c, "prod")
-            rhs = (nc ** (5 / 18) * nb ** (13 / 18) * na ** (2 / 9)
-                   / m ** (8 / 9))
-        lhs = max(fimg.size, bc.size)
-        extras.update({"n_image": fimg.size, "n_combined": bc.size})
-        hyp_ok = na <= nb and na <= nc and le35(nb) and le35(nc)
-    else:  # T_1_12_threshold
-        eps = Fraction(inst.eps)
-        if not 0 < eps < 1:
-            raise BadParams("threshold eps must be in (0,1), got %s" % eps)
-        num, den = eps.numerator, eps.denominator
-        # the conditions below raise sizes to the 8*den-th power
-        if den > THRESHOLD_EPS_DEN_CAP:
-            raise BadParams("threshold eps needs a denominator <= %d, got %s"
-                            % (THRESHOLD_EPS_DEN_CAP, eps))
-        fimg = f_image(g, h, a, a)
-        ms = combine(a, a, "sum").size
-        np_ = combine(a, a, "prod").size
+    elif theorem_id == "T_1_12_threshold":
         mn = min(ms, np_)
         m = mu(g)
         # statement reading: min <= |A|^{6/5-eps} forces
@@ -822,19 +748,58 @@ def theorem_ratio(theorem_id: str, inst: ThmInstance,
         rhs = na ** (37 / 25 + 2 * float(eps) / 5)
         rhs_proof = na ** (13 / 10 + 4 * float(eps) / 5)
         hyp_ok = le35(na) and cond_stmt
-        extras = {"eps": str(eps), "n_sumset": ms, "n_prodset": np_,
-                  "n_image": fimg.size, "cond_statement": bool(cond_stmt),
-                  "cond_proof": bool(cond_proof), "rhs_proof": rhs_proof,
-                  "ratio_proof": lhs / rhs_proof}
+        extras.update({"eps": str(eps), "n_image": fimg.size,
+                       "cond_statement": bool(cond_stmt),
+                       "cond_proof": bool(cond_proof),
+                       "rhs_proof": rhs_proof,
+                       "ratio_proof": lhs / rhs_proof})
+    elif theorem_id in ("HH_1_1", "HH_1_2"):
+        lhs = sizes[0] * n_bc
+        rhs = min(na * nb ** 2 * nc / (p * m * m), p * nb / m)
+    elif theorem_id in ("PM_1_3", "PM_1_4"):
+        rhs = min(
+            na ** 0.2 * nb ** 0.8 * nc ** 0.2 / m ** 0.8,
+            nb * nc ** 0.5 / m,
+            nb * na ** 0.5 / m,
+            nb ** (2 / 3) * nc ** (1 / 3) * na ** (1 / 3) / m ** (2 / 3))
+        hyp_ok = le58(na) and le58(nb) and le58(nc)
+    elif "d" in used:  # T_1_5, T_1_6, T_1_9 and Warren's T_1_9 shape
+        if theorem_id == "T_1_5":
+            rhs = (nb ** (23 / 36) * nc ** (13 / 36) * na ** (7 / 36)
+                   * nd ** (1 / 36) / m ** (8 / 9))
+        else:
+            rhs = (nc ** (5 / 18) * nb ** (13 / 18) * na ** (1 / 6)
+                   * nd ** (1 / 18) / m ** (8 / 9))
+        hyp_ok = na <= nb and nd <= nc and le35(nb) and le35(nc)
+        if theorem_id == "T_1_6":
+            extras["mu_equal"] = mults[0] == mults[1]
+            hyp_ok = hyp_ok and extras["mu_equal"]
+    elif used == "a":  # Cor_1_7, Cor_1_10
+        rhs = na ** (11 / 9)
+        hyp_ok = le35(na)
+    else:  # Cor_1_8, Cor_mult
+        rhs = (nc ** (5 / 18) * nb ** (13 / 18) * na ** (2 / 9)
+               / m ** (8 / 9))
+        hyp_ok = na <= nb and na <= nc and le35(nb) and le35(nc)
+    if theorem_id in ("Cor_1_7", "Cor_1_8"):
+        # the same max with A - A (B - C) in place of A + A (B + C)
+        n_diff = combine(left, right, "diff").size
+        extras["lhs_diff"] = max(sizes[0], n_diff)
+        if theorem_id == "Cor_1_7":
+            extras["n_diffset"] = n_diff
+            rhs_diff = rhs
+        else:
+            rhs_diff = extras["rhs_diff"] = (
+                nb ** (23 / 36) * nc ** (13 / 36) * na ** (2 / 9)
+                / m ** (8 / 9))
+        extras["ratio_diff"] = extras["lhs_diff"] / rhs_diff
 
     if strict and not hyp_ok:
         raise HypothesisViolated("%s hypotheses fail on this instance"
                                  % theorem_id)
-    used = THEOREMS[theorem_id]
-    row = RatioRow(
+    return RatioRow(
         theorem=theorem_id, p=p, family=inst.family, seed=inst.seed,
         na=na, nb=nb if "b" in used else 0, nc=nc if "c" in used else 0,
         nd=nd if "d" in used else 0, m=m, lhs=int(lhs), rhs=float(rhs),
         ratio=float(lhs) / float(rhs), hyp_ok=bool(hyp_ok),
         relation=relation, exact_pass=exact_pass, extras=extras)
-    return row

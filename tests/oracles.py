@@ -21,8 +21,8 @@ import numpy as np
 from fpsp.errors import (BadParams, FieldMismatch, SizeCap, ZeroDivisor,
                          ZeroInA)
 from fpsp.functions import FnTable
+from fpsp.incidence import VARIANTS
 from fpsp.sets import FSet, combine
-from fpsp.verify import QUAD_VARIANTS
 
 _P1, _G1 = 998244353, 3
 _P2, _G2 = 754974721, 11
@@ -157,13 +157,13 @@ def quad_energy_brute(variant: str, a: FSet, x: FSet, third: FSet,
                       cap: int = QUAD_BRUTE_CAP) -> int:
     """O(T^2) oracle: evaluate the value map on every triple explicitly and
     count colliding pairs.  Only for small instances."""
-    if variant not in QUAD_VARIANTS:
+    if variant not in VARIANTS:
         raise BadParams("unknown quad-energy variant %r" % variant)
     if not (a.field == x.field == third.field == g.field == h.field):
         raise FieldMismatch("mixed fields in quad_energy_brute")
     if not a.is_zero_free:
         raise ZeroInA("0 in A")
-    if variant in ("E3_prod", "E4_prod") and not x.is_zero_free:
+    if variant in ("prod_E1", "prod_E2") and not x.is_zero_free:
         raise ZeroDivisor("prod variants need 0 not in X")
     p = a.field.p
     inv = a.field.inv_table
@@ -177,11 +177,11 @@ def quad_energy_brute(variant: str, a: FSet, x: FSet, third: FSet,
         ga, ha = int(g.values[av]), int(h.values[av])
         for xv in xe.tolist():
             for tv in te.tolist():
-                if variant == "E1_sum":
+                if variant == "sum_E1":
                     v = ga * (xv + tv + ha) % p
-                elif variant == "E3_prod":
+                elif variant == "prod_E1":
                     v = ga * (xv * tv + ha) % p
-                elif variant == "E2_sum":
+                elif variant == "sum_E2":
                     v = (tv * int(inv[ga]) - xv - ha) % p
                 else:
                     v = (tv * int(inv[ga]) - ha) * int(inv[xv]) % p

@@ -28,14 +28,13 @@ import numpy as np
 from fpsp.energy import moment, rep_fn
 from fpsp.field import make_field
 from fpsp.functions import f_image, make_fn, parse_fn_spec
-from fpsp.incidence import (incidences, make_config, max_collinear,
-                            normalize_planes, rudnev_ratio)
+from fpsp.incidence import (VARIANTS, incidences, make_config,
+                            max_collinear, normalize_planes, rudnev_ratio)
 from fpsp.rng import CounterRng
 from fpsp.sets import combine, generate
 from fpsp.sweep import build_instance_sets, report_json, run_sweep
-from fpsp.verify import (QUAD_VARIANTS, ThmInstance, composite_N_check,
-                         count_X, lemma_chain_check, quad_energy,
-                         theorem_ratio)
+from fpsp.verify import (ThmInstance, composite_N_check, count_X,
+                         lemma_chain_check, quad_energy, theorem_ratio)
 from oracles import count_X_brute, quad_energy_brute
 
 import pathlib
@@ -311,7 +310,7 @@ def test_c9_brute_force_crosschecks():
     h = make_fn(f, "random", seed=7)
     n_q = 0
     for trial in range(12):
-        variant = QUAD_VARIANTS[trial % 4]
+        variant = VARIANTS[trial % 4]
         rng = CounterRng(trial, "acc9q")
         a = generate(f, "random", size=3 + int(rng.below(4)), seed=trial,
                      instance_id="acc9qa", zero_free=True)
@@ -320,7 +319,7 @@ def test_c9_brute_force_crosschecks():
         b = generate(f, "random", size=4 + int(rng.below(4)), seed=trial,
                      instance_id="acc9qb", zero_free=True)
         third = (f_image(g, h, a, b)
-                 if variant in ("E2_sum", "E4_prod") else b)
+                 if variant in ("sum_E2", "prod_E2") else b)
         want = quad_energy_brute(variant, a, x, third, g, h)
         assert quad_energy(variant, a, x, third, g, h) == want, trial
         n_q += 1

@@ -13,6 +13,7 @@ from fpsp.cli import dispatch, parse_set_spec, read_rows_file
 from fpsp.errors import ParseError
 from fpsp.field import make_field
 from fpsp.sets import FAMILIES
+from fpsp.verify import PHI_CAP
 
 F101 = make_field(101)
 
@@ -381,6 +382,9 @@ def test_verify_composite_eplus_phi(capsys):
     code, _, _ = run(capsys, "verify", "phi", "--p", "101",
                      "--B", "interval:1:10", "--eps", "7/2")
     assert code == 2  # eps outside (0, 1)
+    code, _, err = run(capsys, "verify", "phi", "--p", "1009",
+                       "--B", "interval:1:%d" % (PHI_CAP + 1))
+    assert code == 2 and "capped" in err  # one past PHI_CAP
 
 
 def test_verify_theorem_vinh_spec_example(capsys):

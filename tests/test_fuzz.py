@@ -31,9 +31,8 @@ from fpsp.incidence import (TRIPLES_CAP, _dedup_pairs, _proof_pairs,
                             bilinear_hist, proof_incidences)
 from fpsp.rng import CounterRng
 from fpsp.sets import FSet, _pair_count, combine, generate
-from fpsp.verify import (_KERNEL_OF, _energy_and_incidences,
-                         count_N_shifted, count_X, holder_weighted_sum,
-                         quad_energy, solution_count_M)
+from fpsp.verify import (_energy_and_incidences, count_N_shifted, count_X,
+                         holder_weighted_sum, quad_energy, solution_count_M)
 from oracles import _convolve_ntt, solution_count_M_brute
 
 P_LARGE = 1048573
@@ -639,7 +638,6 @@ def test_kernel_consumers_match_dense_oracle(monkeypatch):
     brute set operations.  The lemma chain's shared enumeration of both
     sums must match the two separate calls, with and without repeated
     kernel pairs (g = h = 1 repeats a pair whenever |A| >= 2)."""
-    inverse = {kernel: energy for energy, kernel in _KERNEL_OF.items()}
     repeats = 0
     for i, (f, a, b, c) in enumerate(_kernel_cases()):
         p = f.p
@@ -675,14 +673,14 @@ def test_kernel_consumers_match_dense_oracle(monkeypatch):
                 want = _pair_count_oracle(alpha, ts, beta, p)
                 _same_hist(bilinear_hist(alpha, beta, ts, p), want, False,
                            tag + (variant,))
-                assert quad_energy(inverse[variant], a, x, third, g, h) == \
+                assert quad_energy(variant, a, x, third, g, h) == \
                     int(np.dot(want, want)), tag + (variant,)
                 ua, ub = _dedup_pairs(alpha, beta, p)
                 want = _pair_count_oracle(ua, ts, ub, p)
                 assert proof_incidences(variant, a, x, third, g, h) == \
                     int(np.dot(want, want)), tag + (variant,)
                 for gg, hh in ((g, h), (one, one)):
-                    both = (quad_energy(inverse[variant], a, x, third, gg, hh),
+                    both = (quad_energy(variant, a, x, third, gg, hh),
                             proof_incidences(variant, a, x, third, gg, hh))
                     assert _energy_and_incidences(
                         variant, a, x, third, gg, hh, TRIPLES_CAP) == both, \

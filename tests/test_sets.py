@@ -7,9 +7,9 @@ from fpsp.errors import (BadParams, FieldMismatch, ParseError, ZeroDilation,
                          ZeroDivisor)
 from fpsp.field import make_field
 from fpsp.rng import CounterRng
-from fpsp.sets import (FSet, Hist, _pair_transform, affine, combine,
-                       generate, parse_set_text, read_set_file,
-                       subgroup_orders, write_set_file)
+from fpsp.sets import (FSet, Hist, _pair_count, _pair_counts, _pair_transform,
+                       affine, combine, generate, parse_set_text,
+                       read_set_file, subgroup_orders, write_set_file)
 
 F7 = make_field(7)
 F101 = make_field(101)
@@ -193,6 +193,30 @@ def test_transform_support_gathers_bools():
             assert bool(got[0]) == with_zero
             assert Hist(f.p, dense=got).support(f).mask is got
             assert Hist(f.p, dense=got).counts is None  # support only
+
+
+def test_support_only_hist_has_no_counts_on_any_route():
+    # combine's support-only count keeps no counts on either route, with
+    # the enumeration's sparse (25 cells <= p/8) and dense forms, and
+    # refuses a sum of squares it cannot give
+    f = make_field(1009)
+    for size in (5, 299):
+        x = generate(f, "interval", start=1, size=size)
+        for op in ("sum", "diff", "prod", "ratio"):
+            want = _pair_counts(x, x, op, "pairwise", "pairwise")
+            for method in ("pairwise", "transform"):
+                tag = (size, op, method)
+                hist = _pair_counts(x, x, op, method, "pairwise",
+                                    support=True)
+                assert hist.counts is None, tag
+                with pytest.raises(BadParams):
+                    hist.sum_squares()
+                assert hist.support(f) == want.support(f), tag
+    dense = _pair_count(np.arange(1, 300), np.arange(1, 300), None, f.p,
+                        support=True)
+    assert dense.counts is None
+    with pytest.raises(BadParams):
+        dense.sum_squares()
 
 
 def test_combine_against_brute_200():

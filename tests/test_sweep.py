@@ -82,6 +82,20 @@ def test_config_rejects(broken):
         SweepConfig.from_dict(raw)
 
 
+def test_config_keeps_no_caller_list():
+    # the config copies the lists it validated, so a later change to the
+    # raw dict reaches neither the config nor to_dict
+    raw = {"primes": [101], "families": ["interval"], "sizes": [[4, 8, 8]],
+           "seeds": [0, 1], "g": ["id"]}
+    cfg = SweepConfig.from_dict(raw)
+    want = cfg.to_dict()
+    raw["primes"].append(4)
+    raw["seeds"].append(-1)
+    raw["g"][0] = "idd"
+    assert (cfg.primes, cfg.seeds, cfg.g) == ([101], [0, 1], ["id"])
+    assert cfg.to_dict() == want
+
+
 def test_missing_required_key():
     raw = _cfg()
     del raw["seeds"]

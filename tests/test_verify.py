@@ -2,19 +2,24 @@
 fourth-moment lemma chain, the shifted-difference composite, the
 popular-sum machinery, and the theorem ratio rows."""
 
+import hashlib
+import json
+import pathlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from fpsp.energy import level_set, moment, popular_diff, rep_fn
-from fpsp.errors import (BadP, BadParams, EmptySet, HypothesisViolated,
-                         ZeroDivisor, ZeroInA)
+from fpsp.errors import (BadP, BadParams, EmptySet, FpspError,
+                         HypothesisViolated, SizeCap, ZeroDivisor, ZeroInA)
 from fpsp.field import make_field
-from fpsp.functions import f_image, make_fn, mu
+from fpsp.functions import f_image, make_fn, mu, parse_fn_spec
+from fpsp.incidence import VARIANTS
 from fpsp.rng import CounterRng
 from fpsp.sets import FSet, affine, combine, generate
-from fpsp.verify import (CSV_HEADER, QUAD_VARIANTS, THEOREMS, ThmInstance,
+from fpsp.sweep import build_instance_sets
+from fpsp.verify import (CSV_HEADER, PHI_CAP, THEOREMS, ThmInstance,
                          composite_N_check, count_N_shifted, count_X,
                          eplus_chain, holder_weighted_sum, lemma_chain_check,
                          n_chain_check, phi_chain, phi_count, quad_energy,
@@ -23,6 +28,7 @@ from oracles import count_X_brute, quad_energy_brute, solution_count_M_brute
 
 F7 = make_field(7)
 F101 = make_field(101)
+F1009 = make_field(1009)
 
 
 def _b123(field=F7):
@@ -45,14 +51,14 @@ def test_quad_energy_tiny_worked():
     a = generate(F7, "explicit", elements=[1, 2])
     x = generate(F7, "explicit", elements=[1])
     c = generate(F7, "explicit", elements=[3])
-    e1 = quad_energy("E1_sum", a, x, c, _id(F7), _one(F7))
+    e1 = quad_energy("sum_E1", a, x, c, _id(F7), _one(F7))
     assert e1 == 2
-    assert e1 == quad_energy_brute("E1_sum", a, x, c, _id(F7), _one(F7))
+    assert e1 == quad_energy_brute("sum_E1", a, x, c, _id(F7), _one(F7))
 
 
 def test_quad_energy_singletons_are_one():
     s = generate(F7, "explicit", elements=[2])
-    for variant in QUAD_VARIANTS:
+    for variant in VARIANTS:
         assert quad_energy(variant, s, s, s, _id(F7), _one(F7)) == 1
 
 
@@ -61,7 +67,7 @@ def test_quad_energy_matches_brute_seeded():
     g = make_fn(F101, "power", k=2)
     h = make_fn(F101, "random", seed=5)
     for trial in range(12):
-        variant = QUAD_VARIANTS[trial % 4]
+        variant = VARIANTS[trial % 4]
         a = generate(F101, "random", size=3 + int(rng.below(4)), seed=trial,
                      instance_id="qa%d" % trial, zero_free=True)
         x = generate(F101, "random", size=2 + int(rng.below(4)), seed=trial,
@@ -69,7 +75,7 @@ def test_quad_energy_matches_brute_seeded():
         b = generate(F101, "random", size=4 + int(rng.below(4)), seed=trial,
                      instance_id="qb%d" % trial, zero_free=True)
         third = (f_image(g, h, a, b)
-                 if variant in ("E2_sum", "E4_prod") else b)
+                 if variant in ("sum_E2", "prod_E2") else b)
         want = quad_energy_brute(variant, a, x, third, g, h)
         assert quad_energy(variant, a, x, third, g, h) == want, (variant,
                                                                  trial)
@@ -85,18 +91,19 @@ def test_quad_energy_cauchy_schwarz_floor():
                      instance_id="cs-x%d" % trial, zero_free=True)
         c = generate(F101, "random", size=5, seed=trial,
                      instance_id="cs-c%d" % trial, zero_free=True)
-        e = quad_energy("E1_sum", a, x, c, _id(F101), _one(F101))
+        e = quad_energy("sum_E1", a, x, c, _id(F101), _one(F101))
         t = a.size * x.size * c.size
         assert e * 101 >= t * t
 
 
 def test_quad_energy_rejects():
     s = generate(F7, "explicit", elements=[1])
-    with pytest.raises(BadParams):
-        quad_energy("E5_sum", s, s, s, _id(F7), _one(F7))
+    for name in ("E5_sum", "E1_sum"):  # the kernels' names only
+        with pytest.raises(BadParams, match="unknown variant"):
+            quad_energy(name, s, s, s, _id(F7), _one(F7))
     x0 = generate(F7, "explicit", elements=[0, 1])
     with pytest.raises(ZeroDivisor):
-        quad_energy("E3_prod", s, x0, s, _id(F7), _one(F7))
+        quad_energy("prod_E1", s, x0, s, _id(F7), _one(F7))
 
 
 # -- solution counts ------------------------------------------------------
@@ -410,6 +417,16 @@ def test_phi_count_extremes():
     assert phi_count(b, c, full, empty) == 0
 
 
+def test_phi_cap_refuses_one_past():
+    # |C| = PHI_CAP + 1 raises SizeCap from both functions
+    c = generate(F1009, "interval", start=1, size=PHI_CAP + 1)
+    b = generate(F1009, "interval", start=1, size=10)
+    with pytest.raises(SizeCap):
+        phi_count(b, c, c, c)
+    with pytest.raises(SizeCap):
+        phi_chain(b, c)
+
+
 def test_phi_chain_runs_and_negative_rhs():
     c = generate(F101, "interval", start=1, size=10)
     b = generate(F101, "interval", start=20, size=10)
@@ -559,3 +576,53 @@ def test_mu_factor_recorded():
     g = make_fn(F101, "power", k=2)
     row = theorem_ratio("HH_1_2", ThmInstance(a=a, g=g, h=_one(F101)))
     assert row.m == mu(g) == 2
+
+
+GOLDEN_ROWS = (pathlib.Path(__file__).parent / "golden"
+               / "theorem_rows_sha256.txt")
+
+# (g, h, g2, h2) specs; None leaves the second wing on g, h
+_ROW_MAPS = (("id", "const:3", None, None),
+             ("power:2", "random:12", "id", None),
+             ("random:11", "power:5", None, "power:3"),
+             ("power:3", "power:2", "random:11", "random:12"))
+
+
+def test_golden_theorem_rows():
+    # SHA-256 over every theorem row, strict off and on, on a grid of the
+    # sweep's five families at two primes, two size triples, two seeds and
+    # four map choices, two with distinct second wings.  A row adds its
+    # to_dict() JSON (sorted keys) and its csv_line(); an error adds its
+    # class and message.  The sweep golden pins only g = id, h = const:1.
+    digest = hashlib.sha256()
+    n_rows = n_errors = 0
+    for p in (101, 1009):
+        field = make_field(p)
+        maps = [tuple(None if s is None else parse_fn_spec(field, s)
+                      for s in specs) for specs in _ROW_MAPS]
+        for fam in ("interval", "ap", "gp", "mul_subgroup", "random"):
+            for na, nb, nc in ((4, 8, 8), (6, 6, 12)):
+                for seed in (0, 1):
+                    sets = build_instance_sets(field, fam, na, nb, nc, seed)
+                    for g, h, g2, h2 in maps:
+                        inst = ThmInstance(a=sets["A"], b=sets["B"],
+                                           c=sets["C"], d=sets["D"], g=g,
+                                           h=h, g2=g2, h2=h2, family=fam,
+                                           seed=seed)
+                        for tid in THEOREMS:
+                            for strict in (False, True):
+                                try:
+                                    row = theorem_ratio(tid, inst, strict)
+                                except FpspError as exc:
+                                    n_errors += 1
+                                    line = "%s: %s\n" % (
+                                        type(exc).__name__, exc)
+                                else:
+                                    n_rows += 1
+                                    line = "%s\n%s\n" % (
+                                        json.dumps(row.to_dict(),
+                                                   sort_keys=True),
+                                        row.csv_line())
+                                digest.update(line.encode())
+    got = "rows=%d errors=%d %s" % (n_rows, n_errors, digest.hexdigest())
+    assert got == GOLDEN_ROWS.read_text().strip()
