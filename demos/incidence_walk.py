@@ -16,7 +16,7 @@ Run:  python3 demos/incidence_walk.py
 import numpy as np
 
 from fpsp.field import make_field
-from fpsp.functions import f_image, make_fn, mu, pointwise_product
+from fpsp.functions import f_image, make_fn, mu, mu_product
 from fpsp.incidence import (build_proof_config, incidences, make_config,
                             max_collinear, proof_incidences, rudnev_ratio)
 from fpsp.sets import combine, generate
@@ -47,13 +47,12 @@ a = generate(field, "random", size=8, seed=1, zero_free=True)
 bset = generate(field, "random", size=12, seed=2, zero_free=True)
 g = make_fn(field, "power", k=2)
 h = make_fn(field, "random", seed=3)
-gh = pointwise_product(g, h)
 img = f_image(g, h, a, bset)
 x = generate(field, "interval", start=1, size=10)
 
 for variant, third, m in (("sum_E1", bset, mu(g)), ("sum_E2", img, mu(g)),
-                          ("prod_E1", bset, mu(gh)),
-                          ("prod_E2", img, mu(gh))):
+                          ("prod_E1", bset, mu_product(g, h)),
+                          ("prod_E2", img, mu_product(g, h))):
     fast = proof_incidences(variant, a, x, third, g, h)
     cfg = build_proof_config(variant, a, x, third, g, h)
     slow = incidences(cfg)

@@ -22,7 +22,7 @@ from .errors import (BadEpsilon, BadExponent, BadP, BadParams, ConfigError,
                      ZeroDivisor, ZeroInA, ZeroInCodomain, ZeroInverse)
 from .field import DEFAULT_MAX_P, PrimeField, is_prime, make_field
 from .functions import (FnTable, f_image, mu, mu_product, parse_fn_spec,
-                        pointwise_product, read_fn_file, write_fn_file)
+                        read_fn_file, write_fn_file)
 from .incidence import (COLLINEAR_CAP, MATERIALIZE_CAP, TRIPLES_CAP,
                         VARIANTS, IncidenceConfig, bilinear_hist,
                         build_proof_config, incidences, make_config,

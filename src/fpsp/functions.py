@@ -4,7 +4,9 @@ The two-variable maps under study all have the shape
 
     f(a, b) = g(a) * (h(a) + b),
 
-so a function is just a flat value table over F_p^* (index 0 unused).  The
+so a function is just a flat int32 value table over F_p^* (index 0 unused;
+entries are below p <= 2^20 < 2^31), 4 MB at p = 2^20.  A product of two
+entries wraps in int32 with no warning, so each is taken in int64.  The
 key structural quantity is the multiplicity mu(g): the largest fiber size
 max_x |g^{-1}(x)|, optionally restricted to a domain set.  Its
 whole-domain value is kept on the table, and mu(g*h) on g, as ints, so a
@@ -26,11 +28,12 @@ from .errors import (BadParams, FieldMismatch, ParseError, ZeroInA,
                      ZeroInCodomain)
 from .field import PrimeField, powmod
 from .rng import CounterRng
-from .sets import FSet, _format_lines, _pair_count, _read_lines
+from .sets import FSet, _format_lines, _pair_count, _read_lines, _residues
 
 
 class FnTable:
-    """A function F_p^* -> F_p^* as a flat lookup table."""
+    """A function F_p^* -> F_p^* as a read-only int32 table, one copy of
+    values; entries reduce mod p exactly, non-integers raise BadParams."""
 
     __slots__ = ("field", "values", "label", "_mu", "_mu_product",
                  "__weakref__")
@@ -39,16 +42,12 @@ class FnTable:
         p = field.p
         if len(values) != p:
             raise BadParams("value table must have length p (index 0 unused)")
-        vals = np.array(values, dtype=np.int64)  # the table's own copy
+        vals = _residues(values, p, np.int32)  # the table's own copy
         vals[0] = 0  # unused slot, normalized for equality checks
-        if int(vals.min()) < 0 or int(vals.max()) >= p:
-            vals %= p
         if not vals[1:].all():
             raise ZeroInCodomain("function takes value 0 on F_p^*")
-        self.field = field
-        self.values = vals
-        self.values.flags.writeable = False
-        self.label = label
+        vals.flags.writeable = False
+        self.field, self.values, self.label = field, vals, label
         self._mu = None  # mu over all of F_p^*, once computed
         self._mu_product = None  # (weakref(h), mu(self*h)) of the last h
 
@@ -84,10 +83,10 @@ def make_fn(field: PrimeField, kind: str, *, c: int | None = None,
             raise BadParams("const needs c")
         if c % p == 0:
             raise ZeroInCodomain("const 0 is not a map into F_p^*")
-        vals = np.full(p, c % p, dtype=np.int64)
+        vals = np.full(p, c % p, dtype=np.int32)
         label = "const:%d" % (c % p)
     elif kind == "identity":
-        vals = np.arange(p, dtype=np.int64)
+        vals = np.arange(p, dtype=np.int32)
         label = "id"
     elif kind == "power":
         if k is None:
@@ -107,22 +106,16 @@ def make_fn(field: PrimeField, kind: str, *, c: int | None = None,
             raise BadParams("random needs seed")
         rng = CounterRng(seed, instance_id if instance_id is not None
                          else "fn:p=%d" % p)
-        vals = np.zeros(p, dtype=np.int64)
+        vals = np.zeros(p, dtype=np.int32)
         vals[1:] = rng.integers(1, p, p - 1)
         label = "random:%d" % seed
     elif kind == "table":
         if table is None:
             raise BadParams("table kind needs values")
-        if not isinstance(table, np.ndarray):
-            # Python ints of any size reduce exactly before the int64 array
-            table = [v % p for v in table]
-        arr = np.asarray(table, dtype=np.int64)
-        if len(arr) == p - 1:
-            vals = np.zeros(p, dtype=np.int64)
-            vals[1:] = arr
-        elif len(arr) == p:
-            vals = arr
-        else:
+        vals = _residues(table, p, np.int32)
+        if len(vals) == p - 1:
+            vals = np.concatenate((vals[:1], vals))  # FnTable zeroes slot 0
+        elif len(vals) != p:
             raise BadParams("table must list p-1 (or p) values")
         label = "table"
     else:
@@ -214,7 +207,7 @@ def _bincount_max(vals: np.ndarray) -> int:
 
 
 def mu_product(g: FnTable, h: FnTable, domain: FSet | None = None) -> int:
-    """mu(g*h, domain), equal to mu(pointwise_product(g, h), domain).
+    """mu(g*h, domain), the largest fiber of x -> g(x)h(x) over the domain.
 
     On a domain A the fibers are counted over the |A| products g(a)h(a).
     The whole-domain value is one bincount over the products.  Only the
@@ -226,27 +219,19 @@ def mu_product(g: FnTable, h: FnTable, domain: FSet | None = None) -> int:
         raise FieldMismatch("tables over different fields")
     if domain is not None:
         dom = _domain(g, domain)
-        return _fiber_max(g.values[dom] * h.values[dom] % g.field.p)
+        prod = np.multiply(g.values[dom], h.values[dom], dtype=np.int64)
+        return _fiber_max(prod % g.field.p)
     hit = g._mu_product
     if hit is None or hit[0]() is not h:
         hv = h.values[1:]
         if hv.min() == hv.max():
             got = mu(g)
         else:
-            prod = g.values[1:] * hv
+            prod = np.multiply(g.values[1:], hv, dtype=np.int64)
             prod %= g.field.p
             got = _bincount_max(prod)
         hit = g._mu_product = (weakref.ref(h), got)
     return hit[1]
-
-
-def pointwise_product(g: FnTable, h: FnTable) -> FnTable:
-    """(g*h)(x) = g(x)h(x); stays inside F_p^* automatically."""
-    if g.field != h.field:
-        raise FieldMismatch("tables over different fields")
-    vals = g.values * h.values % g.field.p
-    lab = "(%s)*(%s)" % (g.label or "?", h.label or "?")
-    return FnTable(g.field, vals, lab)
 
 
 def _image(a: FSet, b: FSet, ga: np.ndarray, gha: np.ndarray) -> FSet:
@@ -270,7 +255,7 @@ def f_image(g: FnTable, h: FnTable, a: FSet, b: FSet) -> FSet:
     if g.field != h.field or g.field != a.field or a.field != b.field:
         raise FieldMismatch("mixed fields in f_image")
     ae = a.elements()
-    ga = g.values[ae]
+    ga = g.values[ae].astype(np.int64)
     # g(a)(h(a) + b) = g(a) * b + g(a)h(a)
     return _image(a, b, ga, ga * h.values[ae] % a.field.p)
 

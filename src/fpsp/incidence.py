@@ -218,7 +218,7 @@ def _proof_pairs(variant: str, a: FSet, x: FSet, third: FSet, g: FnTable,
         raise ZeroDivisor("prod variants need 0 not in X")
     p = a.field.p
     ae = a.elements()
-    ga = g.values[ae][:, None]
+    ga = g.values[ae].astype(np.int64)[:, None]  # int32 ga * ha would wrap
     ha = h.values[ae][:, None]
     if variant.endswith("E1"):
         col, ts = third.elements(), x.elements()

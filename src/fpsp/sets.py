@@ -37,6 +37,7 @@ strictly increasing element per line.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable
 
 import numpy as np
@@ -48,6 +49,23 @@ from .field import PrimeField, factorize, powmod
 from .rng import CounterRng
 
 FAMILIES = ("interval", "ap", "gp", "mul_subgroup", "random", "explicit")
+
+
+def _residues(values, p: int, dtype=np.int64) -> np.ndarray:
+    """values mod p as a new array of dtype, exact for Python ints and any
+    integer dtype (uint64 past 2^63 too); an array is reduced only when
+    an entry lies outside [0, p).  Non-integer entries raise BadParams."""
+    if not isinstance(values, np.ndarray):
+        try:
+            return np.fromiter((operator.index(v) % p for v in values), dtype)
+        except TypeError as exc:
+            raise BadParams("need integer entries: %s" % exc) from None
+    if values.dtype.kind not in "iu":
+        raise BadParams("need integer entries, got %s" % values.dtype)
+    if values.size and (int(values.min()) < 0 or int(values.max()) >= p):
+        wide = np.uint64 if values.dtype == np.uint64 else np.int64
+        return (values % wide(p)).astype(dtype, copy=False)
+    return values.astype(dtype)
 
 
 class FSet:
@@ -89,10 +107,7 @@ class FSet:
     @classmethod
     def from_elements(cls, field: PrimeField, elems: Iterable[int]) -> "FSet":
         mask = np.zeros(field.p, dtype=bool)
-        arr = np.asarray(list(elems) if not isinstance(elems, np.ndarray)
-                         else elems, dtype=np.int64)
-        if len(arr):
-            mask[arr % field.p] = True
+        mask[_residues(elems, field.p)] = True
         return cls._from_mask(field, mask)
 
     @property

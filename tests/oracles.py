@@ -12,6 +12,8 @@ the tests (pytest collects only test_*.py, so it never runs this file).
 * `quad_energy_brute`, `solution_count_M_brute` and `count_X_brute`,
   enumeration oracles for `verify.quad_energy`, `verify.solution_count_M`
   and `verify.count_X`.
+* `pointwise_product`, the table of g*h, whose mu is the oracle of
+  `functions.mu_product`.
 """
 
 from __future__ import annotations
@@ -213,6 +215,16 @@ def solution_count_M_brute(a: FSet, b: FSet, c: FSet, x: FSet,
             raise ZeroDivisor("ratio table needs 0 not in B or C")
         table = be[:, None] * b.field.inverses(ce)[None, :] % p
     return a.size * int(x.mask[table].sum())
+
+
+def pointwise_product(g: FnTable, h: FnTable) -> FnTable:
+    """(g*h)(x) = g(x)h(x), which stays inside F_p^*; the int32 entries
+    multiply in int64, where they cannot wrap."""
+    if g.field != h.field:
+        raise FieldMismatch("tables over different fields")
+    vals = g.values.astype(np.int64) * h.values % g.field.p
+    lab = "(%s)*(%s)" % (g.label or "?", h.label or "?")
+    return FnTable(g.field, vals, lab)
 
 
 def count_X_brute(pset: FSet, b: FSet, cap: int = X_BRUTE_CAP) -> int:

@@ -8,11 +8,11 @@ from fpsp.errors import (BadParams, FieldMismatch, ParseError, ZeroInA,
 from fpsp.field import make_field
 from fpsp import functions
 from fpsp.functions import (FnTable, f_image, make_fn, mu, mu_product,
-                            parse_fn_spec, pointwise_product, read_fn_file,
-                            write_fn_file)
+                            parse_fn_spec, read_fn_file, write_fn_file)
 from fpsp.incidence import bilinear_hist
 from fpsp.rng import CounterRng
 from fpsp.sets import generate
+from oracles import pointwise_product
 
 F7 = make_field(7)
 F101 = make_field(101)
@@ -313,10 +313,136 @@ def test_every_kind_matches_the_old_construction():
                 continue
             got = make_fn(f, kind, **kw)
             assert got.label == label, (p, kind, kw)
-            assert got.values.dtype == np.int64
+            assert got.values.dtype == np.int32
             assert got.values.tolist() == want.tolist(), (p, kind, kw)
         # numpy tables: negative and >= p entries still reduce
         arr = np.array(xs, dtype=np.int64)
         for table in (arr - p, arr + 5 * p, np.concatenate(([9], arr))):
             assert np.array_equal(make_fn(f, "table", table=table).values,
                                   make_fn(f, "identity").values)
+
+
+def test_wide_and_non_integer_tables():
+    # a uint64 entry past 2^63 reduces exactly (2^64 - 1 = 78 mod 101),
+    # as a Python int does; float entries are refused, not truncated
+    top = 2 ** 64 - 1
+    for n in (100, 101):
+        t = make_fn(F101, "table", table=np.full(n, top, dtype=np.uint64))
+        assert t(1) == t(100) == top % 101 == 78
+        assert t == make_fn(F101, "table", table=[top] * n)
+        assert t.values.dtype == np.int32 and t.values[0] == 0
+    assert FnTable(F101, np.full(101, top, dtype=np.uint64))(5) == 78
+    for bad in (np.full(100, 3.7), np.full(100, 3.0), [3.7] * 100,
+                np.ones(100, dtype=bool)):
+        with pytest.raises(BadParams):
+            make_fn(F101, "table", table=bad)
+    with pytest.raises(BadParams):
+        FnTable(F101, np.full(101, 3.7))
+
+
+P_BIG = 1048573  # entries near 2^20: a product of two passes 2^31
+
+
+def test_products_of_table_entries_are_exact_at_large_p():
+    # Every product of two int32 table entries is taken in int64:
+    # mu_product (whole domain and on a domain), f_image and the four
+    # proof kernels, against Python-int oracles.
+    from collections import Counter
+
+    from fpsp.incidence import _proof_pairs, proof_incidences
+    p = P_BIG
+    f = make_field(p)
+    neg = make_fn(f, "const", c=p - 1)
+    cube, inv = make_fn(f, "power", k=3), make_fn(f, "power", k=-3)
+    gen = CounterRng(26, "widen")
+    a, b, c, x = (generate(f, "explicit", elements=sorted(set(
+        (p - 1 - gen.integers(0, 1 << 19, n)).tolist())))
+        for n in (30, 20, 25, 15))
+    vals = {t.label: t.values.tolist() for t in (neg, cube, inv)}
+    assert max(vals[neg.label]) * max(vals[cube.label]) >= 2 ** 31
+
+    def fiber(xs):
+        return max(Counter(xs).values(), default=0)
+
+    for g, h in ((neg, cube), (cube, cube), (cube, neg), (cube, inv)):
+        gv, hv = vals[g.label], vals[h.label]
+        whole = fiber(u * v % p for u, v in zip(gv[1:], hv[1:]))
+        assert mu_product(g, h) == whole, (g, h)
+        for dom in (a, b):
+            ae = dom.elements().tolist()
+            assert mu_product(g, h, dom) == fiber(
+                gv[e] * hv[e] % p for e in ae), (g, h)
+        img = {gv[e] * (hv[e] + y) % p for e in a.elements().tolist()
+               for y in b.elements().tolist()}
+        assert set(f_image(g, h, a, b).elements().tolist()) == img, (g, h)
+    assert mu_product(neg, cube) == 3  # -x^3; gcd(3, p - 1) = 3
+    assert mu_product(cube, inv, a) == a.size  # x^3 x^-3 = 1
+
+    def pairs(variant, g, h, col):
+        out = []
+        for e in a.elements().tolist():
+            ga, ha = vals[g.label][e], vals[h.label][e]
+            for y in col:
+                if variant == "sum_E1":
+                    out.append((ga, ga * (ha + y) % p))
+                elif variant == "prod_E1":
+                    out.append((ga * y % p, ga * ha % p))
+                elif variant == "sum_E2":
+                    out.append((pow(ga, -1, p), -(ha + y) % p))
+                else:
+                    iy = pow(y, -1, p)
+                    out.append((pow(ga * y, -1, p), -(ha * iy) % p))
+        return out
+
+    for g, h in ((cube, neg), (neg, cube)):
+        for variant in ("sum_E1", "prod_E1", "sum_E2", "prod_E2"):
+            third = c if variant.endswith("E1") else b
+            col, ts = (third, x) if third is c else (x, third)
+            want = pairs(variant, g, h, col.elements().tolist())
+            alpha, beta, got_ts = _proof_pairs(variant, a, x, third, g, h)
+            assert alpha.dtype == beta.dtype == np.int64, variant
+            assert list(zip(alpha.tolist(), beta.tolist())) == want, variant
+            hist = bilinear_hist(alpha, beta, got_ts, p)
+            cells = Counter((u * t + v) % p for u, v in want
+                            for t in ts.elements().tolist())
+            assert dict(zip(hist.values.tolist(),
+                            hist.counts.tolist())) == cells, variant
+            once = Counter((u * t + v) % p for u, v in set(want)
+                           for t in ts.elements().tolist())
+            assert proof_incidences(variant, a, x, third, g, h) == \
+                sum(n * n for n in once.values()), variant
+
+
+def test_table_construction_memory():
+    # At p = 1048573 every kind keeps one 4 MB int32 table.  const,
+    # identity and an in-range int64 table (p or p - 1 entries) peak at
+    # two tables, the kind's own int32 array and FnTable's copy, plus
+    # 64 KiB for Python objects.  random adds the draw's 8 MB int64 array
+    # and its chunk buffers: 13.7 MiB measured (numpy 2.4), bounded at
+    # 14 MiB.  power and affine compute in int64, and only their kept
+    # table is bounded here.
+    import tracemalloc
+    p = P_BIG
+    f = make_field(p)
+    table = 4 * p
+    in_range = np.arange(p, dtype=np.int64)
+    in_range[0] = 1
+    cases = [("const", dict(c=p - 1), 2 * table),
+             ("identity", {}, 2 * table),
+             ("table", dict(table=in_range), 2 * table),
+             ("table", dict(table=in_range[1:]), 2 * table),
+             ("random", dict(seed=11), 14 * 2 ** 20),
+             ("power", dict(k=3), None), ("affine", dict(u=2, v=0), None)]
+    for kind, kw, bound in cases:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn = make_fn(f, kind, **kw)
+            kept, peak = (m - base for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        if bound is not None:
+            assert peak < bound + 2 ** 16, (kind, peak)
+        assert table <= kept < table + 2 ** 16, (kind, kept)
+        assert fn.values.dtype == np.int32 and fn.values.nbytes == table
+        del fn

@@ -25,15 +25,14 @@ from fpsp.energy import (RepFn, dyadic_buckets, energy_popular, level_counts,
                          rep_fn, select_dyadic_k)
 from fpsp.errors import BadP, EmptySet
 from fpsp.field import is_prime, make_field
-from fpsp.functions import (_unit_image, f_image, make_fn, mu, mu_product,
-                            pointwise_product)
+from fpsp.functions import _unit_image, f_image, make_fn, mu, mu_product
 from fpsp.incidence import (TRIPLES_CAP, _dedup_pairs, _proof_pairs,
                             bilinear_hist, proof_incidences)
 from fpsp.rng import CounterRng
 from fpsp.sets import FSet, _pair_count, combine, generate
 from fpsp.verify import (_energy_and_incidences, count_N_shifted, count_X,
                          holder_weighted_sum, quad_energy, solution_count_M)
-from oracles import _convolve_ntt, solution_count_M_brute
+from oracles import _convolve_ntt, pointwise_product, solution_count_M_brute
 
 P_LARGE = 1048573
 NTT_MAX_P = 5000  # the NTT oracle is slow past a few thousand points
@@ -660,7 +659,7 @@ def test_kernel_consumers_match_dense_oracle(monkeypatch):
                 want[(be + y if op in ("sum", "diff") else be * y) % p] = True
                 _same_set(combine(b, cz if op == "ratio" else c, op,
                                   method="pairwise"), want, tag + (op,))
-            ga = g.values[ae]
+            ga = g.values[ae].astype(np.int64)  # int32 products wrap
             _same_set(f_image(g, h, a, bz),
                       _image_oracle(ga, ga * h.values[ae] % p, bz), tag)
             for sign in (1, -1):

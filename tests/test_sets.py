@@ -313,3 +313,24 @@ def test_combine_empty_operand():
     for op in ("sum", "diff", "prod"):
         assert combine(a, b, op).size == 0
         assert combine(b, a, op).size == 0
+
+
+def test_from_elements_reduces_integers_exactly():
+    # a uint64 entry past 2^63 reduces exactly (2^64 - 1 = 78 mod 101), as
+    # a Python int does; negative and >= p entries of any integer dtype
+    # reduce; float and bool arrays are refused, not truncated
+    f = make_field(101)
+    top = 2 ** 64 - 1
+    for elems in (np.array([top, 5], dtype=np.uint64), [top, 5],
+                  np.array([-23, 106], dtype=np.int8),
+                  np.array([-23, 106], dtype=np.int64),
+                  np.array([179, 5], dtype=np.uint8),
+                  np.array([78 + 101 * 40000, 5], dtype=np.int32)):
+        assert FSet.from_elements(f, elems).elements().tolist() == [5, 78], \
+            elems
+    for empty in ([], np.array([], dtype=np.int64), range(0)):
+        assert FSet.from_elements(f, empty).size == 0
+    for bad in (np.array([3.7]), np.array([3.0]), [3.7],
+                np.array([True, False])):
+        with pytest.raises(BadParams):
+            FSet.from_elements(f, bad)
