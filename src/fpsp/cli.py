@@ -48,9 +48,7 @@ from .incidence import (COLLINEAR_CAP, MATERIALIZE_CAP, TRIPLES_CAP,
 from .sets import (FAMILIES, FSet, _format_lines, _read_lines, affine,
                    combine, generate, read_set_file)
 from .sweep import load_config_file, report_json, rows_csv, run_sweep
-from .verify import (THEOREMS, ThmInstance, composite_N_check, eplus_chain,
-                     lemma_chain_check, n_chain_check, phi_chain,
-                     theorem_ratio)
+from .verify import CHAINS, THEOREMS, ThmInstance, theorem_ratio
 
 _SET_FAMILY_HEADS = ("file", "subgroup") + FAMILIES
 
@@ -270,38 +268,12 @@ def _cmd_incidence(ns) -> int:
     return 0
 
 
-def _cmd_verify_lemma(ns) -> int:
-    if ns.k == "auto":
-        k = "auto"
-    else:
-        try:
-            k = int(ns.k)
-        except ValueError:
-            raise ParseError("--k wants \"auto\" or an integer")
-    rep = lemma_chain_check(ns.A, ns.B, ns.C, ns.g, ns.h, ns.kind, k=k,
-                            triples_cap=ns.triples_cap,
-                            collinear_cap=ns.collinear_cap)
-    return _report_verdict(rep.to_dict(), "lemma-chain[%s]" % ns.kind)
-
-
-def _cmd_verify_nchain(ns) -> int:
-    rep = n_chain_check(ns.B, ns.C, ns.P)
-    return _report_verdict(rep.to_dict(), "n-chain")
-
-
-def _cmd_verify_composite(ns) -> int:
-    rep = composite_N_check(ns.B, ns.C)
-    return _report_verdict(rep.to_dict(), "composite")
-
-
-def _cmd_verify_eplus(ns) -> int:
-    rep = eplus_chain(ns.A, ns.B, ns.C, ns.g, ns.h, cap=ns.triples_cap)
-    return _report_verdict(rep.to_dict(), "eplus")
-
-
-def _cmd_verify_phi(ns) -> int:
-    rep = phi_chain(ns.B, ns.C, eps=ns.eps)
-    return _report_verdict(rep.to_dict(), "phi")
+def _cmd_verify_chain(ns) -> int:
+    mode, reads, call = CHAINS[ns.chain]
+    if ns.C is None:
+        ns.C = ns.B
+    label = "%s[%s]" % (mode, ns.kind) if "kind" in reads else mode
+    return _report_verdict(call(ns).to_dict(), label)
 
 
 def _cmd_verify_theorem(ns) -> int:
@@ -341,18 +313,64 @@ def _cmd_sweep(ns) -> int:
 _FN_DEFAULTS = {"g": "id", "h": "const:1"}
 
 
-def _add_fn_flags(sp, defaults: bool = True) -> None:
-    """--g and --h.  With defaults=False an absent flag stays None, so no
-    table is built for it; the subcommand applies _FN_DEFAULTS, which the
-    help strings name, where it reads the tables."""
-    for flag, spec in _FN_DEFAULTS.items():
-        sp.add_argument("--" + flag, default=spec if defaults else None,
-                        help="%s table spec (default %s)" % (flag, spec))
-
-
 def _opt(spec: str) -> str | None:
     """type= of the optional set, table and eps flags: "" is absent."""
     return spec or None
+
+
+def _positive(text: str, want: str = "an integer >= 1") -> int:
+    """type= of the cap flags: an integer >= 1, as a sweep config's caps."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError("want %s, got %r" % (want, text))
+    return n
+
+
+def _level(text: str) -> int | str:
+    """type= of --k: "auto" or an integer >= 1, as a sweep config's k."""
+    return text if text == "auto" else _positive(
+        text, "\"auto\" or an integer >= 1")
+
+
+# The flags --<name> ("_" read as "-") of the inputs verify.CHAINS names,
+# which image, energy and incidence share.  incidence keeps an absent --g
+# or --h None, so its file mode builds no table, and applies _FN_DEFAULTS,
+# which the help strings name, where it reads the tables.
+_FLAGS = {
+    "A": dict(required=True),
+    "B": dict(required=True),
+    "C": dict(type=_opt, help="defaults to B"),
+    "P": dict(type=_opt,
+              help="subset of B-C; default: popular difference set"),
+    **{flag: dict(default=spec, help="%s table spec (default %s)"
+                  % (flag, spec)) for flag, spec in _FN_DEFAULTS.items()},
+    "kind": dict(choices=["sum", "prod"], default="sum"),
+    "k": dict(type=_level, default="auto"),
+    "cap": dict(type=_positive, default=MATERIALIZE_CAP),
+    "triples_cap": dict(type=_positive, default=TRIPLES_CAP),
+    "collinear_cap": dict(type=_positive, default=COLLINEAR_CAP),
+    "eps": dict(type=_opt, help="popularity threshold, a/b or decimal "
+                                "(default 1/log2|C|)"),
+}
+
+# the one-line help of each verify.CHAINS mode
+_CHAIN_HELP = {
+    "lemma": "the fourth-moment chain",
+    "n-chain": "shifted-difference count N for a given P",
+    "composite": "full N chain with Hoelder closure",
+    "eplus": "additive-energy transfer bound",
+    "phi": "popular-sum core machinery",
+}
+
+
+def _add_flags(sp, *names: str, **override) -> None:
+    """Add the _FLAGS spec of each name to sp, updated by override."""
+    for name in names:
+        sp.add_argument("--" + name.replace("_", "-"),
+                        **{**_FLAGS[name], **override})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,17 +406,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("image", help="the image set {g(a)(h(a)+b)}")
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--A", required=True)
-    sp.add_argument("--B", required=True)
-    _add_fn_flags(sp)
+    _add_flags(sp, "A", "B", "g", "h")
     sp.add_argument("--out")
     sp.set_defaults(func=_cmd_image)
 
     sp = sub.add_parser("energy", help="moment of a representation "
                                        "histogram, exactly")
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--A", required=True)
-    sp.add_argument("--B", required=True)
+    _add_flags(sp, "A", "B")
     sp.add_argument("--op", required=True,
                     help="diff | ratio | sum (histogram kind)")
     sp.add_argument("--n", required=True,
@@ -425,10 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--third", type=_opt,
                     help="C for the E1 shapes, the image set for the E2 "
                          "shapes")
-    _add_fn_flags(sp, defaults=False)  # file mode reads no table
-    sp.add_argument("--cap", type=int, default=MATERIALIZE_CAP)
-    sp.add_argument("--collinear-cap", type=int, default=COLLINEAR_CAP,
-                    dest="collinear_cap")
+    _add_flags(sp, "g", "h", default=None)  # file mode reads no table
+    _add_flags(sp, "cap", "collinear_cap")
     sp.add_argument("--out-points", dest="out_points")
     sp.add_argument("--out-planes", dest="out_planes")
     sp.set_defaults(func=_cmd_incidence)
@@ -436,54 +449,11 @@ def build_parser() -> argparse.ArgumentParser:
     vp = sub.add_parser("verify", help="single-instance verification")
     vsub = vp.add_subparsers(dest="mode", required=True)
 
-    sp = vsub.add_parser("lemma-chain", help="the fourth-moment chain")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--A", required=True)
-    sp.add_argument("--B", required=True)
-    sp.add_argument("--C", type=_opt, help="defaults to B")
-    _add_fn_flags(sp)
-    sp.add_argument("--kind", choices=["sum", "prod"], default="sum")
-    sp.add_argument("--k", default="auto")
-    sp.add_argument("--triples-cap", type=int, default=TRIPLES_CAP,
-                    dest="triples_cap")
-    sp.add_argument("--collinear-cap", type=int, default=COLLINEAR_CAP,
-                    dest="collinear_cap")
-    sp.set_defaults(func=_cmd_verify_lemma)
-
-    sp = vsub.add_parser("n-chain", help="shifted-difference count N "
-                                         "for a given P")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--B", required=True)
-    sp.add_argument("--C", type=_opt, help="defaults to B")
-    sp.add_argument("--P", type=_opt,
-                    help="subset of B-C; default: popular difference set")
-    sp.set_defaults(func=_cmd_verify_nchain)
-
-    sp = vsub.add_parser("composite", help="full N chain with Hoelder "
-                                           "closure")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--B", required=True)
-    sp.add_argument("--C", type=_opt, help="defaults to B")
-    sp.set_defaults(func=_cmd_verify_composite)
-
-    sp = vsub.add_parser("eplus", help="additive-energy transfer bound")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--A", required=True)
-    sp.add_argument("--B", required=True)
-    sp.add_argument("--C", type=_opt, help="defaults to B")
-    _add_fn_flags(sp)
-    sp.add_argument("--triples-cap", type=int, default=TRIPLES_CAP,
-                    dest="triples_cap")
-    sp.set_defaults(func=_cmd_verify_eplus)
-
-    sp = vsub.add_parser("phi", help="popular-sum core machinery")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--B", required=True)
-    sp.add_argument("--C", type=_opt, help="defaults to B")
-    sp.add_argument("--eps", type=_opt,
-                    help="popularity threshold, a/b or decimal (default "
-                         "1/log2|C|)")
-    sp.set_defaults(func=_cmd_verify_phi)
+    for name, (mode, reads, _) in CHAINS.items():
+        sp = vsub.add_parser(mode, help=_CHAIN_HELP[name])
+        sp.add_argument("--p", type=int, required=True)
+        _add_flags(sp, *reads)
+        sp.set_defaults(func=_cmd_verify_chain, chain=name)
 
     sp = vsub.add_parser("theorem", help="one ratio row")
     sp.add_argument("--id", required=True, choices=list(THEOREMS))
@@ -510,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 _SET_FLAGS = ("A", "B", "C", "D", "P", "X", "third")
 _FN_FLAGS = ("g", "h", "g2", "h2")
-_C_DEFAULTS_TO_B = ("lemma-chain", "n-chain", "composite", "eplus", "phi")
 
 
 def _read_inputs(ns) -> None:
@@ -529,8 +498,6 @@ def _read_inputs(ns) -> None:
             ns.eps = Fraction(ns.eps)
         except (ValueError, ZeroDivisionError):
             raise ParseError("bad eps %r (want a/b or a decimal)" % ns.eps)
-    if getattr(ns, "mode", None) in _C_DEFAULTS_TO_B and ns.C is None:
-        ns.C = ns.B
 
 
 def dispatch(argv=None) -> int:

@@ -95,17 +95,21 @@ def powmod(base, exp, p: int) -> np.ndarray:
     One square-and-multiply ladder over the bits of exp: a scalar exp
     multiplies only on its set bits; an array exp (broadcast against base)
     selects each element's product per bit.  Every product is below
-    p^2 <= 2^40, so int64 is exact."""
+    p^2 <= 2^40, so int64 is exact.  The entry `% p` makes the ladder's own
+    copy of base, so a scalar exp multiplies and reduces in place, with no
+    temporary, and the caller's array is never written."""
     base = np.asarray(base, dtype=np.int64) % p
     if np.ndim(exp) == 0:
         e = int(exp)
         out = np.ones_like(base)
         while e:
             if e & 1:
-                out = out * base % p
+                out *= base
+                out %= p
             e >>= 1
             if e:
-                base = base * base % p
+                base *= base
+                base %= p
         return out
     e = np.array(exp, dtype=np.int64)
     out = np.ones(np.broadcast_shapes(base.shape, e.shape), dtype=np.int64)

@@ -99,7 +99,10 @@ def make_fn(field: PrimeField, kind: str, *, c: int | None = None,
         if u is None or v is None:
             raise BadParams("affine needs u and v")
         u, v = u % p, v % p  # before the int64 arithmetic
-        vals = (u * np.arange(p, dtype=np.int64) + v) % p
+        vals = np.arange(p, dtype=np.int64)  # in place: one int64 array
+        vals *= u
+        vals += v
+        vals %= p
         label = "affine:%d,%d" % (u, v)
     elif kind == "random":
         if seed is None:

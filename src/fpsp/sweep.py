@@ -30,6 +30,7 @@ import os
 import statistics
 import time
 from multiprocessing import Pool
+from types import SimpleNamespace
 
 from .energy import normalize_eps
 from .errors import BadEpsilon, BadParams, ConfigError, ParseError
@@ -38,11 +39,12 @@ from .functions import fn_spec_args, parse_fn_spec
 from .incidence import COLLINEAR_CAP, TRIPLES_CAP
 from .rng import CounterRng
 from .sets import FAMILIES, generate, subgroup_orders
-from .verify import (CSV_HEADER, PHI_CAP, THEOREMS, ThmInstance, _csv_row,
-                     composite_N_check, eplus_chain, lemma_chain_check,
-                     phi_chain, theorem_ratio)
+from .verify import (CHAINS, CSV_HEADER, PHI_CAP, THEOREMS, ThmInstance,
+                     _csv_row, theorem_ratio)
 
-CHAIN_NAMES = ("lemma", "composite", "eplus", "phi")
+# the chains a grid point can run: those that read no P, which it lacks
+CHAIN_NAMES = tuple(name for name, (_, reads, _) in CHAINS.items()
+                    if "P" not in reads)
 _GP_RETRIES = 64
 
 
@@ -245,21 +247,16 @@ def _instance_payload(cfg: SweepConfig, desc) -> dict:
     a, b, c, d = sets["A"], sets["B"], sets["C"], sets["D"]
     g = parse_fn_spec(field, gs)
     h = parse_fn_spec(field, hs)
+    inputs = SimpleNamespace(A=a, B=b, C=c, g=g, h=h, k=cfg.k, eps=cfg.eps,
+                             triples_cap=cfg.triples_cap,
+                             collinear_cap=cfg.collinear_cap)
     reports = []
     for ch in cfg.chains:
-        if ch == "lemma":
-            reports += [("lemma:%s" % kind,
-                         lemma_chain_check(a, b, c, g, h, kind, k=cfg.k,
-                                           triples_cap=cfg.triples_cap,
-                                           collinear_cap=cfg.collinear_cap))
-                        for kind in cfg.kinds]
-        elif ch == "composite":
-            reports.append((ch, composite_N_check(b, c)))
-        elif ch == "eplus":
-            reports.append((ch, eplus_chain(a, b, c, g, h,
-                                            cap=cfg.triples_cap)))
-        else:  # phi
-            reports.append((ch, phi_chain(b, c, eps=cfg.eps)))
+        _, reads, call = CHAINS[ch]
+        for kind in cfg.kinds if "kind" in reads else (None,):
+            inputs.kind = kind
+            reports.append((ch if kind is None else "%s:%s" % (ch, kind),
+                            call(inputs)))
     ident = _descriptor_id(desc)
     chains = [dict(rep.to_dict(), chain=label, id=ident)
               for label, rep in reports]

@@ -331,6 +331,31 @@ def test_verify_lemma_chain_k(capsys):
     assert "collinear_R1_literal" not in {c["name"] for c in rep["checks"]}
 
 
+_LEMMA = ("verify", "lemma-chain", "--p", "101", "--A", "interval:1:4",
+          "--B", "interval:1:8")
+_INCIDENCE = ("incidence", "count", "--p", "101", "--variant", "sum_E1",
+              "--A", "interval:1:4", "--X", "interval:1:5",
+              "--third", "interval:2:6")
+
+
+@pytest.mark.parametrize("argv", [
+    (*_LEMMA, "--triples-cap"), (*_LEMMA, "--collinear-cap"),
+    (*_LEMMA, "--k"),
+    ("verify", "eplus", "--p", "101", "--A", "interval:1:4",
+     "--B", "interval:1:8", "--triples-cap"),
+    (*_INCIDENCE, "--cap"), (*_INCIDENCE, "--collinear-cap"),
+])
+def test_caps_and_levels_below_1_are_usage_errors(argv, capsys):
+    # A sweep config refuses these values at load, and the CLI at parse
+    # time: a collinear cap of 0 would otherwise turn both line checks
+    # into a skipped row and exit 0.
+    for value in ("0", "-1"):
+        code, out, err = run(capsys, *argv, value)
+        assert code == 2 and out == "" and argv[-1] in err, (argv, value)
+    # 1 parses: what follows is the chain's own verdict or cap refusal
+    assert not run(capsys, *argv, "1")[2].startswith("usage:")
+
+
 # A literal line-bound failure (fiber of g = x^2 split by h), as in the
 # criterion-3 grid: exact failures exit 1.
 FAILING_LEMMA = ("verify", "lemma-chain", "--p", "101",

@@ -205,3 +205,17 @@ def test_powmod_scalar_and_array_exponents():
         want = np.array([pow(x, e, p) for x in range(p)], dtype=np.int64)
         assert np.array_equal(powmod(xs, e, p), want), e
         assert np.array_equal(powmod(xs, np.full(p, e), p), want), e
+
+
+def test_powmod_leaves_its_input_unchanged():
+    # The scalar ladder multiplies and reduces in place, on the copy its
+    # entry `% p` makes; the caller's array, reduced or not, int64 or not,
+    # is never written.
+    p = 1009
+    for xs in (np.arange(p, dtype=np.int64), np.arange(3 * p) - p,
+               np.arange(p, dtype=np.int32)):
+        before = xs.copy()
+        for e in (0, 1, 5, p - 2, np.full(xs.shape, 5)):
+            got = powmod(xs, e, p)
+            assert np.array_equal(xs, before) and xs.dtype == before.dtype
+            assert got is not xs and not np.shares_memory(got, xs)

@@ -419,8 +419,10 @@ def test_table_construction_memory():
     # two tables, the kind's own int32 array and FnTable's copy, plus
     # 64 KiB for Python objects.  random adds the draw's 8 MB int64 array
     # and its chunk buffers: 13.7 MiB measured (numpy 2.4), bounded at
-    # 14 MiB.  power and affine compute in int64, and only their kept
-    # table is bounded here.
+    # 14 MiB.  power and affine compute in int64, in place: power peaks
+    # at the ladder's two int64 arrays (base and product, four tables;
+    # 16.0 MiB measured), affine at its one int64 array and FnTable's
+    # copy (three tables; 12.0 MiB measured), each plus 64 KiB.
     import tracemalloc
     p = P_BIG
     f = make_field(p)
@@ -432,7 +434,10 @@ def test_table_construction_memory():
              ("table", dict(table=in_range), 2 * table),
              ("table", dict(table=in_range[1:]), 2 * table),
              ("random", dict(seed=11), 14 * 2 ** 20),
-             ("power", dict(k=3), None), ("affine", dict(u=2, v=0), None)]
+             ("power", dict(k=3), 4 * table),
+             ("power", dict(k=-3), 4 * table),
+             ("affine", dict(u=2, v=0), 3 * table),
+             ("affine", dict(u=-5 - p, v=2 * p), 3 * table)]
     for kind, kw, bound in cases:
         tracemalloc.start()
         try:
@@ -441,8 +446,7 @@ def test_table_construction_memory():
             kept, peak = (m - base for m in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
-        if bound is not None:
-            assert peak < bound + 2 ** 16, (kind, peak)
+        assert peak < bound + 2 ** 16, (kind, peak)
         assert table <= kept < table + 2 ** 16, (kind, kept)
         assert fn.values.dtype == np.int32 and fn.values.nbytes == table
         del fn

@@ -14,9 +14,10 @@ from fpsp.energy import rep_fn
 from fpsp.errors import ConfigError, ParseError
 from fpsp.field import PrimeField, make_field
 from fpsp.sets import generate
-from fpsp.sweep import (SweepConfig, _instance_payload, build_instance_sets,
-                        load_config_file, report_json, rows_csv, run_sweep)
-from fpsp.verify import CSV_HEADER, THEOREMS
+from fpsp.sweep import (CHAIN_NAMES, SweepConfig, _instance_payload,
+                        build_instance_sets, load_config_file, report_json,
+                        rows_csv, run_sweep)
+from fpsp.verify import CHAINS, CSV_HEADER, THEOREMS
 
 BASE = {
     "primes": [101],
@@ -200,6 +201,46 @@ def test_sweep_chain_variants_run():
     assert tags == ["lemma:sum", "lemma:prod", "composite", "eplus", "phi"]
     assert res["report"]["n_failures"] == 0
     assert all(c["ok"] for c in chains)
+
+
+def test_chain_names_come_from_verify_chains():
+    assert CHAIN_NAMES == ("lemma", "composite", "eplus", "phi")
+    assert set(CHAIN_NAMES) < set(CHAINS)
+    with pytest.raises(ConfigError,
+                       match=r"unknown chain 'n-chain' \(have "
+                             r"lemma/composite/eplus/phi\)"):
+        SweepConfig.from_dict(_cfg(chains=["n-chain"]))
+
+
+def test_chain_calls_see_rebound_functions(monkeypatch, capsys):
+    # verify.CHAINS looks each chain function up in verify's globals when
+    # it runs, so a rebinding of the module attribute (a profiler's timing
+    # wrapper, this monkeypatch) sees every call the sweep and the CLI
+    # make through the table.  A table holding the function objects would
+    # still run every chain, and this test would fail.
+    names = {"lemma": "lemma_chain_check", "n-chain": "n_chain_check",
+             "composite": "composite_N_check", "eplus": "eplus_chain",
+             "phi": "phi_chain"}
+    assert set(names) == set(CHAINS)
+    calls = Counter()
+    for fname in names.values():
+        def counting(*args, _real=getattr(verify, fname), _name=fname,
+                     **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(verify, fname, counting)
+    res = run_sweep(_cfg(families=["interval"], seeds=[0],
+                         chains=list(CHAIN_NAMES), eps="1/5"))
+    assert res["report"]["n_failures"] == 0
+    assert calls == Counter(names[ch] for ch in CHAIN_NAMES)
+    calls.clear()
+    for mode, reads, _ in CHAINS.values():
+        argv = ["verify", mode, "--p", "101", "--B", "interval:1:8"]
+        if "A" in reads:
+            argv += ["--A", "interval:1:4"]
+        assert dispatch(argv) == 0, mode
+    capsys.readouterr()
+    assert calls == Counter(names.values())
 
 
 def test_eps_accepts_fraction_string_and_float():
