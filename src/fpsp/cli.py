@@ -269,7 +269,7 @@ def _cmd_incidence(ns) -> int:
 
 
 def _cmd_verify_chain(ns) -> int:
-    mode, reads, call = CHAINS[ns.chain]
+    mode, _, reads, call = CHAINS[ns.chain]
     if ns.C is None:
         ns.C = ns.B
     label = "%s[%s]" % (mode, ns.kind) if "kind" in reads else mode
@@ -356,16 +356,6 @@ _FLAGS = {
                                 "(default 1/log2|C|)"),
 }
 
-# the one-line help of each verify.CHAINS mode
-_CHAIN_HELP = {
-    "lemma": "the fourth-moment chain",
-    "n-chain": "shifted-difference count N for a given P",
-    "composite": "full N chain with Hoelder closure",
-    "eplus": "additive-energy transfer bound",
-    "phi": "popular-sum core machinery",
-}
-
-
 def _add_flags(sp, *names: str, **override) -> None:
     """Add the _FLAGS spec of each name to sp, updated by override."""
     for name in names:
@@ -449,8 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     vp = sub.add_parser("verify", help="single-instance verification")
     vsub = vp.add_subparsers(dest="mode", required=True)
 
-    for name, (mode, reads, _) in CHAINS.items():
-        sp = vsub.add_parser(mode, help=_CHAIN_HELP[name])
+    for name, (mode, about, reads, _) in CHAINS.items():
+        sp = vsub.add_parser(mode, help=about)
         sp.add_argument("--p", type=int, required=True)
         _add_flags(sp, *reads)
         sp.set_defaults(func=_cmd_verify_chain, chain=name)

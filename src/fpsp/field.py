@@ -93,30 +93,37 @@ def powmod(base, exp, p: int) -> np.ndarray:
     """base^exp mod p elementwise, as int64, for exponents >= 0 (0^0 = 1).
 
     One square-and-multiply ladder over the bits of exp: a scalar exp
-    multiplies only on its set bits; an array exp (broadcast against base)
-    selects each element's product per bit.  Every product is below
-    p^2 <= 2^40, so int64 is exact.  The entry `% p` makes the ladder's own
-    copy of base, so a scalar exp multiplies and reduces in place, with no
-    temporary, and the caller's array is never written."""
+    multiplies only on its set bits (`_pow_ladder`); an array exp
+    (broadcast against base) selects each element's product per bit.
+    Every product is below p^2 <= 2^40, so int64 is exact.  The entry
+    `% p` makes the ladder's own copy of base, so the caller's array is
+    never written."""
     base = np.asarray(base, dtype=np.int64) % p
     if np.ndim(exp) == 0:
-        e = int(exp)
-        out = np.ones_like(base)
-        while e:
-            if e & 1:
-                out *= base
-                out %= p
-            e >>= 1
-            if e:
-                base *= base
-                base %= p
-        return out
+        return _pow_ladder(base, int(exp), p)
     e = np.array(exp, dtype=np.int64)
     out = np.ones(np.broadcast_shapes(base.shape, e.shape), dtype=np.int64)
     while e.any():
         out = np.where((e & 1) == 1, out * base % p, out)
         e >>= 1
         base = base * base % p
+    return out
+
+
+def _pow_ladder(base: np.ndarray, e: int, p: int) -> np.ndarray:
+    """base^e mod p for a scalar e >= 0, on an int64 array of residues in
+    [0, p) that the ladder squares in place: the caller hands over an array
+    nothing else reads.  Products and squares are reduced in place, so the
+    ladder allocates only the product, whichever frames still hold base."""
+    out = np.ones_like(base)
+    while e:
+        if e & 1:
+            out *= base
+            out %= p
+        e >>= 1
+        if e:
+            base *= base
+            base %= p
     return out
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import (BadParams, FieldMismatch, ParseError, ZeroInA,
                      ZeroInCodomain)
-from .field import PrimeField, powmod
+from .field import PrimeField, _pow_ladder
 from .rng import CounterRng
 from .sets import FSet, _format_lines, _pair_count, _read_lines, _residues
 
@@ -92,8 +92,8 @@ def make_fn(field: PrimeField, kind: str, *, c: int | None = None,
         if k is None:
             raise BadParams("power needs k")
         # x^k on F_p^*; negative k acts through the group, via exponent
-        # reduction mod p-1.
-        vals = powmod(np.arange(p, dtype=np.int64), k % (p - 1), p)
+        # reduction mod p-1.  The ladder squares its own arange in place.
+        vals = _pow_ladder(np.arange(p, dtype=np.int64), k % (p - 1), p)
         label = "power:%d" % k
     elif kind == "affine":
         if u is None or v is None:

@@ -43,7 +43,7 @@ from .verify import (CHAINS, CSV_HEADER, PHI_CAP, THEOREMS, ThmInstance,
                      _csv_row, theorem_ratio)
 
 # the chains a grid point can run: those that read no P, which it lacks
-CHAIN_NAMES = tuple(name for name, (_, reads, _) in CHAINS.items()
+CHAIN_NAMES = tuple(name for name, (_, _, reads, _) in CHAINS.items()
                     if "P" not in reads)
 _GP_RETRIES = 64
 
@@ -252,7 +252,7 @@ def _instance_payload(cfg: SweepConfig, desc) -> dict:
                              collinear_cap=cfg.collinear_cap)
     reports = []
     for ch in cfg.chains:
-        _, reads, call = CHAINS[ch]
+        _, _, reads, call = CHAINS[ch]
         for kind in cfg.kinds if "kind" in reads else (None,):
             inputs.kind = kind
             reports.append((ch if kind is None else "%s:%s" % (ch, kind),

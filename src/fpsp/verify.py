@@ -55,24 +55,28 @@ THEOREMS = {
     "T_1_12_threshold": ("a", None),
 }
 
-# chain name -> (its `fpsp verify` mode, the inputs it reads in that mode's
-# flag order, its call on an object holding those inputs as attributes).
-# Each call looks its chain function up in this module's globals when it
-# runs, not when the table is built, so a rebinding of the module attribute
-# (a profiler's timing wrapper, a test's monkeypatch) sees every call made
-# through the table.
-CHAINS = {name: (mode, tuple(reads.split()), call)
-          for name, mode, reads, call in (
-    ("lemma", "lemma-chain", "A B C g h kind k triples_cap collinear_cap",
+# chain name -> (its `fpsp verify` mode, that mode's one-line help, the
+# inputs it reads in the mode's flag order, its call on an object holding
+# those inputs as attributes).  Each call looks its chain function up in
+# this module's globals when it runs, not when the table is built, so a
+# rebinding of the module attribute (a profiler's timing wrapper, a test's
+# monkeypatch) sees every call made through the table.
+CHAINS = {name: (mode, about, tuple(reads.split()), call)
+          for name, mode, about, reads, call in (
+    ("lemma", "lemma-chain", "the fourth-moment chain",
+     "A B C g h kind k triples_cap collinear_cap",
      lambda x: lemma_chain_check(x.A, x.B, x.C, x.g, x.h, x.kind, k=x.k,
                                  triples_cap=x.triples_cap,
                                  collinear_cap=x.collinear_cap)),
-    ("n-chain", "n-chain", "B C P", lambda x: n_chain_check(x.B, x.C, x.P)),
-    ("composite", "composite", "B C",
+    ("n-chain", "n-chain", "shifted-difference count N for a given P",
+     "B C P", lambda x: n_chain_check(x.B, x.C, x.P)),
+    ("composite", "composite", "full N chain with Hoelder closure", "B C",
      lambda x: composite_N_check(x.B, x.C)),
-    ("eplus", "eplus", "A B C g h triples_cap",
+    ("eplus", "eplus", "additive-energy transfer bound",
+     "A B C g h triples_cap",
      lambda x: eplus_chain(x.A, x.B, x.C, x.g, x.h, cap=x.triples_cap)),
-    ("phi", "phi", "B C eps", lambda x: phi_chain(x.B, x.C, eps=x.eps)),
+    ("phi", "phi", "popular-sum core machinery", "B C eps",
+     lambda x: phi_chain(x.B, x.C, eps=x.eps)),
 )}
 
 PHI_CAP = 100

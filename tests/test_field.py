@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from fpsp.errors import BadParams, NotPrime, TooSmall, ZeroInverse
-from fpsp.field import (DEFAULT_MAX_P, PrimeField, factorize, is_prime,
-                        make_field, powmod)
+from fpsp.field import (DEFAULT_MAX_P, PrimeField, _pow_ladder, factorize,
+                        is_prime, make_field, powmod)
 from fpsp.rng import CounterRng
 
 
@@ -219,3 +219,24 @@ def test_powmod_leaves_its_input_unchanged():
             got = powmod(xs, e, p)
             assert np.array_equal(xs, before) and xs.dtype == before.dtype
             assert got is not xs and not np.shares_memory(got, xs)
+
+
+def test_pow_ladder_allocates_only_the_product():
+    # make_fn's power table hands the scalar ladder an arange nothing else
+    # reads; the ladder squares it in place and allocates only the product.
+    # The test holds base through the call, as a CPython 3.10 caller's value
+    # stack holds an argument, so the bound does not depend on how the
+    # interpreter passes arguments.
+    import tracemalloc
+    p = 1048573
+    xs = np.arange(p, dtype=np.int64)
+    want = powmod(xs, 3, p)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = _pow_ladder(xs, 3, p)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < xs.nbytes + 2 ** 16, peak
+    assert np.array_equal(got, want)

@@ -422,7 +422,9 @@ def test_table_construction_memory():
     # 14 MiB.  power and affine compute in int64, in place: power peaks
     # at the ladder's two int64 arrays (base and product, four tables;
     # 16.0 MiB measured), affine at its one int64 array and FnTable's
-    # copy (three tables; 12.0 MiB measured), each plus 64 KiB.
+    # copy (three tables; 12.0 MiB measured), each plus 64 KiB.  The
+    # ladder squares the arange make_fn hands it, so a caller frame that
+    # holds its arguments through a call (CPython 3.10) adds nothing.
     import tracemalloc
     p = P_BIG
     f = make_field(p)

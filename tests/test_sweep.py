@@ -234,7 +234,7 @@ def test_chain_calls_see_rebound_functions(monkeypatch, capsys):
     assert res["report"]["n_failures"] == 0
     assert calls == Counter(names[ch] for ch in CHAIN_NAMES)
     calls.clear()
-    for mode, reads, _ in CHAINS.values():
+    for mode, _, reads, _ in CHAINS.values():
         argv = ["verify", mode, "--p", "101", "--B", "interval:1:8"]
         if "A" in reads:
             argv += ["--A", "interval:1:4"]
