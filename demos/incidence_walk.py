@@ -18,9 +18,8 @@ import numpy as np
 from fpsp.field import make_field
 from fpsp.functions import f_image, make_fn, mu, mu_product
 from fpsp.incidence import (build_proof_config, incidences, make_config,
-                            max_collinear, proof_incidences, rudnev_ratio)
-from fpsp.sets import combine, generate
-from fpsp.verify import quad_energy
+                            max_collinear, proof_kernel, rudnev_ratio)
+from fpsp.sets import generate
 
 field = make_field(101)
 p = field.p
@@ -42,7 +41,8 @@ print("all of F_5^3 against 3 planes: I = %d (expect 3 * 25 = 75)"
 # from the same data.  Coincident planes are merged with their weights
 # dropped, so the dedup'd count I sits below E whenever two pairs
 # (a, c) hit the same plane; the fiber multiplicity mu bounds the loss,
-# E <= mu^2 * I, and E == I exactly when no pair collides.
+# E <= mu^2 * I, and E == I exactly when no pair collides.  One kernel
+# record per variant answers both without building R or S.
 a = generate(field, "random", size=8, seed=1, zero_free=True)
 bset = generate(field, "random", size=12, seed=2, zero_free=True)
 g = make_fn(field, "power", k=2)
@@ -53,10 +53,10 @@ x = generate(field, "interval", start=1, size=10)
 for variant, third, m in (("sum_E1", bset, mu(g)), ("sum_E2", img, mu(g)),
                           ("prod_E1", bset, mu_product(g, h)),
                           ("prod_E2", img, mu_product(g, h))):
-    fast = proof_incidences(variant, a, x, third, g, h)
+    kern = proof_kernel(variant, a, x, third, g, h)
+    e, fast = kern.energy_and_incidences()
     cfg = build_proof_config(variant, a, x, third, g, h)
     slow = incidences(cfg)
-    e = quad_energy(variant, a, x, third, g, h)
     assert fast == slow
     assert e <= m * m * fast
     print("%-8s  %4d points  %4d planes  I = %6d  E = %6d  %s"
@@ -78,6 +78,8 @@ cset = generate(field, "interval", start=1, size=10)
 xone = generate(field, "explicit", elements=[1])
 cfg = build_proof_config("sum_E1", a2, xone, cset, g, h)
 k = max_collinear(cfg.points, field)
+# the kernel record reads the same count off PAIRS, without building R
+assert k == proof_kernel("sum_E1", a2, xone, cset, g, h).max_collinear()
 naive_cap = max(a2.size, cset.size, xone.size)
 fixed_cap = max(a2.size, 2 * cset.size, xone.size)   # mu_A = 2 here
 print("\ncollinearity counterexample at p=%d:" % p)

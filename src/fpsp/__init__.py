@@ -24,10 +24,10 @@ from .field import DEFAULT_MAX_P, PrimeField, is_prime, make_field
 from .functions import (FnTable, f_image, mu, mu_product, parse_fn_spec,
                         read_fn_file, write_fn_file)
 from .incidence import (COLLINEAR_CAP, MATERIALIZE_CAP, TRIPLES_CAP,
-                        VARIANTS, IncidenceConfig, bilinear_hist,
-                        build_proof_config, incidences, make_config,
-                        max_collinear, proof_incidences, rudnev_ratio,
-                        structural_collinear)
+                        VARIANTS, IncidenceConfig, ProofKernel,
+                        bilinear_hist, build_proof_config, incidences,
+                        make_config, max_collinear, proof_kernel,
+                        rudnev_ratio)
 from .rng import CounterRng
 from .sets import (FAMILIES, FSet, affine, combine, generate,
                    parse_set_text, read_set_file, subgroup_orders,

@@ -21,6 +21,8 @@ Set specs, accepted by --A/--B/--C/--D/--P/--X/--third:
 
 Function specs for --g/--h/--g2/--h2 follow the table grammar:
 const:<c> | id | power:<k> | affine:<u>,<v> | random:<seed> | file:<path>.
+affine:<u>,<v> is u x + v, a map into F_p^* only when exactly one of u
+and v is 0 mod p; any other pair vanishes on F_p^* and exits 2.
 
 Point/plane files (incidence subcommand): UTF-8 text, line 1
 `p=<modulus>`, then one row per line of whitespace-separated integers,
@@ -43,8 +45,8 @@ from .field import make_field, PrimeField
 from .functions import f_image, mu, parse_fn_spec
 from .incidence import (COLLINEAR_CAP, MATERIALIZE_CAP, TRIPLES_CAP,
                         VARIANTS, build_proof_config, incidences,
-                        make_config, max_collinear, proof_incidences,
-                        rudnev_ratio, structural_collinear)
+                        make_config, max_collinear, proof_kernel,
+                        rudnev_ratio)
 from .sets import (FAMILIES, FSet, _format_lines, _read_lines, affine,
                    combine, generate, read_set_file)
 from .sweep import load_config_file, report_json, rows_csv, run_sweep
@@ -238,15 +240,13 @@ def _cmd_incidence(ns) -> int:
                 if getattr(ns, flag) is None else getattr(ns, flag)
                 for flag in ("g", "h"))
         args = (ns.A, ns.X, ns.third, g, h)
-        # count and max-collinear read the product structure and never
+        # count and max-collinear read the kernel record and never
         # materialize R or S; max-collinear is bounded by --collinear-cap
         # alone
-        if ns.action == "count":
-            print(proof_incidences(ns.variant, *args, cap=ns.cap))
-            return 0
-        if ns.action == "max-collinear":
-            print(structural_collinear(ns.variant, *args,
-                                       cap=ns.collinear_cap))
+        if ns.action in ("count", "max-collinear"):
+            kern = proof_kernel(ns.variant, *args)
+            print(kern.incidences(ns.cap) if ns.action == "count"
+                  else kern.max_collinear(ns.collinear_cap))
             return 0
         cfg = build_proof_config(ns.variant, *args, cap=ns.cap)
     if ns.action == "count":
@@ -256,7 +256,7 @@ def _cmd_incidence(ns) -> int:
         print(max_collinear(cfg.points, cfg.field, cap=ns.collinear_cap))
         _log("|R|=%d" % cfg.n_points)
     elif ns.action == "rudnev-ratio":
-        _emit_json(rudnev_ratio(cfg))
+        _emit_json(rudnev_ratio(cfg, cap=ns.collinear_cap))
     else:  # build
         if ns.out_points is None or ns.out_planes is None:
             raise ParseError("incidence build needs --out-points and "

@@ -75,7 +75,8 @@ def make_fn(field: PrimeField, kind: str, *, c: int | None = None,
     """Build a function table.
 
     kind: const (c), identity, power (k), affine (u, v), random (seed),
-    table (explicit values indexed 1..p-1 or 0..p-1).
+    table (explicit values indexed 1..p-1 or 0..p-1).  affine, u x + v,
+    maps into F_p^* only when exactly one of u and v is 0 mod p.
     """
     p = field.p
     if kind == "const":
@@ -99,6 +100,10 @@ def make_fn(field: PrimeField, kind: str, *, c: int | None = None,
         if u is None or v is None:
             raise BadParams("affine needs u and v")
         u, v = u % p, v % p  # before the int64 arithmetic
+        if (u == 0) == (v == 0):  # 0 everywhere, or at x = -v/u
+            raise ZeroInCodomain("affine:%d,%d takes the value 0 on F_p^*: "
+                                 "exactly one of u and v must be 0 mod p"
+                                 % (u, v))
         vals = np.arange(p, dtype=np.int64)  # in place: one int64 array
         vals *= u
         vals += v
@@ -134,7 +139,8 @@ def fn_spec_args(spec: str) -> tuple[str, dict]:
     """The make_fn kind and keyword arguments, or ("file", {"path": ...}),
     of a spec in the grammar of the CLI and sweep configs, const:<c> | id |
     power:<k> | affine:<u>,<v> | random:<seed> | file:<path>.  Syntax
-    only: no table is built.  Anything else raises ParseError."""
+    only: no table is built, and make_fn refuses affine:<u>,<v> unless
+    exactly one of u and v is 0 mod p.  Anything else raises ParseError."""
     if not isinstance(spec, str):
         raise ParseError("bad function spec %r" % (spec,))
     spec = spec.strip()

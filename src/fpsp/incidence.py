@@ -6,8 +6,8 @@ reduced mod p.  max_collinear() canonicalizes pairwise directions per anchor
 point, inverting every pair's leading coordinate in one table-free batch
 while the batch is small (PrimeField.table_free) and reading the inverse
 table above; it serves file-mode configs and rudnev_ratio(), and it is the
-oracle for structural_collinear().  rudnev_ratio() reports the observed count
-against the |R|^(1/2)|S| + k|S| shape.
+oracle for ProofKernel.max_collinear().  rudnev_ratio() reports the observed
+count against the |R|^(1/2)|S| + k|S| shape.
 
 The four proof configurations (sum_E1, sum_E2, prod_E1, prod_E2) all share
 one algebraic skeleton: both the point set and the plane set are products
@@ -16,11 +16,14 @@ a plane exactly when one bilinear kernel (alpha*t + beta mod p) collides.
 That turns incidence counting for these configs into a histogram sum of
 squares, O(|PAIRS| * |T|) instead of O(|R| * |S|), and the same kernel with
 multiset pairs is the quadruple-energy histogram used by the verify module.
-bilinear_hist runs the kernel through the sets module's pair counter, the
-enumeration behind combine, rep_fn and f_image too, and returns its
-sets.Hist.  Up to p/8 cells (the sets module's measured crossover) the
-sums of squares run over the sparse counts and no length-p array is
-built; above, over the chunked dense bincount as it stands.
+proof_kernel() builds a variant's kernel once, as a ProofKernel record
+that the energy, the incidence count, the line count and
+build_proof_config() read.  bilinear_hist runs the kernel through the
+sets module's pair counter, the enumeration behind combine, rep_fn and
+f_image too, and returns its sets.Hist.  Up to p/8 cells (the sets
+module's measured crossover) the sums of squares run over the sparse
+counts and no length-p array is built; above, over the chunked dense
+bincount as it stands.
 
 The product shape also settles collinearity.  With the point set
 R = T x PAIRS, where each slice t = const is a copy of the planar set
@@ -31,13 +34,14 @@ PAIRS,
 A line inside one slice meets R only in that slice's copy of PAIRS.  Any
 other line meets each slice at most once, so it holds at most |T| points,
 and the line through one pair parallel to the t-axis holds exactly |T|.
-structural_collinear() evaluates the right side: O(|PAIRS|^2 log|PAIRS|)
-instead of O(|R|^2 log|R|), and R is never built.
+ProofKernel.max_collinear() evaluates the right side:
+O(|PAIRS|^2 log|PAIRS|) instead of O(|R|^2 log|R|), and R is never built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -174,11 +178,11 @@ def _longest_line(pts: np.ndarray, field: PrimeField, batched: bool) -> int:
     return best
 
 
-def rudnev_ratio(cfg: IncidenceConfig) -> dict:
+def rudnev_ratio(cfg: IncidenceConfig, cap: int = COLLINEAR_CAP) -> dict:
     """Report row: observed incidences against |R|^(1/2)|S| + k|S|."""
     nr, ns = cfg.n_points, cfg.n_planes
     count = incidences(cfg)
-    k = max_collinear(cfg.points, cfg.field) if nr else 0
+    k = max_collinear(cfg.points, cfg.field, cap=cap) if nr else 0
     bound = (nr ** 0.5) * ns + k * ns
     ratio = count / bound if bound > 0 else 0.0
     return {
@@ -197,9 +201,61 @@ def rudnev_ratio(cfg: IncidenceConfig) -> dict:
 # -- proof configurations ---------------------------------------------------
 
 
-def _proof_pairs(variant: str, a: FSet, x: FSet, third: FSet, g: FnTable,
-                 h: FnTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Multiset kernel pairs (alpha, beta) and scalar list ts for a variant.
+@dataclass(frozen=True, eq=False)
+class ProofKernel:
+    """One variant's kernel alpha*t + beta, as proof_kernel builds it: the
+    pairs with multiplicity (alpha, beta), one per cell of the A x column
+    grid, and the scalar set ts.  pairs, the deduplicated pairs, is kept
+    once computed; every array is read-only, so it cannot go stale."""
+    variant: str
+    field: PrimeField
+    alpha: np.ndarray
+    beta: np.ndarray
+    ts: np.ndarray
+
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        keys = np.unique(self.alpha * self.field.p + self.beta)
+        ua, ub = np.divmod(keys, self.field.p)
+        ua.flags.writeable = ub.flags.writeable = False
+        return ua, ub
+
+    def energy(self, cap: int = TRIPLES_CAP) -> int:
+        """The quad energy: sum_t H(t)^2 over the pairs with multiplicity."""
+        return bilinear_hist(self.alpha, self.beta, self.ts, self.field.p,
+                             cap).sum_squares()
+
+    def incidences(self, cap: int = TRIPLES_CAP) -> int:
+        """I(R, S): the same sum over the deduplicated pairs."""
+        return bilinear_hist(*self.pairs, self.ts, self.field.p,
+                             cap).sum_squares()
+
+    def energy_and_incidences(self, cap: int = TRIPLES_CAP) -> tuple[int, int]:
+        """(energy, incidences), enumerating the cells once when no pair
+        repeats (g injective on A, say): then the histograms agree, E = I."""
+        energy = self.energy(cap)
+        once = len(self.pairs[0]) == len(self.alpha)
+        return energy, energy if once else self.incidences(cap)
+
+    def max_collinear(self, cap: int = COLLINEAR_CAP) -> int:
+        """max_collinear(R) by the product identity above, with PAIRS in
+        one slice as (0, alpha, beta) (the E2 shapes store -beta, an
+        affine image).  The cap counts |T| |PAIRS|, the points of R, so
+        SizeCap comes exactly where materializing R would raise it."""
+        ua, ub = self.pairs
+        n = len(ua) * len(self.ts)
+        if n > cap:
+            raise SizeCap("max_collinear capped at |R| <= %d, got %d"
+                          % (cap, n))
+        if n == 0:
+            raise EmptySet("max_collinear needs at least one point")
+        plane = np.stack([np.zeros_like(ua), ua, ub], axis=1)
+        return max(len(self.ts), max_collinear(plane, self.field, cap=cap))
+
+
+def proof_kernel(variant: str, a: FSet, x: FSet, third: FSet, g: FnTable,
+                 h: FnTable) -> ProofKernel:
+    """The ProofKernel record of a variant.
 
     E1 variants: pairs run over A x C (third = C), ts = X elements.
     E2 variants: pairs run over A x X, ts = f(A,B) elements (third = F).
@@ -239,14 +295,10 @@ def _proof_pairs(variant: str, a: FSet, x: FSet, third: FSet, g: FnTable,
         alpha = a.field.inverses(ga) * inv_x % p
         beta = -(ha * inv_x % p) % p
     grid = (len(ae), len(col))
-    return (np.broadcast_to(alpha, grid).ravel(),
-            np.broadcast_to(beta, grid).ravel(), ts)
-
-
-def _dedup_pairs(alpha: np.ndarray, beta: np.ndarray,
-                 p: int) -> tuple[np.ndarray, np.ndarray]:
-    keys = np.unique(alpha * p + beta)
-    return keys // p, keys % p
+    alpha, beta = (np.broadcast_to(v, grid).ravel() for v in (alpha, beta))
+    ts = ts.view()  # read-only below; the set keeps its own array writeable
+    alpha.flags.writeable = beta.flags.writeable = ts.flags.writeable = False
+    return ProofKernel(variant, a.field, alpha, beta, ts)
 
 
 def bilinear_hist(alpha: np.ndarray, beta: np.ndarray, ts: np.ndarray,
@@ -259,41 +311,6 @@ def bilinear_hist(alpha: np.ndarray, beta: np.ndarray, ts: np.ndarray,
         raise SizeCap("kernel histogram needs %d cells, cap is %d"
                       % (work, cap))
     return _pair_count(alpha, ts, beta, p)
-
-
-def proof_incidences(variant: str, a: FSet, x: FSet, third: FSet, g: FnTable,
-                     h: FnTable, cap: int = TRIPLES_CAP) -> int:
-    """I(R, S) for a proof configuration without materializing R or S.
-
-    Both R and S are products of the same deduplicated pair set with the
-    same scalar set, and incidence is a kernel collision, so
-    I = sum_t H(t)^2 for one histogram H.
-    """
-    alpha, beta, ts = _proof_pairs(variant, a, x, third, g, h)
-    p = a.field.p
-    ua, ub = _dedup_pairs(alpha, beta, p)
-    return bilinear_hist(ua, ub, ts, p, cap).sum_squares()
-
-
-def structural_collinear(variant: str, a: FSet, x: FSet, third: FSet,
-                         g: FnTable, h: FnTable,
-                         cap: int = COLLINEAR_CAP) -> int:
-    """max_collinear of a proof point set, by the product identity above.
-
-    PAIRS goes into one slice as (0, alpha, beta) and through the generic
-    max_collinear; the E2 shapes store -beta, an affine image that keeps
-    collinearity.  The cap counts |T| * |PAIRS|, the points of R, so this
-    raises SizeCap exactly where materializing R for max_collinear would.
-    """
-    alpha, beta, ts = _proof_pairs(variant, a, x, third, g, h)
-    ua, ub = _dedup_pairs(alpha, beta, a.field.p)
-    n = len(ua) * len(ts)
-    if n > cap:
-        raise SizeCap("max_collinear capped at |R| <= %d, got %d" % (cap, n))
-    if n == 0:
-        raise EmptySet("max_collinear needs at least one point")
-    plane = np.stack([np.zeros_like(ua), ua, ub], axis=1)
-    return max(len(ts), max_collinear(plane, a.field, cap=cap))
 
 
 def build_proof_config(variant: str, a: FSet, x: FSet, third: FSet,
@@ -310,24 +327,21 @@ def build_proof_config(variant: str, a: FSet, x: FSet, third: FSet,
     prod_E2: R = {(F, 1/(g(a')x'), h(a')/x')},
              S = {X/(x g(a)) - F' Y + Z - h(a)/x = 0}
     """
-    alpha, beta, ts = _proof_pairs(variant, a, x, third, g, h)
-    p = a.field.p
-    ua, ub = _dedup_pairs(alpha, beta, p)
+    kern = proof_kernel(variant, a, x, third, g, h)
+    p, ts = a.field.p, kern.ts
+    ua, ub = kern.pairs
     n = len(ua) * len(ts)
     if n > cap:
         raise SizeCap("materializing %d points exceeds cap %d" % (n, cap))
     e2 = variant in ("sum_E2", "prod_E2")
     # points: (t, alpha, beta) for E1 shapes, (t, alpha, -beta) for E2
-    pa = np.tile(ua, len(ts))
-    pb = np.tile(ub, len(ts))
+    pa, pb = np.tile(ua, len(ts)), np.tile(ub, len(ts))
     pt = np.repeat(ts, len(ua))
     third_coord = (-pb) % p if e2 else pb
     points = np.stack([pt, pa, third_coord], axis=1)
     # planes: (alpha, -t, -1, beta) for E1 shapes, (alpha, -t, +1, beta) for E2
-    qa = np.repeat(ua, len(ts))
-    qb = np.repeat(ub, len(ts))
+    qa, qb = np.repeat(ua, len(ts)), np.repeat(ub, len(ts))
     qt = np.tile(ts, len(ua))
     ccoef = np.full(len(qa), 1 if e2 else p - 1, dtype=np.int64)
     planes = np.stack([qa, (-qt) % p, ccoef, qb], axis=1)
-    cfg = make_config(a.field, points, planes, provenance=variant)
-    return cfg
+    return make_config(a.field, points, planes, provenance=variant)

@@ -14,12 +14,11 @@ Two strictly separated tiers:
     lhs / rhs so sweeps can watch the constant empirically.
 
 The quad energies, solution counts and incidence configurations here all
-ride on the shared bilinear kernel alpha*t + beta from the incidence
-module: the energy is the second moment of the kernel histogram taken
-with pair multiplicity, the incidence count is the same second moment
-after deduplication, and E <= m^2 I is a termwise multiplicity bound.
-When no pair repeats the two histograms coincide, E = I, and the lemma
-chain enumerates the kernel once.
+ride on the shared bilinear kernel alpha*t + beta, read off the incidence
+module's ProofKernel record: the energy is the second moment of the
+kernel histogram taken with pair multiplicity, the incidence count is
+the same second moment after deduplication, and E <= m^2 I is a termwise
+multiplicity bound.
 """
 
 from __future__ import annotations
@@ -37,8 +36,7 @@ from .energy import (energy_popular, level_counts, level_set, moment,
 from .errors import (BadP, BadParams, EmptySet, FieldMismatch,
                      HypothesisViolated, SizeCap, ZeroDivisor)
 from .functions import FnTable, _unit_image, f_image, mu, mu_product
-from .incidence import (COLLINEAR_CAP, TRIPLES_CAP, _dedup_pairs,
-                        _proof_pairs, bilinear_hist, structural_collinear)
+from .incidence import COLLINEAR_CAP, TRIPLES_CAP, proof_kernel
 from .sets import FSet, combine
 
 # theorem id -> (the sets its statement reads, the operation it applies to
@@ -171,35 +169,16 @@ def quad_energy(variant: str, a: FSet, x: FSet, third: FSet, g: FnTable,
     prod_E2: w(a, x, F) = F/(g(a) x) - h(a)/x   over A x X x f(A,B)
 
     The variants are incidence.VARIANTS; third is C for the E1 shapes and
-    the image set for the E2 shapes.  Every variant factors through the
-    kernel alpha*t + beta with (alpha, beta) taken WITH multiplicity, so
-    this is the squared l2 norm of the same histogram the incidence
-    counts use before deduplication.
+    the image set for the E2 shapes.  Every variant factors through its
+    kernel record's alpha*t + beta, with the pairs taken WITH multiplicity.
     """
-    alpha, beta, ts = _proof_pairs(variant, a, x, third, g, h)
-    return bilinear_hist(alpha, beta, ts, a.field.p, cap).sum_squares()
+    return proof_kernel(variant, a, x, third, g, h).energy(cap)
 
 
 def _mult(op: str, g: FnTable, h: FnTable, domain: FSet | None = None) -> int:
     """The multiplicity the proofs divide by: mu(g*h) for prod, mu(g) for
     sum and diff, over domain (default all of F_p^*)."""
     return mu_product(g, h, domain) if op == "prod" else mu(g, domain)
-
-
-def _energy_and_incidences(kernel: str, a: FSet, x: FSet, third: FSet,
-                           g: FnTable, h: FnTable,
-                           cap: int) -> tuple[int, int]:
-    """(quad_energy, proof_incidences) of one kernel: the sums of squares
-    of its histogram over the pairs with and without multiplicity.  When
-    no pair repeats (g injective on A, say) the two histograms are the
-    same, and the cells are enumerated once."""
-    alpha, beta, ts = _proof_pairs(kernel, a, x, third, g, h)
-    p = a.field.p
-    energy = bilinear_hist(alpha, beta, ts, p, cap).sum_squares()
-    ua, ub = _dedup_pairs(alpha, beta, p)
-    if len(ua) == len(alpha):
-        return energy, energy
-    return energy, bilinear_hist(ua, ub, ts, p, cap).sum_squares()
 
 
 # -- solution counts ---------------------------------------------------------
@@ -243,11 +222,11 @@ def lemma_chain_check(a: FSet, b: FSet, c: FSet, g: FnTable, h: FnTable,
     restricts the fiber count to A.  The plain form can genuinely fail
     once mu_A >= 2 and h separates a fiber of g (the vertical direction
     then carries up to mu_A |C| points); it is kept as a falsifiable
-    check rather than weakened silently.  The line count k_obs comes from
-    incidence.structural_collinear, max(|X_k|, max_collinear(PAIRS)), so
-    R_1 is never built; collinear_cap still counts |X_k| |PAIRS|, the
-    points of R_1, and above it the check becomes a collinear_R1_skipped
-    row.
+    check rather than weakened silently.  Each kernel is built once, as
+    an incidence.ProofKernel: E_i and I_i are read off it, and the line
+    count k_obs = max(|X_k|, max_collinear(PAIRS)) off the first, so R_1
+    is never built; collinear_cap still counts |X_k| |PAIRS|, the points
+    of R_1, and above it the check becomes a collinear_R1_skipped row.
 
     Report rows carry the final fourth-moment bound
     m^4 min{|f|^3 |C|^2, |f|^2 |C|^3} log|A| / |A| (log base 2, floored
@@ -260,7 +239,6 @@ def lemma_chain_check(a: FSet, b: FSet, c: FSet, g: FnTable, h: FnTable,
     if a.size > b.size:
         raise BadParams("chain needs |A| <= |B|")
     field = a.field
-    kern1, kern2 = kind + "_E1", kind + "_E2"
     m, mu_a = _mult(kind, g, h), _mult(kind, g, h, a)
     fimg = f_image(g, h, a, b)
     r = rep_fn(b, c, "difference" if kind == "sum" else "ratio")
@@ -271,8 +249,10 @@ def lemma_chain_check(a: FSet, b: FSet, c: FSet, g: FnTable, h: FnTable,
     # M = |A| sum_{x in X_k} r(x), read off the histogram X_k came from
     counts = r.hist.counts
     bigm = a.size * int(counts[counts >= k_sel].sum())
-    e1, i1 = _energy_and_incidences(kern1, a, xk, c, g, h, triples_cap)
-    e2, i2 = _energy_and_incidences(kern2, a, xk, fimg, g, h, triples_cap)
+    kern1 = proof_kernel(kind + "_E1", a, xk, c, g, h)
+    kern2 = proof_kernel(kind + "_E2", a, xk, fimg, g, h)
+    e1, i1 = kern1.energy_and_incidences(triples_cap)
+    e2, i2 = kern2.energy_and_incidences(triples_cap)
     e4 = moment(r, 4)
     nlev = level_counts(r)
     recon = sum((j ** 4 - (j - 1) ** 4) * int(nlev[j])
@@ -308,8 +288,7 @@ def lemma_chain_check(a: FSet, b: FSet, c: FSet, g: FnTable, h: FnTable,
                             "empty level set"))
     else:
         try:
-            k_obs = structural_collinear(kern1, a, xk, c, g, h,
-                                         cap=collinear_cap)
+            k_obs = kern1.max_collinear(collinear_cap)
             checks.append(_mk_check(
                 "collinear_R1_literal", "<=", k_obs,
                 max(a.size, c.size, n_k),

@@ -288,6 +288,29 @@ def test_incidence_variant_and_build_roundtrip(tmp_path, capsys):
         assert outs[0] == outs[1], action
 
 
+def test_rudnev_ratio_reads_collinear_cap(capsys, monkeypatch):
+    from fpsp import incidence
+    args = ("incidence", "rudnev-ratio", "--p", "101", "--variant",
+            "sum_E1", "--A", "interval:1:4", "--X", "interval:1:6",
+            "--third", "interval:2:5")
+    # 120 points: refused at cap 1, as max-collinear refuses them
+    for action in ("max-collinear", "rudnev-ratio"):
+        code, out, err = run(capsys, "incidence", action, *args[2:],
+                             "--collinear-cap", "1")
+        assert code == 2 and out == "", action
+        assert "capped at |R| <= 1, got 120" in err, action
+    caps, max_collinear = [], incidence.max_collinear
+
+    def spy(points, field, cap=incidence.COLLINEAR_CAP):
+        caps.append(cap)
+        return max_collinear(points, field, cap)
+
+    monkeypatch.setattr(incidence, "max_collinear", spy)
+    code, out, _ = run(capsys, *args, "--collinear-cap", "123456")
+    assert code == 0 and json.loads(out)["n_points"] == 120
+    assert caps == [123456]
+
+
 def test_incidence_usage_errors(tmp_path, capsys):
     code, _, _ = run(capsys, "incidence", "count", "--p", "101")
     assert code == 2  # neither files nor variant

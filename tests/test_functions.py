@@ -93,6 +93,33 @@ def test_zero_in_codomain_rejected():
     assert [neg(x) for x in range(1, 7)] == [6, 5, 4, 3, 2, 1]
 
 
+def test_affine_rule_checked_before_the_table():
+    # u x + v maps F_p^* into F_p^* only when exactly one of u and v is
+    # 0 mod p; any other pair is refused with the rule, before any table
+    # is built
+    for u, v in ((3, 4), (0, 0), (0, 101), (-1, 1)):
+        with pytest.raises(ZeroInCodomain,
+                           match="exactly one of u and v must be 0 mod p"):
+            make_fn(F101, "affine", u=u, v=v)
+    with pytest.raises(ZeroInCodomain, match=r"affine:3,4 takes the value 0"):
+        parse_fn_spec(F101, "affine:3,4")
+    assert parse_fn_spec(F101, "affine:0,5").values[1:].tolist() == [5] * 100
+    for spec in ("affine:3,0", "affine:3,202"):
+        assert parse_fn_spec(F101, spec).values[1:].tolist() == \
+            [3 * x % 101 for x in range(1, 101)], spec
+    # at p = 1048573 the refusal allocates nothing near one 4 MB table
+    import tracemalloc
+    big = make_field(1048573)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ZeroInCodomain):
+            make_fn(big, "affine", u=3, v=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16, peak
+
+
 def test_table_call_and_slot_zero():
     t = make_fn(F7, "identity")
     with pytest.raises(BadParams):
@@ -349,7 +376,7 @@ def test_products_of_table_entries_are_exact_at_large_p():
     # proof kernels, against Python-int oracles.
     from collections import Counter
 
-    from fpsp.incidence import _proof_pairs, proof_incidences
+    from fpsp.incidence import proof_kernel
     p = P_BIG
     f = make_field(p)
     neg = make_fn(f, "const", c=p - 1)
@@ -399,7 +426,8 @@ def test_products_of_table_entries_are_exact_at_large_p():
             third = c if variant.endswith("E1") else b
             col, ts = (third, x) if third is c else (x, third)
             want = pairs(variant, g, h, col.elements().tolist())
-            alpha, beta, got_ts = _proof_pairs(variant, a, x, third, g, h)
+            kern = proof_kernel(variant, a, x, third, g, h)
+            alpha, beta, got_ts = kern.alpha, kern.beta, kern.ts
             assert alpha.dtype == beta.dtype == np.int64, variant
             assert list(zip(alpha.tolist(), beta.tolist())) == want, variant
             hist = bilinear_hist(alpha, beta, got_ts, p)
@@ -409,7 +437,7 @@ def test_products_of_table_entries_are_exact_at_large_p():
                             hist.counts.tolist())) == cells, variant
             once = Counter((u * t + v) % p for u, v in set(want)
                            for t in ts.elements().tolist())
-            assert proof_incidences(variant, a, x, third, g, h) == \
+            assert kern.incidences() == \
                 sum(n * n for n in once.values()), variant
 
 

@@ -26,12 +26,11 @@ from fpsp.energy import (RepFn, dyadic_buckets, energy_popular, level_counts,
 from fpsp.errors import BadP, EmptySet
 from fpsp.field import is_prime, make_field
 from fpsp.functions import _unit_image, f_image, make_fn, mu, mu_product
-from fpsp.incidence import (TRIPLES_CAP, _dedup_pairs, _proof_pairs,
-                            bilinear_hist, proof_incidences)
+from fpsp.incidence import TRIPLES_CAP, bilinear_hist, proof_kernel
 from fpsp.rng import CounterRng
 from fpsp.sets import FSet, _pair_count, combine, generate
-from fpsp.verify import (_energy_and_incidences, count_N_shifted, count_X,
-                         holder_weighted_sum, quad_energy, solution_count_M)
+from fpsp.verify import (count_N_shifted, count_X, holder_weighted_sum,
+                         quad_energy, solution_count_M)
 from oracles import _convolve_ntt, pointwise_product, solution_count_M_brute
 
 P_LARGE = 1048573
@@ -668,21 +667,26 @@ def test_kernel_consumers_match_dense_oracle(monkeypatch):
             for variant, third in (("sum_E1", c), ("prod_E1", c),
                                    ("sum_E2", bz), ("prod_E2", bz)):
                 x = cz if variant.startswith("prod") else c
-                alpha, beta, ts = _proof_pairs(variant, a, x, third, g, h)
+                kern = proof_kernel(variant, a, x, third, g, h)
+                alpha, beta, ts = kern.alpha, kern.beta, kern.ts
                 want = _pair_count_oracle(alpha, ts, beta, p)
                 _same_hist(bilinear_hist(alpha, beta, ts, p), want, False,
                            tag + (variant,))
                 assert quad_energy(variant, a, x, third, g, h) == \
                     int(np.dot(want, want)), tag + (variant,)
-                ua, ub = _dedup_pairs(alpha, beta, p)
+                ua, ub = kern.pairs
+                assert np.array_equal(
+                    np.stack([ua, ub], axis=1),
+                    np.unique(np.stack([alpha, beta], axis=1), axis=0)), \
+                    tag + (variant,)
                 want = _pair_count_oracle(ua, ts, ub, p)
-                assert proof_incidences(variant, a, x, third, g, h) == \
+                assert kern.incidences() == \
                     int(np.dot(want, want)), tag + (variant,)
                 for gg, hh in ((g, h), (one, one)):
+                    kern = proof_kernel(variant, a, x, third, gg, hh)
                     both = (quad_energy(variant, a, x, third, gg, hh),
-                            proof_incidences(variant, a, x, third, gg, hh))
-                    assert _energy_and_incidences(
-                        variant, a, x, third, gg, hh, TRIPLES_CAP) == both, \
+                            kern.incidences())
+                    assert kern.energy_and_incidences(TRIPLES_CAP) == both, \
                         tag + (variant,)
                     repeats += both[0] != both[1]
     assert repeats > 0

@@ -13,12 +13,10 @@ import pytest
 from fpsp.errors import BadParams, EmptySet, SizeCap, ZeroDivisor, ZeroInA
 from fpsp.field import make_field
 from fpsp.functions import make_fn
-from fpsp.incidence import (VARIANTS, _dedup_pairs, _longest_line,
-                            _proof_pairs,
-                            bilinear_hist, build_proof_config, incidences,
-                            make_config, max_collinear, normalize_planes,
-                            proof_incidences, rudnev_ratio,
-                            structural_collinear)
+from fpsp.incidence import (VARIANTS, _longest_line, bilinear_hist,
+                            build_proof_config, incidences, make_config,
+                            max_collinear, normalize_planes, proof_kernel,
+                            rudnev_ratio)
 from fpsp.rng import CounterRng
 from fpsp.sets import generate
 
@@ -170,7 +168,7 @@ def test_proof_incidences_matches_materialized():
         third = generate(F101, "random", size=2 + int(rng.below(8)),
                          seed=trial, instance_id="pm-t%d" % trial,
                          zero_free=True)
-        fast = proof_incidences(variant, a, x, third, g, h)
+        fast = proof_kernel(variant, a, x, third, g, h).incidences()
         cfg = build_proof_config(variant, a, x, third, g, h)
         assert fast == incidences(cfg), (variant, trial)
 
@@ -182,16 +180,18 @@ def _generic_collinear(variant, a, x, third, g, h, cap):
 
 
 def _collinear_case(variant, a, x, third, g, h):
-    """Check structural == generic, and the cap at n and n - 1 on both."""
-    alpha, beta, ts = _proof_pairs(variant, a, x, third, g, h)
-    n_pairs = len(_dedup_pairs(alpha, beta, a.field.p)[0])
-    n = n_pairs * len(ts)
+    """Check the kernel record's line count == generic, and the cap at n
+    and n - 1 on both."""
+    kern = proof_kernel(variant, a, x, third, g, h)
+    n_pairs = len(kern.pairs[0])
+    n = n_pairs * len(kern.ts)
     want = _generic_collinear(variant, a, x, third, g, h, n)
-    assert structural_collinear(variant, a, x, third, g, h, cap=n) == want
-    for route in (structural_collinear, _generic_collinear):
-        with pytest.raises(SizeCap):
-            route(variant, a, x, third, g, h, cap=n - 1)
-    return want, len(ts), n_pairs
+    assert kern.max_collinear(n) == want
+    with pytest.raises(SizeCap):
+        kern.max_collinear(n - 1)
+    with pytest.raises(SizeCap):
+        _generic_collinear(variant, a, x, third, g, h, n - 1)
+    return want, len(kern.ts), n_pairs
 
 
 def test_structural_collinear_matches_generic():
@@ -265,18 +265,73 @@ def test_proof_pairs_zero_rules():
     x0 = generate(F101, "explicit", elements=[0, 1])
     c = generate(F101, "explicit", elements=[1, 2])
     with pytest.raises(ZeroDivisor):
-        proof_incidences("prod_E1", a, x0, c, g, h)
+        proof_kernel("prod_E1", a, x0, c, g, h)
     with pytest.raises(ZeroDivisor):
-        proof_incidences("prod_E2", a, x0, c, g, h)
+        proof_kernel("prod_E2", a, x0, c, g, h)
     # sum variants tolerate 0 in X; prod_E1 tolerates 0 in C
-    assert proof_incidences("sum_E1", a, x0, c, g, h) > 0
+    assert proof_kernel("sum_E1", a, x0, c, g, h).incidences() > 0
     c0 = generate(F101, "explicit", elements=[0, 1])
-    assert proof_incidences("prod_E1", a, c, c0, g, h) > 0
+    assert proof_kernel("prod_E1", a, c, c0, g, h).incidences() > 0
     a0 = generate(F101, "explicit", elements=[0, 1])
     with pytest.raises(ZeroInA):
-        proof_incidences("sum_E1", a0, x0, c, g, h)
+        proof_kernel("sum_E1", a0, x0, c, g, h)
     with pytest.raises(BadParams):
-        proof_incidences("no_such", a, c, c, g, h)
+        proof_kernel("no_such", a, c, c, g, h)
+
+
+def test_proof_kernel_record():
+    # the record's arrays are read-only, so its kept PAIRS cannot go
+    # stale; the set keeps a writeable array of its own
+    g = make_fn(F101, "power", k=2)
+    a = generate(F101, "explicit", elements=[3, 7, 98])  # 3^2 = 98^2
+    x = generate(F101, "interval", start=1, size=4)
+    c = generate(F101, "interval", start=2, size=5)
+    repeats = set()
+    for h in (make_fn(F101, "random", seed=3), make_fn(F101, "const", c=1)):
+        for variant in VARIANTS:
+            kern = proof_kernel(variant, a, x, c, g, h)
+            assert kern.variant == variant and kern.field == F101
+            assert kern.pairs is kern.pairs
+            for arr in (kern.alpha, kern.beta, kern.ts, *kern.pairs):
+                with pytest.raises(ValueError):
+                    arr[0] = 1
+            # E = I exactly when no pair repeats, the pair from one call
+            e, i = kern.energy_and_incidences()
+            assert (e, i) == (kern.energy(), kern.incidences()), variant
+            repeated = len(kern.pairs[0]) < len(kern.alpha)
+            assert (e > i) == repeated, variant
+            repeats.add(repeated)
+            with pytest.raises(SizeCap,
+                               match=r"max_collinear capped at \|R\| <= 1,"):
+                kern.max_collinear(1)
+    assert repeats == {True, False}
+    assert x.elements().flags.writeable and c.elements().flags.writeable
+    # an empty scalar set leaves R empty
+    empty = generate(F101, "explicit", elements=[])
+    with pytest.raises(EmptySet, match="at least one point"):
+        proof_kernel("sum_E1", a, empty, c, g, g).max_collinear()
+
+
+def test_kernel_record_calls_see_rebound_functions(monkeypatch):
+    # The record calls bilinear_hist and max_collinear through the
+    # module's globals when it runs, so a rebinding of the module
+    # attribute (a test's monkeypatch, a profiler's timing wrapper) sees
+    # every call the record makes.
+    from fpsp import incidence
+    seen = []
+    for name in ("bilinear_hist", "max_collinear"):
+        def wrapper(*args, _orig=getattr(incidence, name), _name=name,
+                    **kwargs):
+            seen.append(_name)
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(incidence, name, wrapper)
+    g, h = make_fn(F101, "power", k=2), make_fn(F101, "const", c=1)
+    a = generate(F101, "explicit", elements=[3, 98])
+    x = generate(F101, "interval", start=1, size=3)
+    kern = proof_kernel("sum_E1", a, x, x, g, h)
+    kern.energy_and_incidences()  # pairs repeat: two histograms
+    kern.max_collinear()
+    assert seen == ["bilinear_hist", "bilinear_hist", "max_collinear"]
 
 
 def test_bilinear_hist_mass_and_cap():

@@ -230,6 +230,29 @@ def test_lemma_chain_M_is_the_solution_count():
                 (trial, kind, k)
 
 
+def test_lemma_chain_builds_each_kernel_once(monkeypatch):
+    # kern1 answers E_1, I_1 and the line count, kern2 answers E_2 and I_2
+    from fpsp import incidence, verify
+    built = []
+
+    def counting(variant, *args):
+        built.append(variant)
+        return incidence.proof_kernel(variant, *args)
+
+    a = generate(F101, "explicit", elements=[3, 7, 98])  # 3^2 = 98^2
+    b = generate(F101, "interval", start=1, size=8)
+    g, h = make_fn(F101, "power", k=2), make_fn(F101, "random", seed=12)
+    want = {kind: lemma_chain_check(a, b, b, g, h, kind).to_dict()
+            for kind in ("sum", "prod")}
+    monkeypatch.setattr(verify, "proof_kernel", counting)
+    for kind in ("sum", "prod"):
+        built.clear()
+        rep = lemma_chain_check(a, b, b, g, h, kind)
+        assert built == [kind + "_E1", kind + "_E2"], kind
+        assert rep.to_dict() == want[kind], kind
+        assert "collinear_R1_mu" in {c.name for c in rep.checks}, kind
+
+
 def test_lemma_chain_rejects():
     a = generate(F7, "explicit", elements=[1, 2])
     s = generate(F7, "explicit", elements=[1])
