@@ -44,9 +44,8 @@ from .errors import FpspError, ParseError
 from .field import make_field, PrimeField
 from .functions import f_image, mu, parse_fn_spec
 from .incidence import (COLLINEAR_CAP, MATERIALIZE_CAP, TRIPLES_CAP,
-                        VARIANTS, build_proof_config, incidences,
-                        make_config, max_collinear, proof_kernel,
-                        rudnev_ratio)
+                        VARIANTS, build_proof_config, make_config,
+                        proof_kernel, rudnev_ratio)
 from .sets import (FAMILIES, FSet, _format_lines, _read_lines, affine,
                    combine, generate, read_set_file)
 from .sweep import load_config_file, report_json, rows_csv, run_sweep
@@ -140,11 +139,6 @@ def read_rows_file(path: str, width: int,
     return p, arr.reshape(-1, width)
 
 
-def write_rows_file(path: str, p: int, rows: np.ndarray) -> None:
-    with open(path, "w") as fh:
-        fh.write(_format_lines(p, rows))
-
-
 def _report_verdict(rep_dict: dict, label: str) -> int:
     """Print a chain report as JSON, a summary to stderr; 0 ok / 1 fail."""
     _emit_json(rep_dict)
@@ -221,50 +215,42 @@ def _cmd_mu(ns) -> int:
 
 
 def _cmd_incidence(ns) -> int:
-    field = ns.field
-    if ns.points is not None:
-        _, pts = read_rows_file(ns.points, 3, field)
-        if ns.planes is not None:
-            _, pls = read_rows_file(ns.planes, 4, field)
-        else:
-            pls = np.zeros((0, 4), dtype=np.int64)
-        cfg = make_config(field, pts, pls,
-                          provenance="files:%s,%s" % (ns.points, ns.planes))
+    """One record per mode; only build --variant materializes R and S."""
+    field, files = ns.field, ns.points is not None
+    if not files and ns.variant is None:
+        raise ParseError("incidence needs --points/--planes files or "
+                         "--variant with sets")
+    if files:
+        pts, pls = (() if path is None else read_rows_file(path, w, field)[1]
+                    for path, w in ((ns.points, 3), (ns.planes, 4)))
+        rec = make_config(field, pts, pls, provenance="files:%s,%s"
+                          % (ns.points, ns.planes))
     else:
-        if ns.variant is None:
-            raise ParseError("incidence needs --points/--planes files or "
-                             "--variant with sets")
         if ns.A is None or ns.X is None or ns.third is None:
             raise ParseError("--variant mode needs --A, --X and --third")
-        g, h = (parse_fn_spec(field, _FN_DEFAULTS[flag])
-                if getattr(ns, flag) is None else getattr(ns, flag)
-                for flag in ("g", "h"))
-        args = (ns.A, ns.X, ns.third, g, h)
-        # count and max-collinear read the kernel record and never
-        # materialize R or S; max-collinear is bounded by --collinear-cap
-        # alone
-        if ns.action in ("count", "max-collinear"):
-            kern = proof_kernel(ns.variant, *args)
-            print(kern.incidences(ns.cap) if ns.action == "count"
-                  else kern.max_collinear(ns.collinear_cap))
-            return 0
-        cfg = build_proof_config(ns.variant, *args, cap=ns.cap)
+        g, h = (parse_fn_spec(field, spec) if getattr(ns, flag) is None
+                else getattr(ns, flag) for flag, spec in _FN_DEFAULTS.items())
+        args = (ns.variant, ns.A, ns.X, ns.third, g, h)
+        rec = (build_proof_config(*args, cap=ns.cap) if ns.action == "build"
+               else proof_kernel(*args))
     if ns.action == "count":
-        print(incidences(cfg))
-        _log("|R|=%d |S|=%d" % (cfg.n_points, cfg.n_planes))
+        print(rec.incidences(ns.cap))
+        _log("|R|=%d |S|=%d" % (rec.n_points, rec.n_planes))
     elif ns.action == "max-collinear":
-        print(max_collinear(cfg.points, cfg.field, cap=ns.collinear_cap))
-        _log("|R|=%d" % cfg.n_points)
+        print(rec.max_collinear(ns.collinear_cap))
+        _log("|R|=%d" % rec.n_points)
     elif ns.action == "rudnev-ratio":
-        _emit_json(rudnev_ratio(cfg, cap=ns.collinear_cap))
+        _emit_json(rudnev_ratio(rec, ns.collinear_cap, ns.cap))
     else:  # build
         if ns.out_points is None or ns.out_planes is None:
             raise ParseError("incidence build needs --out-points and "
                              "--out-planes")
-        write_rows_file(ns.out_points, field.p, cfg.points)
-        write_rows_file(ns.out_planes, field.p, cfg.planes)
+        for path, rows in ((ns.out_points, rec.points),
+                           (ns.out_planes, rec.planes)):
+            with open(path, "w") as fh:
+                fh.write(_format_lines(field.p, rows))
         _log("wrote %d points to %s, %d planes to %s"
-             % (cfg.n_points, ns.out_points, cfg.n_planes, ns.out_planes))
+             % (rec.n_points, ns.out_points, rec.n_planes, ns.out_planes))
     return 0
 
 

@@ -5,9 +5,9 @@ incidences() is the generic exact counter: blocked dot products in float64
 reduced mod p.  max_collinear() canonicalizes pairwise directions per anchor
 point, inverting every pair's leading coordinate in one table-free batch
 while the batch is small (PrimeField.table_free) and reading the inverse
-table above; it serves file-mode configs and rudnev_ratio(), and it is the
-oracle for ProofKernel.max_collinear().  rudnev_ratio() reports the observed
-count against the |R|^(1/2)|S| + k|S| shape.
+table above; it serves file-mode configs, and it is the oracle for
+ProofKernel.max_collinear().  rudnev_ratio() reports either record's
+observed count against the |R|^(1/2)|S| + k|S| shape.
 
 The four proof configurations (sum_E1, sum_E2, prod_E1, prod_E2) all share
 one algebraic skeleton: both the point set and the plane set are products
@@ -60,7 +60,8 @@ MATERIALIZE_CAP = 1_000_000
 
 @dataclass(frozen=True)
 class IncidenceConfig:
-    """A deduplicated point set and normalized plane set over one field."""
+    """A deduplicated point set and normalized plane set over one field.
+    It answers incidences and max_collinear as a ProofKernel does."""
     field: PrimeField
     points: np.ndarray   # (n, 3) int64, unique rows, lexicographic order
     planes: np.ndarray   # (m, 4) int64, normalized, unique rows
@@ -73,6 +74,12 @@ class IncidenceConfig:
     @property
     def n_planes(self) -> int:
         return len(self.planes)
+
+    def incidences(self, cap: int | None = None) -> int:
+        return incidences(self)  # uncapped: cap bounds a kernel's cells
+
+    def max_collinear(self, cap: int = COLLINEAR_CAP) -> int:
+        return max_collinear(self.points, self.field, cap=cap)
 
 
 def normalize_planes(field: PrimeField, raw: np.ndarray) -> np.ndarray:
@@ -138,14 +145,12 @@ def max_collinear(points: np.ndarray, field: PrimeField,
         raise EmptySet("max_collinear needs at least one point")
     if n > cap:
         raise SizeCap("max_collinear capped at |R| <= %d, got %d" % (cap, n))
-    if n == 1:
-        return 1
     return _longest_line(pts, field,
                          batched=field.table_free(n * (n - 1) // 2))
 
 
 def _longest_line(pts: np.ndarray, field: PrimeField, batched: bool) -> int:
-    """max_collinear's scan of n >= 2 points.  batched keys the
+    """max_collinear's scan of n >= 1 points.  batched keys the
     directions of all n(n-1)/2 pairs up front, with one batch of
     field.inverses; max_collinear takes it while that batch needs no
     length-p table.  Otherwise each anchor's directions are keyed as it
@@ -178,15 +183,17 @@ def _longest_line(pts: np.ndarray, field: PrimeField, batched: bool) -> int:
     return best
 
 
-def rudnev_ratio(cfg: IncidenceConfig, cap: int = COLLINEAR_CAP) -> dict:
-    """Report row: observed incidences against |R|^(1/2)|S| + k|S|."""
-    nr, ns = cfg.n_points, cfg.n_planes
-    count = incidences(cfg)
-    k = max_collinear(cfg.points, cfg.field, cap=cap) if nr else 0
+def rudnev_ratio(rec: IncidenceConfig | ProofKernel, cap: int = COLLINEAR_CAP,
+                 triples_cap: int = TRIPLES_CAP) -> dict:
+    """Report row: observed incidences against |R|^(1/2)|S| + k|S|, off
+    either record; triples_cap bounds a ProofKernel's cells."""
+    nr, ns = rec.n_points, rec.n_planes
+    count = rec.incidences(triples_cap)
+    k = rec.max_collinear(cap) if nr else 0
     bound = (nr ** 0.5) * ns + k * ns
     ratio = count / bound if bound > 0 else 0.0
     return {
-        "provenance": cfg.provenance,
+        "provenance": rec.provenance,
         "n_points": nr,
         "n_planes": ns,
         "incidences": count,
@@ -194,7 +201,7 @@ def rudnev_ratio(cfg: IncidenceConfig, cap: int = COLLINEAR_CAP) -> dict:
         "bound": bound,
         "ratio": ratio,
         "hyp_r_le_s": nr <= ns,
-        "hyp_r_le_p2": nr <= cfg.field.p ** 2,
+        "hyp_r_le_p2": nr <= rec.field.p ** 2,
     }
 
 
@@ -220,6 +227,17 @@ class ProofKernel:
         ua.flags.writeable = ub.flags.writeable = False
         return ua, ub
 
+    @property
+    def provenance(self) -> str:
+        return self.variant
+
+    @property
+    def n_points(self) -> int:
+        """|R| = |S| = |PAIRS| |T|: both are products of pairs and ts."""
+        return len(self.pairs[0]) * len(self.ts)
+
+    n_planes = n_points
+
     def energy(self, cap: int = TRIPLES_CAP) -> int:
         """The quad energy: sum_t H(t)^2 over the pairs with multiplicity."""
         return bilinear_hist(self.alpha, self.beta, self.ts, self.field.p,
@@ -242,14 +260,13 @@ class ProofKernel:
         one slice as (0, alpha, beta) (the E2 shapes store -beta, an
         affine image).  The cap counts |T| |PAIRS|, the points of R, so
         SizeCap comes exactly where materializing R would raise it."""
-        ua, ub = self.pairs
-        n = len(ua) * len(self.ts)
+        n = self.n_points
         if n > cap:
             raise SizeCap("max_collinear capped at |R| <= %d, got %d"
                           % (cap, n))
         if n == 0:
             raise EmptySet("max_collinear needs at least one point")
-        plane = np.stack([np.zeros_like(ua), ua, ub], axis=1)
+        plane = np.stack([np.zeros_like(self.pairs[0]), *self.pairs], axis=1)
         return max(len(self.ts), max_collinear(plane, self.field, cap=cap))
 
 
@@ -328,20 +345,17 @@ def build_proof_config(variant: str, a: FSet, x: FSet, third: FSet,
              S = {X/(x g(a)) - F' Y + Z - h(a)/x = 0}
     """
     kern = proof_kernel(variant, a, x, third, g, h)
-    p, ts = a.field.p, kern.ts
-    ua, ub = kern.pairs
-    n = len(ua) * len(ts)
-    if n > cap:
-        raise SizeCap("materializing %d points exceeds cap %d" % (n, cap))
+    if kern.n_points > cap:
+        raise SizeCap("materializing %d points exceeds cap %d"
+                      % (kern.n_points, cap))
+    p, (ua, ub), ts = a.field.p, kern.pairs, kern.ts
+    # one cell per point and per plane: (t, alpha, beta) gives the point
+    # (t, alpha, beta) and the plane (alpha, -t, -1, beta) for E1 shapes,
+    # (t, alpha, -beta) and (alpha, -t, +1, beta) for E2
+    t, al, be = (np.repeat(ts, len(ua)), np.tile(ua, len(ts)),
+                 np.tile(ub, len(ts)))
     e2 = variant in ("sum_E2", "prod_E2")
-    # points: (t, alpha, beta) for E1 shapes, (t, alpha, -beta) for E2
-    pa, pb = np.tile(ua, len(ts)), np.tile(ub, len(ts))
-    pt = np.repeat(ts, len(ua))
-    third_coord = (-pb) % p if e2 else pb
-    points = np.stack([pt, pa, third_coord], axis=1)
-    # planes: (alpha, -t, -1, beta) for E1 shapes, (alpha, -t, +1, beta) for E2
-    qa, qb = np.repeat(ua, len(ts)), np.repeat(ub, len(ts))
-    qt = np.tile(ts, len(ua))
-    ccoef = np.full(len(qa), 1 if e2 else p - 1, dtype=np.int64)
-    planes = np.stack([qa, (-qt) % p, ccoef, qb], axis=1)
+    points = np.stack([t, al, (-be) % p if e2 else be], axis=1)
+    planes = np.stack([al, (-t) % p, np.full(len(t), 1 if e2 else p - 1),
+                       be], axis=1)
     return make_config(a.field, points, planes, provenance=variant)
