@@ -63,8 +63,10 @@ for variant, third, m in (("sum_E1", bset, mu(g)), ("sum_E2", img, mu(g)),
           % (variant, len(cfg.points), len(cfg.planes), fast, e,
              "(E == I)" if e == fast else "(E <= %d^2 I)" % m))
 
-# Ratio against the incidence bound on a generic configuration.
+# Ratio against the incidence bound on a generic configuration; the
+# kernel record gives the same row without building R or S.
 rep = rudnev_ratio(build_proof_config("sum_E1", a, x, bset, g, h))
+assert rep == rudnev_ratio(proof_kernel("sum_E1", a, x, bset, g, h))
 print("bound report: I = %d vs bound %.1f, ratio %.3f, max collinear %d"
       % (rep["incidences"], rep["bound"], rep["ratio"],
          rep["max_collinear"]))

@@ -154,13 +154,19 @@ def _report_verdict(rep_dict: dict, label: str) -> int:
 # -- subcommand handlers -----------------------------------------------------
 
 
+def _refuse_unread(ns, flags, what: str) -> None:
+    """ParseError naming, in the order given, each flag that is set on ns
+    (not None) but that `what` does not read."""
+    stray = ["--" + f.replace("_", "-") for f in flags
+             if getattr(ns, f) is not None]
+    if stray:
+        raise ParseError("%s does not take %s" % (what, ", ".join(stray)))
+
+
 def _cmd_gen(ns) -> int:
     fam = "mul_subgroup" if ns.family == "subgroup" else ns.family
     others = set().union(*_GEN_FLAGS.values()) - set(_GEN_FLAGS[fam])
-    stray = ["--" + f for f in sorted(others) if getattr(ns, f) is not None]
-    if stray:
-        raise ParseError("--family %s does not take %s"
-                         % (ns.family, ", ".join(stray)))
+    _refuse_unread(ns, sorted(others), "--family %s" % ns.family)
     elements = (None if ns.elements is None
                 else _explicit_elements(ns.elements))
     a = generate(ns.field, fam, start=ns.start, step=ns.step,
@@ -220,11 +226,16 @@ def _cmd_incidence(ns) -> int:
     if not files and ns.variant is None:
         raise ParseError("incidence needs --points/--planes files or "
                          "--variant with sets")
+    unread = ("variant", "A", "X", "third", "g", "h") if files else ("planes",)
+    if ns.action != "build":
+        unread += ("out_points", "out_planes")
+    _refuse_unread(ns, unread, "incidence %s with --%s"
+                   % (ns.action, "points" if files else "variant"))
     if files:
         pts, pls = (() if path is None else read_rows_file(path, w, field)[1]
                     for path, w in ((ns.points, 3), (ns.planes, 4)))
-        rec = make_config(field, pts, pls, provenance="files:%s,%s"
-                          % (ns.points, ns.planes))
+        rec = make_config(field, pts, pls, provenance="files:" + ",".join(
+            filter(None, (ns.points, ns.planes))))
     else:
         if ns.A is None or ns.X is None or ns.third is None:
             raise ParseError("--variant mode needs --A, --X and --third")
@@ -323,8 +334,9 @@ def _level(text: str) -> int | str:
 
 # The flags --<name> ("_" read as "-") of the inputs verify.CHAINS names,
 # which image, energy and incidence share.  incidence keeps an absent --g
-# or --h None, so its file mode builds no table, and applies _FN_DEFAULTS,
-# which the help strings name, where it reads the tables.
+# or --h None, so its file mode builds no table and refuses a given one,
+# and applies _FN_DEFAULTS, which the help strings name, where it reads
+# the tables.
 _FLAGS = {
     "A": dict(required=True),
     "B": dict(required=True),

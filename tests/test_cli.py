@@ -12,6 +12,8 @@ from fpsp import sweep
 from fpsp.cli import dispatch, parse_set_spec, read_rows_file
 from fpsp.errors import ParseError
 from fpsp.field import make_field
+from fpsp.functions import make_fn
+from fpsp.incidence import VARIANTS
 from fpsp.sets import FAMILIES
 from fpsp.verify import PHI_CAP
 
@@ -227,6 +229,13 @@ def test_incidence_file_mode(tmp_path, capsys):
     assert code == 0
     blob = json.loads(out)
     assert blob["incidences"] == 5 and blob["n_points"] == 5
+    assert blob["provenance"] == "files:%s,%s" % (pts, pls)
+    # without --planes the tag names the points file alone
+    code, out, _ = run(capsys, "incidence", "rudnev-ratio", "--p", "5",
+                       "--points", str(pts))
+    blob = json.loads(out)
+    assert code == 0 and blob["provenance"] == "files:%s" % pts
+    assert (blob["n_planes"], blob["incidences"]) == (0, 0)
 
 
 def test_incidence_file_mode_reads_no_table(tmp_path, capsys,
@@ -255,37 +264,79 @@ def test_incidence_file_mode_reads_no_table(tmp_path, capsys,
                "--h", "const:1")[:2] == (0, defaulted)
 
 
+_VARIANT_CASES = [
+    *[(v, ("--A", "subgroup:10", "--X", "interval:1:6", "--third",
+           "interval:2:5")) for v in VARIANTS],
+    # 0 in C gives prod_E1 its alpha = 0 rows
+    ("prod_E1", ("--A", "subgroup:10", "--X", "interval:1:6", "--third",
+                 "interval:0:5")),
+    # an empty X: every count is 0, k is 0 and the line scan refuses
+    *[(v, ("--A", "subgroup:10", "--X", "explicit:", "--third",
+           "interval:2:5")) for v in VARIANTS],
+]
+
+
 def test_incidence_variant_and_build_roundtrip(tmp_path, capsys):
-    args = ("--p", "101", "--variant", "sum_E1", "--A", "subgroup:10",
-            "--X", "interval:1:6", "--third", "interval:2:5",
+    for i, (variant, sets) in enumerate(_VARIANT_CASES):
+        _check_roundtrip(variant, sets, tmp_path / str(i), capsys)
+
+
+def _check_roundtrip(variant, sets, tmp_path, capsys):
+    tmp_path.mkdir()
+    args = ("--p", "101", "--variant", variant, *sets,
             "--g", "id", "--h", "const:1")
-    code, out, _ = run(capsys, "incidence", "count", *args)
-    assert code == 0
-    kernel_count = int(out)
     op, os_ = tmp_path / "R.pts", tmp_path / "S.pls"
     code, _, err = run(capsys, "incidence", "build", *args,
                        "--out-points", str(op), "--out-planes", str(os_))
     assert code == 0 and "wrote" in err
-    code, out, _ = run(capsys, "incidence", "count", "--p", "101",
-                       "--points", str(op), "--planes", str(os_))
-    assert code == 0 and int(out) == kernel_count
     # the written files parse back with the documented shapes
     _, pts = read_rows_file(str(op), 3, F101)
     _, pls = read_rows_file(str(os_), 4, F101)
     assert pts.shape[1] == 3 and pls.shape[1] == 4
-    # max-collinear and rudnev-ratio agree between --variant and the files,
-    # up to the provenance tag
+    # count, max-collinear and rudnev-ratio agree between --variant and
+    # the files, up to the provenance tag
+    empty = "explicit:" in sets
     files = ("--p", "101", "--points", str(op), "--planes", str(os_))
-    for action in ("max-collinear", "rudnev-ratio"):
-        outs = []
-        for mode in (args, files):
-            code, out, _ = run(capsys, "incidence", action, *mode)
-            assert code == 0
-            outs.append(json.loads(out))
+    for action in ("count", "max-collinear", "rudnev-ratio"):
+        kern, mat = (run(capsys, "incidence", action, *mode)
+                     for mode in (args, files))
         if action == "rudnev-ratio":
-            assert outs[0].pop("provenance") == "sum_E1"
-            assert outs[1].pop("provenance").startswith("files:")
-        assert outs[0] == outs[1], action
+            outs = [json.loads(out) for _, out, _ in (kern, mat)]
+            assert outs[0].pop("provenance") == variant
+            assert outs[1].pop("provenance") == "files:%s,%s" % (op, os_)
+            assert outs[0] == outs[1] and kern[0] == mat[0] == 0
+            assert (outs[0]["max_collinear"] == 0) == empty
+        else:
+            # stderr too: both modes log the same sizes, or the same error
+            assert kern == mat, action
+            assert kern[0] == (2 if empty and action == "max-collinear"
+                               else 0), action
+
+
+def test_rudnev_ratio_variant_builds_no_config(capsys, monkeypatch):
+    # rudnev-ratio --variant reads the ProofKernel alone: with R and S,
+    # the generic count and the configs out of reach it prints the row of
+    # the materialized config
+    import fpsp.cli as cli
+    from fpsp import incidence
+    expected = []
+    for variant, sets in _VARIANT_CASES:
+        a, x, third = (parse_set_spec(F101, spec) for spec in sets[1::2])
+        g, h = make_fn(F101, "identity"), make_fn(F101, "const", c=1)
+        expected.append(incidence.rudnev_ratio(
+            incidence.build_proof_config(variant, a, x, third, g, h)))
+
+    def boom(*args, **kwargs):
+        raise AssertionError("R and S were materialized")
+
+    for module in (cli, incidence):
+        monkeypatch.setattr(module, "build_proof_config", boom)
+        monkeypatch.setattr(module, "make_config", boom)
+    monkeypatch.setattr(incidence, "incidences", boom)
+    for (variant, sets), row in zip(_VARIANT_CASES, expected):
+        code, out, _ = run(capsys, "incidence", "rudnev-ratio", "--p", "101",
+                           "--variant", variant, *sets)
+        assert code == 0 and json.loads(out) == row, (variant, sets)
 
 
 def test_rudnev_ratio_reads_collinear_cap(capsys, monkeypatch):
@@ -322,6 +373,34 @@ def test_incidence_usage_errors(tmp_path, capsys):
     code, _, err = run(capsys, "incidence", "count", "--p", "101",
                        "--points", str(bad))
     assert code == 2 and "expected 3 integers" in err
+    # a flag the mode or the action does not read is refused, by name
+    pts, pls = str(tmp_path / "R.pts"), str(tmp_path / "S.pls")
+    (tmp_path / "R.pts").write_text("p=101\n1 2 3\n")
+    (tmp_path / "S.pls").write_text("p=101\n1 0 0 100\n")
+    sets = ("--A", "interval:1:4", "--X", "interval:1:4",
+            "--third", "interval:1:4")
+    for argv, named in [
+        # file mode reads no variant, sets or tables
+        (("count", "--points", pts, "--planes", pls, "--variant", "prod_E2",
+          "--A", "interval:1:50"), "count with --points does not take "
+         "--variant, --A"),
+        (("rudnev-ratio", "--points", pts, *sets[2:], "--g", "id",
+          "--h", "id"), "rudnev-ratio with --points does not take --X, "
+         "--third, --g, --h"),
+        # variant mode reads no planes file
+        (("count", "--variant", "sum_E1", *sets, "--planes", pls),
+         "count with --variant does not take --planes"),
+        # only build writes files
+        (("rudnev-ratio", "--variant", "sum_E1", *sets, "--out-points",
+          "R2.pts", "--out-planes", "S2.pls"), "rudnev-ratio with "
+         "--variant does not take --out-points, --out-planes"),
+        (("max-collinear", "--points", pts, "--out-planes", "S2.pls"),
+         "max-collinear with --points does not take --out-planes"),
+    ]:
+        code, out, err = run(capsys, "incidence", argv[0], "--p", "101",
+                             *argv[1:])
+        assert (code, out) == (2, ""), argv
+        assert err == "error: incidence %s\n" % named
 
 
 # -- verify ----------------------------------------------------------------

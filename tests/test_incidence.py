@@ -356,6 +356,11 @@ def test_rudnev_ratio_fields():
     assert row["bound"] > 0 and row["ratio"] >= 0
     assert row["provenance"] == "sum_E1"
     assert isinstance(row["hyp_r_le_s"], bool)
+    # the kernel record gives the same row without building R or S
+    kern = proof_kernel("sum_E1", a, x, x, g, h)
+    assert (kern.provenance, kern.n_points, kern.n_planes) == (
+        "sum_E1", cfg.n_points, cfg.n_planes)
+    assert rudnev_ratio(kern) == row
 
 
 def test_literal_collinearity_bound_is_falsifiable():
