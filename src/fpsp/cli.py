@@ -227,10 +227,17 @@ def _cmd_incidence(ns) -> int:
         raise ParseError("incidence needs --points/--planes files or "
                          "--variant with sets")
     unread = ("variant", "A", "X", "third", "g", "h") if files else ("planes",)
+    if files or ns.action == "max-collinear":
+        unread += ("cap",)  # a file's config is counted uncapped
+    if ns.action in ("count", "build"):
+        unread += ("collinear_cap",)
     if ns.action != "build":
         unread += ("out_points", "out_planes")
     _refuse_unread(ns, unread, "incidence %s with --%s"
                    % (ns.action, "points" if files else "variant"))
+    cap = MATERIALIZE_CAP if ns.cap is None else ns.cap
+    collinear_cap = (COLLINEAR_CAP if ns.collinear_cap is None
+                     else ns.collinear_cap)
     if files:
         pts, pls = (() if path is None else read_rows_file(path, w, field)[1]
                     for path, w in ((ns.points, 3), (ns.planes, 4)))
@@ -242,16 +249,16 @@ def _cmd_incidence(ns) -> int:
         g, h = (parse_fn_spec(field, spec) if getattr(ns, flag) is None
                 else getattr(ns, flag) for flag, spec in _FN_DEFAULTS.items())
         args = (ns.variant, ns.A, ns.X, ns.third, g, h)
-        rec = (build_proof_config(*args, cap=ns.cap) if ns.action == "build"
+        rec = (build_proof_config(*args, cap=cap) if ns.action == "build"
                else proof_kernel(*args))
     if ns.action == "count":
-        print(rec.incidences(ns.cap))
+        print(rec.incidences(cap))
         _log("|R|=%d |S|=%d" % (rec.n_points, rec.n_planes))
     elif ns.action == "max-collinear":
-        print(rec.max_collinear(ns.collinear_cap))
+        print(rec.max_collinear(collinear_cap))
         _log("|R|=%d" % rec.n_points)
     elif ns.action == "rudnev-ratio":
-        _emit_json(rudnev_ratio(rec, ns.collinear_cap, ns.cap))
+        _emit_json(rudnev_ratio(rec, collinear_cap, cap))
     else:  # build
         if ns.out_points is None or ns.out_planes is None:
             raise ParseError("incidence build needs --out-points and "
@@ -333,10 +340,11 @@ def _level(text: str) -> int | str:
 
 
 # The flags --<name> ("_" read as "-") of the inputs verify.CHAINS names,
-# which image, energy and incidence share.  incidence keeps an absent --g
-# or --h None, so its file mode builds no table and refuses a given one,
-# and applies _FN_DEFAULTS, which the help strings name, where it reads
-# the tables.
+# which image, energy and incidence share.  incidence keeps an absent --g,
+# --h, --cap or --collinear-cap None, so it refuses one that its mode or
+# action does not read and its file mode builds no table, and applies
+# _FN_DEFAULTS, which the help strings name, and the caps' defaults where
+# it reads them.
 _FLAGS = {
     "A": dict(required=True),
     "B": dict(required=True),
@@ -347,7 +355,7 @@ _FLAGS = {
                   % (flag, spec)) for flag, spec in _FN_DEFAULTS.items()},
     "kind": dict(choices=["sum", "prod"], default="sum"),
     "k": dict(type=_level, default="auto"),
-    "cap": dict(type=_positive, default=MATERIALIZE_CAP),
+    "cap": dict(type=_positive),
     "triples_cap": dict(type=_positive, default=TRIPLES_CAP),
     "collinear_cap": dict(type=_positive, default=COLLINEAR_CAP),
     "eps": dict(type=_opt, help="popularity threshold, a/b or decimal "
@@ -428,8 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--third", type=_opt,
                     help="C for the E1 shapes, the image set for the E2 "
                          "shapes")
-    _add_flags(sp, "g", "h", default=None)  # file mode reads no table
-    _add_flags(sp, "cap", "collinear_cap")
+    _add_flags(sp, "g", "h", "cap", "collinear_cap", default=None)
     sp.add_argument("--out-points", dest="out_points")
     sp.add_argument("--out-planes", dest="out_planes")
     sp.set_defaults(func=_cmd_incidence)

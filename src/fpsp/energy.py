@@ -93,20 +93,20 @@ def _is_integral(n) -> bool:
 def moment(r: RepFn, n) -> int | float:
     """E_n = sum_x r(x)^n.  Exact int for integral n >= 1: the sum runs
     over the distinct count values v as v^n * #{x : r(x) = v}, in Python
-    ints, since counts^n can exceed int64.  Float via fsum for fractional
-    n, over every nonzero count: grouping would round each v^n * #{...}
-    product and could change the result."""
+    ints, since counts^n can exceed int64; a dense histogram is counted
+    as it stands (Hist.multiplicities), without its sparse form.  Float
+    via fsum for fractional n, over every nonzero count: grouping would
+    round each v^n * #{...} product and could change the result."""
     if n < 1:
         raise BadExponent("moment needs n >= 1, got %r" % (n,))
-    nz = r.hist.counts
     if _is_integral(n):
         k = int(n)
-        mult = np.bincount(nz)  # mult[v] = #{x : r(x) = v}
+        mult = r.hist.multiplicities()
         vals = np.flatnonzero(mult)
         return sum(v ** k * c
                    for v, c in zip(vals.tolist(), mult[vals].tolist()))
     e = float(n)
-    return math.fsum(float(cnt) ** e for cnt in nz.tolist())
+    return math.fsum(float(cnt) ** e for cnt in r.hist.counts.tolist())
 
 
 @dataclass(frozen=True)

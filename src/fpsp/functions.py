@@ -28,21 +28,31 @@ from .errors import (BadParams, FieldMismatch, ParseError, ZeroInA,
                      ZeroInCodomain)
 from .field import PrimeField, _pow_ladder
 from .rng import CounterRng
-from .sets import FSet, _format_lines, _pair_count, _read_lines, _residues
+from .sets import (PAIR_CHUNK, FSet, _format_lines, _pair_count, _read_lines,
+                   _reduce, _residues)
+
+# Draws per CounterRng call when make_fn fills a random table in place:
+# each call holds its draws as uint64 and its batch of hashed stream bytes
+# (about 1.5 MB), so no length-p array is made beside the table.
+_DRAW_CHUNK = 1 << 15
 
 
 class FnTable:
     """A function F_p^* -> F_p^* as a read-only int32 table, one copy of
-    values; entries reduce mod p exactly, non-integers raise BadParams."""
+    values; entries reduce mod p exactly, non-integers raise BadParams.
+    With copy=False an int32 array of residues is kept as it is (made
+    read-only, slot 0 zeroed), so no other reference may write to it
+    afterwards; make_fn hands over the arrays it builds that way."""
 
     __slots__ = ("field", "values", "label", "_mu", "_mu_product",
                  "__weakref__")
 
-    def __init__(self, field: PrimeField, values: np.ndarray, label: str = ""):
+    def __init__(self, field: PrimeField, values: np.ndarray, label: str = "",
+                 copy: bool = True):
         p = field.p
         if len(values) != p:
             raise BadParams("value table must have length p (index 0 unused)")
-        vals = _residues(values, p, np.int32)  # the table's own copy
+        vals = _residues(values, p, np.int32, copy)
         vals[0] = 0  # unused slot, normalized for equality checks
         if not vals[1:].all():
             raise ZeroInCodomain("function takes value 0 on F_p^*")
@@ -115,7 +125,11 @@ def make_fn(field: PrimeField, kind: str, *, c: int | None = None,
         rng = CounterRng(seed, instance_id if instance_id is not None
                          else "fn:p=%d" % p)
         vals = np.zeros(p, dtype=np.int32)
-        vals[1:] = rng.integers(1, p, p - 1)
+        # drawn in place, in calls of _DRAW_CHUNK: the stream does not
+        # depend on how its draws are split into calls
+        for i in range(1, p, _DRAW_CHUNK):
+            j = min(i + _DRAW_CHUNK, p)
+            vals[i:j] = rng.integers(1, p, j - i)
         label = "random:%d" % seed
     elif kind == "table":
         if table is None:
@@ -128,7 +142,7 @@ def make_fn(field: PrimeField, kind: str, *, c: int | None = None,
         label = "table"
     else:
         raise BadParams("unknown function kind %r" % kind)
-    return FnTable(field, vals, label)
+    return FnTable(field, vals, label, copy=False)  # every vals is new
 
 
 _SPEC_ARGS = {"id": (), "const": ("c",), "power": ("k",),
@@ -200,27 +214,39 @@ def _domain(fn: FnTable, domain: FSet) -> np.ndarray:
 def mu(fn: FnTable, domain: FSet | None = None) -> int:
     """Largest fiber size of fn over the domain (default all of F_p^*).
 
-    The whole-domain value is one bincount over the table, computed once
-    per table and kept on it (tables are read-only).  On a domain A the
-    fibers are counted over the |A| values fn takes there."""
+    The whole-domain value is one count over the table (_count_max),
+    computed once per table and kept on it (tables are read-only).  On a
+    domain A the fibers are counted over the |A| values fn takes there."""
     if domain is not None:
         return _fiber_max(fn.values[_domain(fn, domain)])
     if fn._mu is None:
-        fn._mu = _bincount_max(fn.values[1:])
+        fn._mu = _count_max(fn.values, fn.field.p)
     return fn._mu
 
 
-def _bincount_max(vals: np.ndarray) -> int:
-    """Largest fiber of a length p-1 table over F_p^*, by one bincount."""
-    return int(np.bincount(vals).max())
+def _count_max(vals: np.ndarray, p: int,
+               times: np.ndarray | None = None) -> int:
+    """Largest fiber over F_p^* of a length-p table (slot 0 unused), or
+    with times of the products vals[x] * times[x] mod p.  The fibers are
+    counted in one int64 array of length p, PAIR_CHUNK entries at a time
+    (np.add.at), as _pair_count adds its chunks; the products are formed a
+    chunk at a time too."""
+    counts = np.zeros(p, dtype=np.int64)
+    for i in range(1, p, PAIR_CHUNK):
+        chunk = vals[i:i + PAIR_CHUNK]
+        if times is not None:
+            chunk = _reduce(np.multiply(chunk, times[i:i + PAIR_CHUNK],
+                                        dtype=np.int64), p)
+        np.add.at(counts, chunk, 1)
+    return int(counts.max())
 
 
 def mu_product(g: FnTable, h: FnTable, domain: FSet | None = None) -> int:
     """mu(g*h, domain), the largest fiber of x -> g(x)h(x) over the domain.
 
     On a domain A the fibers are counted over the |A| products g(a)h(a).
-    The whole-domain value is one bincount over the products.  Only the
-    int is kept, on g, for the last h it was paired with (a sweep
+    The whole-domain value is one count over the products (_count_max).
+    Only the int is kept, on g, for the last h it was paired with (a sweep
     instance pairs each g with one h), so no product table outlives the
     call and no table keeps more than one value.  A constant h (nonzero,
     as every table value is) keeps g's fibers, so then it is mu(g)."""
@@ -236,9 +262,7 @@ def mu_product(g: FnTable, h: FnTable, domain: FSet | None = None) -> int:
         if hv.min() == hv.max():
             got = mu(g)
         else:
-            prod = np.multiply(g.values[1:], hv, dtype=np.int64)
-            prod %= g.field.p
-            got = _bincount_max(prod)
+            got = _count_max(g.values, g.field.p, h.values)
         hit = g._mu_product = (weakref.ref(h), got)
     return hit[1]
 

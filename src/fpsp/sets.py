@@ -51,10 +51,13 @@ from .rng import CounterRng
 FAMILIES = ("interval", "ap", "gp", "mul_subgroup", "random", "explicit")
 
 
-def _residues(values, p: int, dtype=np.int64) -> np.ndarray:
+def _residues(values, p: int, dtype=np.int64, copy: bool = True
+              ) -> np.ndarray:
     """values mod p as a new array of dtype, exact for Python ints and any
     integer dtype (uint64 past 2^63 too); an array is reduced only when
-    an entry lies outside [0, p).  Non-integer entries raise BadParams."""
+    an entry lies outside [0, p).  Non-integer entries raise BadParams.
+    With copy=False an array of dtype with every entry in [0, p) comes
+    back itself."""
     if not isinstance(values, np.ndarray):
         try:
             return np.fromiter((operator.index(v) % p for v in values), dtype)
@@ -65,7 +68,29 @@ def _residues(values, p: int, dtype=np.int64) -> np.ndarray:
     if values.size and (int(values.min()) < 0 or int(values.max()) >= p):
         wide = np.uint64 if values.dtype == np.uint64 else np.int64
         return (values % wide(p)).astype(dtype, copy=False)
-    return values.astype(dtype)
+    return values.astype(dtype, copy=copy)
+
+
+# Entries _reduce divides at a time: the quotient's scratch is 256 KiB.
+_MOD_PIECE = 1 << 15
+
+
+def _reduce(vals: np.ndarray, p: int) -> np.ndarray:
+    """The 1-d int64 array vals reduced mod p in place, and returned: by
+    floor division, vals -= (vals // p) * p, the same floor remainder as
+    vals %= p.  numpy divides by a scalar without the hardware divider
+    (libdivide) but takes the remainder with it: on a 2-core x86 host,
+    2^18 entries took 0.7 ms against 1.2 ms (all non-negative) and 2.7 ms
+    (signs mixed, as in a difference kernel).  The division runs a piece
+    of _MOD_PIECE entries at a time, so its quotient stays small."""
+    q = np.empty(min(len(vals), _MOD_PIECE), dtype=np.int64)
+    for i in range(0, len(vals), _MOD_PIECE):
+        piece = vals[i:i + _MOD_PIECE]
+        part = q[:len(piece)]
+        np.floor_divide(piece, p, out=part)
+        part *= p
+        piece -= part
+    return vals
 
 
 class FSet:
@@ -238,7 +263,7 @@ class Hist:
     form is read off it on first use.  `dense` of a sparse Hist is built
     on first use.  A support-only count has no counts on any route: its
     counts are None, a dense route keeps a bool mask in `dense`, read only
-    by `support`, and sum_squares refuses it.
+    by `support`, and sum_squares and multiplicities refuse it.
     """
 
     __slots__ = ("p", "_values", "_counts", "_dense")
@@ -269,14 +294,33 @@ class Hist:
             self._dense[self._values] = self._counts
         return self._dense
 
-    def sum_squares(self) -> int:
-        """sum_x count(x)^2, exact in int64 while the counts total at most
-        2^31, as the capped kernels do.  Zeros add nothing, so a dense
-        array is summed as it stands, without reading its support off."""
+    def _count_array(self) -> np.ndarray:
+        """The counts as they are kept: the sparse counts, else the dense
+        array, zeros and all, which sums of powers of counts may read as
+        it stands, without reading the support off."""
         c = self._dense if self._counts is None else self._counts
         if c is None or c.dtype == bool:
-            raise BadParams("a support-only Hist has no counts to square")
-        return int(np.dot(c, c))
+            raise BadParams("a support-only Hist has no counts")
+        return c
+
+    def multiplicities(self) -> np.ndarray:
+        """mult[v] = #{x : count(x) = v} for v >= 1, and mult[0] = 0: one
+        bincount over the counts as they are kept, of length the largest
+        count + 1."""
+        mult = np.bincount(self._count_array(), minlength=1)
+        mult[0] = 0
+        return mult
+
+    def sum_squares(self) -> int:
+        """sum_x count(x)^2, exactly.  While the counts total at most 2^31,
+        as every kernel under the default caps does, the sum is below 2^62
+        and one int64 dot product; past that, it runs over the distinct
+        counts v as v^2 * #{x : count(x) = v} in Python ints."""
+        c = self._count_array()
+        if int(c.sum()) <= 1 << 31:
+            return int(np.dot(c, c))
+        vals, mult = np.unique(c, return_counts=True)
+        return sum(v * v * m for v, m in zip(vals.tolist(), mult.tolist()))
 
     def at(self, xs: np.ndarray) -> np.ndarray:
         """The counts at the points xs, 0 off the support."""
@@ -302,6 +346,18 @@ SPARSE_DIV = 8
 # thread's own length-p bincount and their sum cost more, 1.24-1.62 at
 # 2^17-2^18 cells, 0.95 at 2^19 and 0.60-0.71 from 2^20 up.
 PAIR_THREAD_MIN = 1 << 20
+# Cells a dense _pair_count enumerates at a time.  On one thread, 2^17
+# cells (1 MiB) beside the one length-p count it adds them into, so that
+# with _reduce's quotient and numpy's own buffers (two of 64 KiB for a
+# broadcast product) the scratch stays within 2 MiB + 64 KiB.  Two
+# threads share a buffer of 4e6 cells (32 MB).  Freeing a block that
+# large raises glibc's mmap and trim thresholds for the main arena, so the
+# 4 MB arrays of the transform route that the same process runs next come
+# from the heap it keeps; with a 1e6-cell buffer glibc trimmed that heap
+# and transform_large_p fell from 18.6 to 14.9 ops/s (2-core x86 host).
+# The page faults the transform route takes without it are measured in
+# CHANGES.md.
+PAIR_CHUNK, PAIR_CHUNK_TWO = 1 << 17, 4_000_000
 
 
 def _pair_count(alpha, t: np.ndarray, beta: np.ndarray | None, p: int,
@@ -313,13 +369,15 @@ def _pair_count(alpha, t: np.ndarray, beta: np.ndarray | None, p: int,
     beta gives the rows); beta is a per-row int64 array, or None for no
     shift.  Up to p / SPARSE_DIV cells, all cells are enumerated at once
     and sorted (np.unique) into the sparse form.  Above, rows are
-    enumerated into one buffer of about 4e6 cells, so memory stays
-    bounded, and reduced into a length-p bincount, or a boolean scatter
-    for the support; either is kept as the Hist's dense array.  From
-    PAIR_THREAD_MIN cells, where a second thread may run
+    enumerated in chunks of about PAIR_CHUNK cells, so memory stays
+    bounded: the first chunk's length-p bincount is the count, and every
+    later chunk is added into it in place (np.add.at), or scattered into a
+    boolean mask for the support; either is kept as the Hist's dense
+    array.  From PAIR_THREAD_MIN cells, where a second thread may run
     (convolve._second_thread), the calling thread and one worker each take
-    half the rows, through their own half of the buffer, into their own
-    bincount (or mask); the two are then summed (or OR-ed).
+    half the rows, through their own half of a PAIR_CHUNK_TWO-cell
+    buffer, into their own count (or mask); the two are then summed (or
+    OR-ed).
     """
     rows = len(alpha) if np.ndim(alpha) else len(beta)
     shared = None if np.ndim(alpha) else alpha * t
@@ -334,8 +392,7 @@ def _pair_count(alpha, t: np.ndarray, beta: np.ndarray | None, p: int,
             np.multiply(alpha[i:j, None], t, out=vals)
             if beta is not None:
                 vals += beta[i:j, None]
-        vals %= p
-        return vals.ravel()
+        return _reduce(vals.ravel(), p)
 
     if SPARSE_DIV * rows * width <= p:
         values, counts = np.unique(
@@ -360,7 +417,7 @@ def _pair_count(alpha, t: np.ndarray, beta: np.ndarray | None, p: int,
                 out = np.bincount(vals, minlength=p).astype(np.int64,
                                                             copy=False)
             else:
-                out += np.bincount(vals, minlength=p)
+                np.add.at(out, vals, 1)
             del vals
         return out
 
@@ -368,7 +425,8 @@ def _pair_count(alpha, t: np.ndarray, beta: np.ndarray | None, p: int,
                           ) as pool:
         # one thread takes every row unless the worker takes half
         halves = 1 if pool is None else 2
-        buf = np.empty((min(rows, max(halves, 4_000_000 // width)), width),
+        chunk = PAIR_CHUNK if pool is None else PAIR_CHUNK_TWO
+        buf = np.empty((min(rows, max(halves, chunk // width)), width),
                        dtype=np.int64)
         cut, part = -(-rows // halves), -(-len(buf) // halves)
         out, other = convolve._both(pool,

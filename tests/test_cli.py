@@ -396,6 +396,19 @@ def test_incidence_usage_errors(tmp_path, capsys):
          "--variant does not take --out-points, --out-planes"),
         (("max-collinear", "--points", pts, "--out-planes", "S2.pls"),
          "max-collinear with --points does not take --out-planes"),
+        # a cap the action does not read: count and build read no line
+        # cap, max-collinear no cell cap, and a file's config no cell cap
+        (("count", "--variant", "sum_E1", *sets, "--collinear-cap", "10"),
+         "count with --variant does not take --collinear-cap"),
+        (("max-collinear", "--variant", "sum_E1", *sets, "--cap", "10"),
+         "max-collinear with --variant does not take --cap"),
+        (("count", "--points", pts, "--planes", pls, "--cap", "10"),
+         "count with --points does not take --cap"),
+        (("rudnev-ratio", "--points", pts, "--planes", pls, "--cap", "10"),
+         "rudnev-ratio with --points does not take --cap"),
+        (("build", "--variant", "sum_E1", *sets, "--collinear-cap", "10",
+          "--out-points", "R2.pts", "--out-planes", "S2.pls"),
+         "build with --variant does not take --collinear-cap"),
     ]:
         code, out, err = run(capsys, "incidence", argv[0], "--p", "101",
                              *argv[1:])

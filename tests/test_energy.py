@@ -48,6 +48,30 @@ def test_worked_moments():
         moment(r, Fraction(1, 2))
 
 
+def test_moment_of_a_dense_histogram_reads_no_sparse_form():
+    # An integral moment of a dense histogram counts its multiplicities
+    # off the length-p array as it stands: at p = 1048573, 600 x 600
+    # differences (above p/8 cells, so dense) allocate nothing near the
+    # support's values and counts (two int64 arrays of about 2.7 MiB),
+    # and give the moments of the sparse form
+    import tracemalloc
+    f = make_field(1048573)
+    b = generate(f, "random", size=600, seed=3)
+    c = generate(f, "random", size=600, seed=4)
+    r = rep_fn(b, c, "difference", method="naive")
+    assert r.hist._values is None  # the dense route
+    tracemalloc.start()
+    try:
+        got = [moment(r, k) for k in (1, 2, 4)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16, peak
+    nz = r.hist.counts.tolist()
+    assert got == [sum(v ** k for v in nz) for k in (1, 2, 4)]
+    assert got[0] == 600 * 600
+
+
 def test_worked_levels_and_dyadic_k():
     r = rep_fn(B123, B123, "difference")
     n = level_counts(r)

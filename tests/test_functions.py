@@ -59,9 +59,9 @@ def test_mu_product_with_a_constant_h_is_mu_of_g(monkeypatch):
     # mu(g), which g keeps once computed, so no product is counted.  A
     # table that is constant on F_p^* but for one entry is not constant.
     bincounts = []
-    real = functions._bincount_max
-    monkeypatch.setattr(functions, "_bincount_max",
-                        lambda vals: bincounts.append(1) or real(vals))
+    real = functions._count_max
+    monkeypatch.setattr(functions, "_count_max",
+                        lambda *args: bincounts.append(1) or real(*args))
     for p, spec in ((7, "power:3"), (101, "random:5"), (1009, "random:6"),
                     (1009, "power:4")):
         f = make_field(p)
@@ -277,6 +277,12 @@ def test_fn_table_explicit_values():
     assert t.values[0] == 0
     with pytest.raises(BadParams):
         FnTable(F7, np.arange(6))  # wrong length
+    # a caller's int32 residues are copied, unless copy=False hands them
+    # over (as make_fn does): then the table is that array, read-only
+    own = np.arange(7, dtype=np.int32)
+    assert FnTable(F7, own).values is not own and own.flags.writeable
+    assert FnTable(F7, own, copy=False).values is own
+    assert not own.flags.writeable
 
 
 def _old_make_fn(field, kind, **kw):
@@ -442,12 +448,14 @@ def test_products_of_table_entries_are_exact_at_large_p():
 
 
 def test_table_construction_memory():
-    # At p = 1048573 every kind keeps one 4 MB int32 table.  const,
-    # identity and an in-range int64 table (p or p - 1 entries) peak at
-    # two tables, the kind's own int32 array and FnTable's copy, plus
-    # 64 KiB for Python objects.  random adds the draw's 8 MB int64 array
-    # and its chunk buffers: 13.7 MiB measured (numpy 2.4), bounded at
-    # 14 MiB.  power and affine compute in int64, in place: power peaks
+    # At p = 1048573 every kind keeps one 4 MB int32 table.  const and
+    # identity peak at that one table, which FnTable keeps without a copy,
+    # plus 64 KiB for Python objects.  random draws into its table in
+    # place, a bounded batch at a time: one table plus 2 MiB + 64 KiB
+    # (1.7 MiB over the table measured, numpy 2.4).  An in-range int64
+    # table (p or p - 1 entries) peaks at two tables, the int32 copy of
+    # the caller's array and the concatenation or check beside it, plus
+    # 64 KiB.  power and affine compute in int64, in place: power peaks
     # at the ladder's two int64 arrays (base and product, four tables;
     # 16.0 MiB measured), affine at its one int64 array and FnTable's
     # copy (three tables; 12.0 MiB measured), each plus 64 KiB.  The
@@ -459,11 +467,11 @@ def test_table_construction_memory():
     table = 4 * p
     in_range = np.arange(p, dtype=np.int64)
     in_range[0] = 1
-    cases = [("const", dict(c=p - 1), 2 * table),
-             ("identity", {}, 2 * table),
+    cases = [("const", dict(c=p - 1), table),
+             ("identity", {}, table),
              ("table", dict(table=in_range), 2 * table),
              ("table", dict(table=in_range[1:]), 2 * table),
-             ("random", dict(seed=11), 14 * 2 ** 20),
+             ("random", dict(seed=11), table + 2 * 2 ** 20),
              ("power", dict(k=3), 4 * table),
              ("power", dict(k=-3), 4 * table),
              ("affine", dict(u=2, v=0), 3 * table),
@@ -480,3 +488,43 @@ def test_table_construction_memory():
         assert table <= kept < table + 2 ** 16, (kind, kept)
         assert fn.values.dtype == np.int32 and fn.values.nbytes == table
         del fn
+
+
+def _traced_peak(call):
+    """(call(), the peak of traced memory above the start during it)."""
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_whole_domain_mu_counts_in_bounded_scratch():
+    # At p = 1048573 the whole-domain mu(g) and mu(g*h) count into one
+    # int64 array of length p, a bounded chunk of entries (and of
+    # products) at a time, so each peaks at that array plus 2 MiB + 64 KiB;
+    # a bincount over the table (or the product table) needs two length-p
+    # arrays.  Both agree with that bincount.
+    p = P_BIG
+    f = make_field(p)
+    g, h = make_fn(f, "random", seed=11), make_fn(f, "random", seed=12)
+    # drawn in bounded calls, the table is the stream's one-call draw
+    assert np.array_equal(g.values[1:], CounterRng(11, "fn:p=%d" % p)
+                          .integers(1, p, p - 1))
+    want_g = int(np.bincount(g.values[1:]).max())
+    prod = np.multiply(g.values[1:], h.values[1:], dtype=np.int64) % p
+    want_gh = int(np.bincount(prod).max())
+    del prod
+    bound = 8 * p + 2 * 2 ** 20 + 2 ** 16
+    got, peak = _traced_peak(lambda: mu(g))
+    assert got == want_g and peak <= bound, (got, want_g, peak)
+    got, peak = _traced_peak(lambda: mu_product(g, h))
+    assert got == want_gh and peak <= bound, (got, want_gh, peak)
+    # the largest fiber may sit in the last chunk, at the last entry
+    vals = np.arange(p, dtype=np.int32)
+    vals[-3:] = p - 1
+    assert mu(FnTable(f, vals)) == 3

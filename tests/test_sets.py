@@ -7,8 +7,9 @@ from fpsp.errors import (BadParams, FieldMismatch, ParseError, ZeroDilation,
                          ZeroDivisor)
 from fpsp.field import make_field
 from fpsp.rng import CounterRng
+from fpsp import convolve
 from fpsp.sets import (FSet, Hist, _pair_count, _pair_counts, _pair_transform,
-                       affine, combine, generate, parse_set_text,
+                       _reduce, affine, combine, generate, parse_set_text,
                        read_set_file, subgroup_orders, write_set_file)
 
 F7 = make_field(7)
@@ -217,6 +218,77 @@ def test_support_only_hist_has_no_counts_on_any_route():
     assert dense.counts is None
     with pytest.raises(BadParams):
         dense.sum_squares()
+
+
+def test_dense_pair_count_on_one_thread_counts_in_bounded_scratch(
+        monkeypatch):
+    # With no worker thread, a dense count enumerates bounded chunks of
+    # cells and adds each into the first chunk's bincount in place: 2^20
+    # cells at p = 1048573 peak at one int64 length-p array plus
+    # 2 MiB + 64 KiB, with the counts (and the support) of every cell,
+    # signs mixed as in a difference kernel.
+    import tracemalloc
+    monkeypatch.setattr(convolve, "_second_thread", lambda: False)
+    p = 1048573
+    gen = CounterRng(5, "one-thread")
+    alpha = gen.integers(-p + 1, p, 1024)
+    t = gen.integers(0, p, 1024)
+    beta = gen.integers(-p + 1, p, 1024)
+    want = np.bincount(((alpha[:, None] * t + beta[:, None]) % p).ravel(),
+                       minlength=p)
+    tracemalloc.start()
+    try:
+        hist = _pair_count(alpha, t, beta, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * p + 2 * 2 ** 20 + 2 ** 16, peak
+    assert np.array_equal(hist.dense, want)
+    assert hist.sum_squares() == int(np.dot(want, want))
+    sup = _pair_count(alpha, t, beta, p, support=True)
+    assert np.array_equal(sup.dense, want > 0)
+
+
+def test_reduce_is_the_floor_remainder():
+    # _reduce's floor division gives the same residues as % on both signs
+    # and at the int64 extremes, across a piece boundary
+    p = 1048573
+    edges = [0, 1, -1, p - 1, p, -p, p + 1, -p - 1, 2 ** 62, -2 ** 62,
+             2 ** 63 - 1, -2 ** 63]
+    vals = np.concatenate((np.array(edges, dtype=np.int64),
+                           CounterRng(6, "reduce").integers(
+                               -2 ** 40, 2 ** 40, 9000)))
+    assert np.array_equal(_reduce(vals.copy(), p), vals % p)
+
+
+def test_sum_squares_exact_past_int64():
+    # past a total of 2^31 the squares are summed in Python ints: one
+    # count of 2^32 squares to 2^64, on the dense and the sparse form
+    dense = np.zeros(101, dtype=np.int64)
+    dense[7] = 2 ** 32
+    assert Hist(101, dense=dense).sum_squares() == 2 ** 64
+    sparse = Hist(101, values=np.array([3, 5]),
+                  counts=np.array([2 ** 32, 2 ** 31]))
+    assert sparse.sum_squares() == 2 ** 64 + 2 ** 62
+    assert Hist(101, values=np.array([3, 5]),
+                counts=np.array([2 ** 30, 2 ** 30])).sum_squares() == 2 ** 61
+
+
+def test_multiplicities_read_either_form():
+    # mult[v] = #{x : count(x) = v} for v >= 1, with mult[0] = 0, off the
+    # sparse counts or the dense array alike; a support-only count has none
+    dense = np.zeros(101, dtype=np.int64)
+    dense[[3, 5, 9]] = [2, 2, 7]
+    for hist in (Hist(101, dense=dense),
+                 Hist(101, values=np.array([3, 5, 9]),
+                      counts=np.array([2, 2, 7]))):
+        assert hist.multiplicities().tolist() == [0, 0, 2, 0, 0, 0, 0, 1]
+    empty = np.zeros(0, dtype=np.int64)
+    for hist in (Hist(101, dense=np.zeros(101, dtype=np.int64)),
+                 Hist(101, values=empty, counts=empty)):
+        assert hist.multiplicities().tolist() == [0]
+    with pytest.raises(BadParams):
+        Hist(101, dense=dense > 0).multiplicities()
 
 
 def test_combine_against_brute_200():

@@ -13,7 +13,7 @@ from fpsp.cli import dispatch
 from fpsp.energy import rep_fn
 from fpsp.errors import ConfigError, ParseError
 from fpsp.field import PrimeField, make_field
-from fpsp.sets import generate
+from fpsp.sets import PAIR_CHUNK, generate
 from fpsp.sweep import (CHAIN_NAMES, SweepConfig, _instance_payload,
                         build_instance_sets, load_config_file, report_json,
                         rows_csv, run_sweep)
@@ -314,7 +314,7 @@ def test_instance_evaluates_whole_domain_mu_once_per_table(monkeypatch):
         g=["random:11"], h=["random:12"], kinds=["sum", "prod"],
         chains=["lemma", "composite", "eplus"], theorems=list(THEOREMS)))
     real_mu, real_mu_product = functions.mu, functions.mu_product
-    real_bincount_max = functions._bincount_max
+    real_count_max = functions._count_max
     asked, evaluated = [0], Counter()
 
     def counting_mu(fn, domain=None):
@@ -325,14 +325,17 @@ def test_instance_evaluates_whole_domain_mu_once_per_table(monkeypatch):
         asked[0] += domain is None
         return real_mu_product(g, h, domain)
 
-    def counting_bincount_max(vals):
-        evaluated[hashlib.sha256(vals).hexdigest()] += 1
-        return real_bincount_max(vals)
+    def counting_count_max(vals, p, times=None):
+        key = hashlib.sha256(vals)
+        if times is not None:
+            key.update(times)
+        evaluated[key.hexdigest()] += 1
+        return real_count_max(vals, p, times)
 
     for mod in (functions, verify):
         monkeypatch.setattr(mod, "mu", counting_mu)
         monkeypatch.setattr(mod, "mu_product", counting_mu_product)
-    monkeypatch.setattr(functions, "_bincount_max", counting_bincount_max)
+    monkeypatch.setattr(functions, "_count_max", counting_count_max)
     _instance_payload(cfg, cfg.descriptors()[0])
     assert len(evaluated) == 2  # g and g*h
     assert max(evaluated.values()) == 1, evaluated
@@ -369,10 +372,10 @@ def test_golden_sweep_reports_p1048573():
 
 def test_small_instance_builds_no_length_p_histogram(monkeypatch):
     # Every count of an 8/16/8 sum-kind instance at p = 1048573 is below
-    # p/8 cells, so no np.bincount of length p may run (mu's bincount
-    # over a whole table passes no minlength and is not a pair count).
-    # The prod kind's E2 kernel reaches 2^17 cells there, just above p/8,
-    # and rightly takes the dense route.
+    # p/8 cells, so no np.bincount of length p may run (mu counts a whole
+    # table with np.add.at and is not a pair count).  The prod kind's E2
+    # kernel reaches 2^17 cells there, just above p/8, and rightly takes
+    # the dense route.
     p = 1048573
     real_bincount = np.bincount
     long_calls = []
@@ -383,11 +386,12 @@ def test_small_instance_builds_no_length_p_histogram(monkeypatch):
         return real_bincount(x, weights, minlength)
 
     monkeypatch.setattr(np, "bincount", spy)
-    # the spy sees a kernel call above the crossover (400 x 400 cells)
+    # the spy sees a kernel call above the crossover (400 x 400 cells):
+    # one length-p bincount, of the first chunk's whole rows
     f = make_field(p)
     big = generate(f, "random", size=400, seed=0, zero_free=True)
     rep_fn(big, big, "difference", method="naive")
-    assert long_calls == [160000]
+    assert long_calls == [PAIR_CHUNK // 400 * 400]
     del long_calls[:]
     cfg = SweepConfig.from_dict(_large_p_cfg("interval", [8, 16, 8]))
     _instance_payload(cfg, cfg.descriptors()[0])

@@ -431,6 +431,27 @@ def test_eplus_chain_seeded():
         assert rep.instance["W"] >= a.size ** 2 * rep.instance["Eplus"]
 
 
+def test_eplus_W_is_the_lemma_chain_E2_at_level_one():
+    # At the selected level k = 1, X_1 = {x : r_{B-C}(x) >= 1} = B - C,
+    # so the eplus chain's W, the sum_E2 quad energy of (A, B - C,
+    # f(A,B)), is the sum-kind lemma chain's E2: the two chains sum the
+    # same kernel.  Seeded sweep instances at p = 1009, and the random
+    # 8/32/16 instance at p = 1048573 with g = id, h = random:12, seed 0.
+    big = make_field(1048573)
+    cases = [(build_instance_sets(F1009, "random", 6, 10, 8, seed),
+              parse_fn_spec(F1009, g), parse_fn_spec(F1009, "random:%d"
+                                                     % seed))
+             for seed in range(4) for g in ("id", "power:2")]
+    cases.append((build_instance_sets(big, "random", 8, 32, 16, 0),
+                   parse_fn_spec(big, "id"), parse_fn_spec(big, "random:12")))
+    for sets, g, h in cases:
+        a, b, c = sets["A"], sets["B"], sets["C"]
+        lemma = lemma_chain_check(a, b, c, g, h, "sum")
+        assert lemma.instance["k"] == 1, (a.field.p, g, h)
+        w = eplus_chain(a, b, c, g, h).instance["W"]
+        assert w == lemma.instance["E2"], (a.field.p, g, h)
+
+
 def test_phi_count_extremes():
     b = _b123()
     c = generate(F7, "explicit", elements=[1, 2])
