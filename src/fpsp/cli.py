@@ -303,11 +303,12 @@ def _cmd_sweep(ns) -> int:
         with open(ns.csv, "w") as fh:
             fh.write(rows_csv(rep["rows"]))
         _log("wrote %d ratio rows to %s" % (len(rep["rows"]), ns.csv))
+    meta = result["meta"]
     _log("sweep: %d instances, %d chain entries, %d ratio rows, "
-         "%d failures in %.2fs"
-         % (result["meta"]["n_instances"], len(rep["chains"]),
-            len(rep["rows"]), rep["n_failures"],
-            result["meta"]["elapsed_s"]))
+         "%d failures in %.2fs (%d random: tables in %.2fs)"
+         % (meta["n_instances"], len(rep["chains"]), len(rep["rows"]),
+            rep["n_failures"], meta["elapsed_s"], meta["n_tables"],
+            meta["tables_s"]))
     return 1 if rep["n_failures"] else 0
 
 

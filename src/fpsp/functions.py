@@ -31,10 +31,15 @@ from .rng import CounterRng
 from .sets import (PAIR_CHUNK, FSet, _format_lines, _pair_count, _read_lines,
                    _reduce, _residues)
 
-# Draws per CounterRng call when make_fn fills a random table in place:
-# each call holds its draws as uint64 and its batch of hashed stream bytes
-# (about 1.5 MB), so no length-p array is made beside the table.
-_DRAW_CHUNK = 1 << 15
+# Stream words per CounterRng call when a random table is filled in place:
+# each call holds its words, their draws and its batch of hashed stream
+# bytes (about 0.75 MB), so no length-p array is made beside the table.
+# A sweep worker keeps part of that scratch in its heap after drawing its
+# part of a table, under the instances it runs next: sweep_large_p's
+# peak_rss_mb read 142.8-143.2 MB at 2^15 words and 141.1-141.4 MB at 2^14,
+# against 140.8-141.2 MB with tables built per instance (two 20 s runs
+# each, 2 cores).
+_DRAW_CHUNK = 1 << 14
 
 
 class FnTable:
@@ -122,14 +127,11 @@ def make_fn(field: PrimeField, kind: str, *, c: int | None = None,
     elif kind == "random":
         if seed is None:
             raise BadParams("random needs seed")
-        rng = CounterRng(seed, instance_id if instance_id is not None
-                         else "fn:p=%d" % p)
+        key = _random_key(p, seed, instance_id)
         vals = np.zeros(p, dtype=np.int32)
-        # drawn in place, in calls of _DRAW_CHUNK: the stream does not
-        # depend on how its draws are split into calls
-        for i in range(1, p, _DRAW_CHUNK):
-            j = min(i + _DRAW_CHUNK, p)
-            vals[i:j] = rng.integers(1, p, j - i)
+        # one part, words [0, p - 1) of the stream, drawn in place
+        got = _random_part(vals[1:], key, 1, p, 0, p - 1)
+        _join_random(vals[1:], key, 1, p, [(0, got)])
         label = "random:%d" % seed
     elif kind == "table":
         if table is None:
@@ -143,6 +145,49 @@ def make_fn(field: PrimeField, kind: str, *, c: int | None = None,
     else:
         raise BadParams("unknown function kind %r" % kind)
     return FnTable(field, vals, label, copy=False)  # every vals is new
+
+
+def _random_key(p: int, seed: int, instance_id: str | int | None = None
+               ) -> tuple:
+    """The CounterRng (seed, instance_id) of make_fn(field, "random")."""
+    return seed, instance_id if instance_id is not None else "fn:p=%d" % p
+
+
+def _random_part(dest: np.ndarray, key: tuple, lo: int, hi: int,
+                start: int, stop: int) -> int:
+    """Write the draws from [lo, hi) that CounterRng(*key) accepts among
+    its stream words [start, stop) to dest[start:], in word order, and
+    return how many there are (stop - start unless a word was rejected).
+    One part of a draw that _join_random completes; the words are read
+    _DRAW_CHUNK at a time."""
+    rng = CounterRng(*key, word=start)
+    at = start
+    for w in range(start, stop, _DRAW_CHUNK):
+        vals = rng.accepted(lo, hi, min(_DRAW_CHUNK, stop - w))
+        dest[at:at + vals.size] = vals
+        at += vals.size
+    return at - start
+
+
+def _join_random(dest: np.ndarray, key: tuple, lo: int, hi: int,
+                parts: list) -> None:
+    """Complete dest as CounterRng(*key).integers(lo, hi, len(dest)), bit
+    for bit (the split rule in the rng module docstring), from parts
+    [(start, count), ...]: _random_part wrote count values at dest[start:]
+    for words [start, next start), the last part ending at word len(dest).
+    The parts' values move together in order, and any shortfall is drawn
+    from word len(dest) on.  Nothing is written when no word was rejected,
+    which at span p - 1 < 2^20 has probability below 2^-44 a word."""
+    n, at = len(dest), 0
+    for start, count in parts:
+        if at != start:
+            dest[at:at + count] = dest[start:start + count]
+        at += count
+    if at < n:
+        rng = CounterRng(*key, word=n)
+        for i in range(at, n, _DRAW_CHUNK):
+            j = min(i + _DRAW_CHUNK, n)
+            dest[i:j] = rng.integers(lo, hi, j - i)
 
 
 _SPEC_ARGS = {"id": (), "const": ("c",), "power": ("k",),

@@ -23,9 +23,22 @@ still needed in batches of at most _CHUNK words, read them with
 shortfall left by rejected words is drawn again.  A batch never asks for
 more words than could still be needed, so the batches consume the same
 minimal stream prefix as the loop, and the bounded batch keeps transient
-buffers small next to the output.  All of that arithmetic stays in uint64
-with explicit uint64 scalars, so numpy 1.x value-based casting and numpy 2
-(NEP 50) alike keep it in uint64 and never promote it to float64.
+buffers small next to the output.  `integers` is a loop over one step,
+`accepted(lo, hi, count)`: the values it accepts among the next count
+words.  All of that arithmetic stays in uint64 with explicit uint64
+scalars, so numpy 1.x value-based casting and numpy 2 (NEP 50) alike
+keep it in uint64 and never promote it to float64.
+
+Split rule: word w is bytes 8(w mod 4) .. 8(w mod 4) + 7 of block
+floor(w / 4), so `CounterRng(seed, id, word=w)` starts the same stream at
+word w.  The values of `integers(lo, hi, n)` are therefore the values
+`accepted` keeps among words [0, n), in word order, followed by
+`integers(lo, hi, shortfall)` drawn from word n on, where shortfall is
+the number of words rejected.  Words [0, n) may be cut into ranges that
+are read separately, by different processes, and joined in range order
+(functions._join_random); ranges that start on a multiple of 4 words
+(_word_ranges) hash disjoint blocks, so the whole draw hashes each block
+once.
 
 The blocks are hashed by CPython's own SHA-256 (`_sha2` from Python
 3.12, `_sha256` on 3.10-3.11), resolved once at import, else by
@@ -57,15 +70,41 @@ _TWO64 = 1 << 64
 _INT64_MIN, _INT64_END = -(1 << 63), 1 << 63
 _U64_MAX = np.uint64(_TWO64 - 1)
 _CHUNK = 1 << 15  # words hashed per batch: 256 KiB of stream
+_BLOCK_WORDS = _BLOCK // 8  # 64-bit words per block
+
+
+def _range(lo: int, hi: int) -> tuple[int, int]:
+    """(lo, hi - lo) as Python ints, once [lo, hi) is checked to be a
+    nonempty int64 range."""
+    lo, hi = operator.index(lo), operator.index(hi)
+    if hi <= lo:
+        raise BadParams("empty range [%d, %d)" % (lo, hi))
+    if lo < _INT64_MIN or hi > _INT64_END:
+        raise BadParams("range [%d, %d) does not fit in int64" % (lo, hi))
+    return lo, hi - lo
+
+
+def _word_ranges(n: int, parts: int) -> list:
+    """Words [0, n) cut into at most `parts` ranges [start, stop) of
+    nearly equal length, each starting on a block, so that ranges read
+    separately hash no block twice."""
+    step = -(-n // parts)
+    step += -step % _BLOCK_WORDS
+    return [(i, min(i + step, n)) for i in range(0, n, step)]
 
 
 class CounterRng:
     """SHA-256 counter stream keyed by (seed, instance_id)."""
 
-    def __init__(self, seed: int, instance_id: str | int = 0):
+    def __init__(self, seed: int, instance_id: str | int = 0,
+                 word: int = 0):
+        """The stream of (seed, instance_id), from its 64-bit word `word`
+        on (the split rule in the module docstring)."""
         self._key = b"fpsp|%d|%s" % (int(seed), str(instance_id).encode())
-        self._counter = 0
+        self._counter, skip = divmod(operator.index(word), _BLOCK_WORDS)
         self._buf = b""
+        if skip:
+            self.bytes(8 * skip)
 
     def _refill(self, need: int) -> None:
         short = need - len(self._buf)
@@ -103,23 +142,28 @@ class CounterRng:
     def integers(self, lo: int, hi: int, size: int) -> np.ndarray:
         """size uniform draws from [lo, hi), as an int64 array; the same
         values and stream position as `lo + below(hi - lo)` size times."""
-        lo, hi, size = map(operator.index, (lo, hi, size))
+        size = operator.index(size)
         if size < 0:
             raise BadParams("integers() needs size >= 0, got %d" % size)
-        if hi <= lo:
-            raise BadParams("empty range [%d, %d)" % (lo, hi))
-        if lo < _INT64_MIN or hi > _INT64_END:
-            raise BadParams("range [%d, %d) does not fit in int64" % (lo, hi))
-        span = hi - lo
-        # accept x <= top, i.e. x < 2^64 - (2^64 mod span)
-        top = _U64_MAX - np.uint64(_TWO64 % span)
-        out = np.empty(size, dtype=np.uint64)
+        _range(lo, hi)
+        out = np.empty(size, dtype=np.int64)
         done = 0
         while done < size:
-            words = self._words(min(_CHUNK, size - done))
-            words = words[words <= top]
-            out[done:done + words.size] = words
-            done += words.size
+            vals = self.accepted(lo, hi, min(_CHUNK, size - done))
+            out[done:done + vals.size] = vals
+            done += vals.size
+        return out
+
+    def accepted(self, lo: int, hi: int, count: int) -> np.ndarray:
+        """The draws from [lo, hi) that `integers` makes of the next count
+        words, in order, as an int64 array: a word is kept when it lies
+        below the largest multiple of hi - lo that fits in 2^64, and
+        rejected words give no value.  count bounds the batch's buffers."""
+        lo, span = _range(lo, hi)
+        # accept x <= top, i.e. x < 2^64 - (2^64 mod span)
+        top = _U64_MAX - np.uint64(_TWO64 % span)
+        words = self._words(operator.index(count))
+        out = words[words <= top]
         if span < _TWO64:
             out %= np.uint64(span)
         # lo + x wraps mod 2^64 onto the int64 bit pattern of the result

@@ -14,6 +14,19 @@ dict.  Two hard requirements shape the code:
   * A failed EXACT check must be loud: the report carries a failure count
     and the offending check rows; callers turn that into exit status 1.
 
+The grid runs one prime at a time, on one pool per prime.  Each distinct
+random:<seed> table of the prime is hashed once, before any instance
+runs: the parent allocates one anonymous shared mmap of p int32 per table
+before the pool forks (and never writes to it), the workers map
+block-aligned word ranges of each table's stream, one range per worker,
+and then map the prime's instances, each of which wraps the shared
+buffers in FnTables.  Other function specs are built per instance, so a
+file: table that does not load fails on the instance that reads it.  On
+one worker the same two phases run in-process, one range per table.  The
+tables are freed after their prime's instances.  The pool forks
+(multiprocessing.get_context("fork")) because the workers reach the
+buffers by inheritance.
+
 Set construction per family avoids 0 by design (the maps under study live
 on F_p^*): intervals are drawn inside [1, p-1], arithmetic progressions
 are a dilated zero-free interval, geometric progressions never contain 0,
@@ -23,21 +36,26 @@ requested size, and random sets sample [1, p-1] directly.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import json
+import mmap
+import multiprocessing
 import os
 import statistics
 import time
-from multiprocessing import Pool
 from types import SimpleNamespace
+
+import numpy as np
 
 from .energy import normalize_eps
 from .errors import BadEpsilon, BadParams, ConfigError, ParseError
 from .field import make_field
-from .functions import fn_spec_args, parse_fn_spec
+from .functions import (FnTable, _join_random, _random_key, _random_part,
+                        fn_spec_args, parse_fn_spec)
 from .incidence import COLLINEAR_CAP, TRIPLES_CAP
-from .rng import CounterRng
+from .rng import CounterRng, _word_ranges
 from .sets import FAMILIES, generate, subgroup_orders
 from .verify import (CHAINS, CSV_HEADER, PHI_CAP, THEOREMS, ThmInstance,
                      _csv_row, theorem_ratio)
@@ -46,6 +64,11 @@ from .verify import (CHAINS, CSV_HEADER, PHI_CAP, THEOREMS, ThmInstance,
 CHAIN_NAMES = tuple(name for name, (_, _, reads, _) in CHAINS.items()
                     if "P" not in reads)
 _GP_RETRIES = 64
+
+# The random: tables of the prime being swept, (p, seed) -> an anonymous
+# shared mmap of the table's p int32 values.  Filled before the prime's
+# pool forks, so that its workers inherit the buffers.
+_TABLES: dict = {}
 
 
 def _whole(v) -> bool:
@@ -123,7 +146,8 @@ class SweepConfig:
         cfg.g = want_list("g", ["id"])
         cfg.h = want_list("h", ["const:1"])
         for spec in cfg.g + cfg.h:
-            try:  # syntax only: tables built here would stay in every worker
+            try:  # syntax only: random: tables are built per prime in shared
+                # memory (run_sweep), the others per instance
                 kind, args = fn_spec_args(spec)
             except ParseError as exc:
                 raise ConfigError(str(exc))
@@ -239,14 +263,82 @@ def build_instance_sets(field, family: str, na: int, nb: int, nc: int,
     return out
 
 
+def _random_seeds(cfg: SweepConfig) -> list:
+    """The distinct seeds of the config's random: specs, in order."""
+    seeds = []
+    for spec in cfg.g + cfg.h:
+        kind, args = fn_spec_args(spec)
+        if kind == "random" and args["seed"] not in seeds:
+            seeds.append(args["seed"])
+    return seeds
+
+
+def _table_part(job) -> int:
+    """Draw words [start, stop) of a random: table's stream into its
+    shared buffer; return the count _random_part returns."""
+    p, seed, start, stop = job
+    buf = _TABLES[p, seed]
+    got = _random_part(np.frombuffer(buf, dtype=np.int32)[1:],
+                       _random_key(p, seed), 1, p, start, stop)
+    if hasattr(mmap, "MADV_DONTNEED"):
+        # drops the written pages from this process's RSS only: the
+        # mapping is shared, so their contents stay (madvise(2))
+        buf.madvise(mmap.MADV_DONTNEED)
+    return got
+
+
+def _build_tables(p: int, seeds: list, parts: int, each) -> None:
+    """Fill the shared buffers of _TABLES for p: each seed's stream cut
+    into `parts` word ranges, mapped with `each`, then joined."""
+    ranges = _word_ranges(p - 1, parts)
+    counts = iter(each(_table_part, [(p, seed, *r) for seed in seeds
+                                     for r in ranges]))
+    for seed in seeds:
+        # writes only if a word was rejected (_join_random)
+        _join_random(np.frombuffer(_TABLES[p, seed], dtype=np.int32)[1:],
+                     _random_key(p, seed), 1, p,
+                     [(start, next(counts)) for start, _ in ranges])
+
+
+def _fn_table(field, spec: str) -> FnTable:
+    """The table of a function spec: a random: one wraps its prime's
+    shared buffer, any other is built here."""
+    kind, args = fn_spec_args(spec)
+    if kind != "random":
+        return parse_fn_spec(field, spec)
+    return FnTable(field, np.frombuffer(_TABLES[field.p, args["seed"]],
+                                        dtype=np.int32),
+                   "random:%d" % args["seed"], copy=False)
+
+
+@contextlib.contextmanager
+def _prime_pool(p: int, seeds: list, procs: int):
+    """Build p's random: tables of these seeds in shared memory and yield
+    (map, seconds the tables took): map runs a function over a list on a
+    pool of procs forked processes, chunksize 1, or in-process when procs
+    is 1.  The tables are freed on exit."""
+    with contextlib.ExitStack() as stack:
+        stack.callback(_TABLES.clear)
+        _TABLES.update(((p, seed), mmap.mmap(-1, 4 * p)) for seed in seeds)
+        if procs == 1:
+            def each(fn, items):
+                return list(map(fn, items))
+        else:
+            pool = stack.enter_context(
+                multiprocessing.get_context("fork").Pool(procs))
+            each = functools.partial(pool.map, chunksize=1)
+        t0 = time.perf_counter()
+        _build_tables(p, seeds, procs, each)
+        yield each, time.perf_counter() - t0
+
+
 def _instance_payload(cfg: SweepConfig, desc) -> dict:
     """Chains and ratio rows for one grid point; no timing inside."""
     p, fam, (na, nb, nc), seed, gs, hs = desc
     field = make_field(p)
     sets = build_instance_sets(field, fam, na, nb, nc, seed)
     a, b, c, d = sets["A"], sets["B"], sets["C"], sets["D"]
-    g = parse_fn_spec(field, gs)
-    h = parse_fn_spec(field, hs)
+    g, h = _fn_table(field, gs), _fn_table(field, hs)
     inputs = SimpleNamespace(A=a, B=b, C=c, g=g, h=h, k=cfg.k, eps=cfg.eps,
                              triples_cap=cfg.triples_cap,
                              collinear_cap=cfg.collinear_cap)
@@ -299,12 +391,15 @@ def run_sweep(config, workers: int = 1) -> dict:
         raise ConfigError("workers must be a positive integer")
     t0 = time.perf_counter()
     descs = cfg.descriptors()
+    seeds = _random_seeds(cfg)
+    payloads, n_tables, tables_s = [], 0, 0.0
     run_one = functools.partial(_instance_payload, cfg)
-    if workers == 1 or len(descs) <= 1:
-        payloads = list(map(run_one, descs))
-    else:
-        with Pool(processes=min(workers, len(descs))) as pool:
-            payloads = pool.map(run_one, descs, chunksize=1)
+    for p, group in itertools.groupby(descs, key=lambda desc: desc[0]):
+        group = list(group)
+        with _prime_pool(p, seeds, min(workers, len(group))) as (each, secs):
+            payloads += each(run_one, group)
+        n_tables += len(seeds)
+        tables_s += secs
     chains = []
     rows = []
     for pay in payloads:
@@ -335,6 +430,8 @@ def run_sweep(config, workers: int = 1) -> dict:
         "elapsed_s": time.perf_counter() - t0,
         "workers": workers,
         "n_instances": len(descs),
+        "n_tables": n_tables,
+        "tables_s": tables_s,
     }
     return {"meta": meta, "report": report}
 

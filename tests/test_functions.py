@@ -6,7 +6,7 @@ import pytest
 from fpsp.errors import (BadParams, FieldMismatch, ParseError, ZeroInA,
                          ZeroInCodomain)
 from fpsp.field import make_field
-from fpsp import functions
+from fpsp import functions, rng
 from fpsp.functions import (FnTable, f_image, make_fn, mu, mu_product,
                             parse_fn_spec, read_fn_file, write_fn_file)
 from fpsp.incidence import bilinear_hist
@@ -452,7 +452,7 @@ def test_table_construction_memory():
     # identity peak at that one table, which FnTable keeps without a copy,
     # plus 64 KiB for Python objects.  random draws into its table in
     # place, a bounded batch at a time: one table plus 2 MiB + 64 KiB
-    # (1.7 MiB over the table measured, numpy 2.4).  An in-range int64
+    # (0.85 MiB over the table measured, numpy 2.4).  An in-range int64
     # table (p or p - 1 entries) peaks at two tables, the int32 copy of
     # the caller's array and the concatenation or check beside it, plus
     # 64 KiB.  power and affine compute in int64, in place: power peaks
@@ -528,3 +528,26 @@ def test_whole_domain_mu_counts_in_bounded_scratch():
     vals = np.arange(p, dtype=np.int32)
     vals[-3:] = p - 1
     assert mu(FnTable(f, vals)) == 3
+
+
+def test_random_parts_join_to_one_draw_under_rejection():
+    # span 2^62 + 1 rejects about a quarter of all words, so every part
+    # falls short and the join moves values and draws the shortfall from
+    # the word where the parts end.  However [0, size) is cut, the joined
+    # values are one integers(lo, hi, size) call's, bit for bit.  size
+    # spans several _DRAW_CHUNK batches and is not a multiple of 4 words.
+    lo, hi = -5, (1 << 62) - 4
+    size = 3 * functions._DRAW_CHUNK + 7
+    key = (8, "parts")
+    want = CounterRng(*key).integers(lo, hi, size)
+    cuts = {k: rng._word_ranges(size, k) for k in (1, 2, 3, 7)}
+    cuts["unaligned"] = [(0, 5), (5, 40001), (40001, size)]
+    for name, ranges in cuts.items():
+        assert len(ranges) == (3 if name == "unaligned" else name)
+        dest = np.full(size, -1, dtype=np.int64)
+        parts = [(start, functions._random_part(dest, key, lo, hi, start,
+                                                stop))
+                 for start, stop in ranges]
+        assert sum(got for _, got in parts) < 0.8 * size  # words rejected
+        functions._join_random(dest, key, lo, hi, parts)
+        assert np.array_equal(dest, want), name

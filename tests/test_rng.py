@@ -232,3 +232,22 @@ def test_integers_rejection_across_chunks_matches_below():
     assert words_used > 3 * _CHUNK  # rejected words crossed chunk borders
     assert fast.bytes(40) == slow.bytes(40)
     assert (fast._counter, fast._buf) == (slow._counter, slow._buf)
+
+
+def test_word_ranges_are_whole_blocks():
+    for n, parts in ((100, 3), (1008, 2), (1048572, 2), (1048572, 3),
+                     (5, 3), (7, 7)):
+        ranges = rng._word_ranges(n, parts)
+        assert len(ranges) <= parts
+        assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
+        assert ranges[-1][1] == n
+        assert all(lo % 4 == 0 and lo < hi for lo, hi in ranges)
+    assert rng._word_ranges(100, 3) == [(0, 36), (36, 72), (72, 100)]
+
+
+def test_counter_rng_starts_at_any_word():
+    # word w is bytes 8w .. 8w + 7 of the stream, whichever block it is in
+    whole = CounterRng(3, "w").bytes(8 * 40)
+    for w in (0, 1, 3, 4, 5, 17, 32):
+        assert CounterRng(3, "w", word=w).bytes(8 * (40 - w)) == \
+            whole[8 * w:], w

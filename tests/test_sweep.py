@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from fpsp import functions, verify
+from fpsp import functions, rng, sweep, verify
 from fpsp.cli import dispatch
 from fpsp.energy import rep_fn
 from fpsp.errors import ConfigError, ParseError
@@ -146,16 +146,24 @@ def test_sweep_serial_repeat_identical():
 
 
 def test_sweep_workers_do_not_change_report():
-    for eps in ("1/5", 0.2):
-        raw = _cfg(seeds=[0], g=["id", "random:11"], kinds=["sum", "prod"],
-                   chains=["lemma", "composite", "eplus", "phi"], eps=eps,
-                   theorems=["Vinh_1_2", "Cor_1_8", "T_1_9"])
+    # the last config runs one pool per prime, and its random: tables are
+    # cut into uneven word ranges (100 words at p = 101: 36, 36, 28)
+    configs = [(_cfg(seeds=[0], g=["id", "random:11"], kinds=["sum", "prod"],
+                     chains=["lemma", "composite", "eplus", "phi"], eps=eps,
+                     theorems=["Vinh_1_2", "Cor_1_8", "T_1_9"]), 4 * 5, 1)
+               for eps in ("1/5", 0.2)]
+    configs.append((_cfg(primes=[101, 1009], g=["id", "random:11"],
+                         h=["const:1", "random:12"],
+                         theorems=["Vinh_1_2", "Cor_1_8"]), 32, 4))
+    for raw, n_chains, n_tables in configs:
         res1 = run_sweep(raw, workers=1)
-        assert len(res1["report"]["chains"]) == 4 * 5, eps
+        assert len(res1["report"]["chains"]) == n_chains, raw
         for workers in (2, 3):
             res = run_sweep(raw, workers=workers)
             assert report_json(res["report"]) == report_json(res1["report"])
             assert res["meta"]["workers"] == workers
+            assert res["meta"]["n_tables"] == n_tables
+            assert res["meta"]["tables_s"] >= 0
 
 
 def test_sweep_failure_rows(tmp_path):
@@ -307,8 +315,9 @@ def test_load_config_file(tmp_path):
 
 
 def test_instance_evaluates_whole_domain_mu_once_per_table(monkeypatch):
-    # Every chain and all 15 rows on one instance with two random tables:
-    # mu(g) and mu(g*h) are asked for many times but evaluated once each.
+    # Every chain and all 15 rows on one instance with two random tables,
+    # built by the sweep's table phase on one worker: mu(g) and mu(g*h)
+    # are asked for many times but evaluated once each, by the instance.
     cfg = SweepConfig.from_dict(_cfg(
         primes=[1009], families=["random"], sizes=[[8, 16, 8]], seeds=[0],
         g=["random:11"], h=["random:12"], kinds=["sum", "prod"],
@@ -336,7 +345,7 @@ def test_instance_evaluates_whole_domain_mu_once_per_table(monkeypatch):
         monkeypatch.setattr(mod, "mu", counting_mu)
         monkeypatch.setattr(mod, "mu_product", counting_mu_product)
     monkeypatch.setattr(functions, "_count_max", counting_count_max)
-    _instance_payload(cfg, cfg.descriptors()[0])
+    assert run_sweep(cfg)["meta"]["n_tables"] == 2
     assert len(evaluated) == 2  # g and g*h
     assert max(evaluated.values()) == 1, evaluated
     assert asked[0] > 10
@@ -416,8 +425,43 @@ def test_large_p_instances_build_no_field_tables(monkeypatch):
                                  "const:1")):
         cfg = SweepConfig.from_dict(dict(_large_p_cfg(family, sizes),
                                          g=[g], h=[h], kinds=["sum", "prod"]))
-        _instance_payload(cfg, cfg.descriptors()[0])
+        run_sweep(cfg)  # the random: table phase, then the instance
         assert builds == [], family
     # the counter sees a table read
     make_field(1048573).inv_table
     assert builds == [1048573]
+
+
+def test_each_random_table_is_hashed_once_per_prime(monkeypatch):
+    # Four instances at p = 1009 read random:11 on one worker: its 1008
+    # stream words, 252 SHA-256 blocks, are hashed once, not per instance.
+    key = b"fpsp|11|fn:p=1009|"
+    real_sha = rng._sha256
+    blocks = Counter()
+
+    def counting_sha(data):
+        if data.startswith(key):
+            blocks[int(data[len(key):])] += 1
+        return real_sha(data)
+
+    monkeypatch.setattr(rng, "_sha256", counting_sha)
+    res = run_sweep(_cfg(primes=[1009], families=["interval"],
+                         seeds=[0, 1, 2, 3], g=["random:11"]))
+    assert res["meta"]["n_instances"] == 4 and res["meta"]["n_tables"] == 1
+    assert sorted(blocks) == list(range(252))
+    assert set(blocks.values()) == {1}
+
+
+@pytest.mark.parametrize("p", [1009, 1048573])
+def test_sweep_tables_are_make_fn_tables(p):
+    # The table phase at 1, 2 and 3 workers, each writer dropping its
+    # pages with madvise, leaves make_fn's tables in the shared buffers.
+    f = make_field(p)
+    want = {seed: functions.make_fn(f, "random", seed=seed).values
+            for seed in (11, 12)}
+    for workers in (1, 2, 3):
+        with sweep._prime_pool(p, [11, 12], workers):
+            for seed in (11, 12):
+                got = np.frombuffer(sweep._TABLES[p, seed], dtype=np.int32)
+                assert np.array_equal(got, want[seed]), (workers, seed)
+        assert sweep._TABLES == {}
