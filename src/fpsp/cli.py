@@ -179,6 +179,7 @@ def _cmd_gen(ns) -> int:
 
 def _cmd_setop(ns) -> int:
     if ns.affine is not None:
+        _refuse_unread(ns, ("op", "B"), "setop --affine")
         try:
             lam, t = (int(v) for v in ns.affine.split(","))
         except ValueError:
@@ -281,6 +282,14 @@ def _cmd_verify_chain(ns) -> int:
 
 
 def _cmd_verify_theorem(ns) -> int:
+    # the sets its THEOREMS entry lists, g2 and h2 with D, eps at threshold
+    used = THEOREMS[ns.id][0]
+    unread = [f for f in ("B", "C", "D") if f.lower() not in used]
+    if "d" not in used:
+        unread += ["g2", "h2"]
+    if ns.id != "T_1_12_threshold":
+        unread.append("eps")
+    _refuse_unread(ns, unread, "verify theorem --id %s" % ns.id)
     inst = ThmInstance(a=ns.A, b=ns.B, c=ns.C, d=ns.D, g=ns.g, h=ns.h,
                        g2=ns.g2, h2=ns.h2, family=ns.family, seed=ns.seed)
     if ns.eps is not None:

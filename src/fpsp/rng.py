@@ -23,22 +23,25 @@ still needed in batches of at most _CHUNK words, read them with
 shortfall left by rejected words is drawn again.  A batch never asks for
 more words than could still be needed, so the batches consume the same
 minimal stream prefix as the loop, and the bounded batch keeps transient
-buffers small next to the output.  `integers` is a loop over one step,
-`accepted(lo, hi, count)`: the values it accepts among the next count
-words.  All of that arithmetic stays in uint64 with explicit uint64
-scalars, so numpy 1.x value-based casting and numpy 2 (NEP 50) alike
-keep it in uint64 and never promote it to float64.
+buffers small next to the output.  Every bounded draw goes through one
+step, `accepted(dest, lo, hi, count)`: it writes the values that the next
+count words give to dest, a batch at a time, drops each batch before it
+hashes the next, and returns how many it wrote.  `fill(dest, lo, hi)` is
+the one loop over it, `integers(lo, hi, len(dest))` written into the
+caller's array, and `integers` is `fill` into a new one.  All of that
+arithmetic stays in uint64 with explicit uint64 scalars, so numpy 1.x
+value-based casting and numpy 2 (NEP 50) alike keep it in uint64 and
+never promote it to float64.
 
 Split rule: word w is bytes 8(w mod 4) .. 8(w mod 4) + 7 of block
 floor(w / 4), so `CounterRng(seed, id, word=w)` starts the same stream at
 word w.  The values of `integers(lo, hi, n)` are therefore the values
-`accepted` keeps among words [0, n), in word order, followed by
-`integers(lo, hi, shortfall)` drawn from word n on, where shortfall is
-the number of words rejected.  Words [0, n) may be cut into ranges that
-are read separately, by different processes, and joined in range order
-(functions._join_random); ranges that start on a multiple of 4 words
-(_word_ranges) hash disjoint blocks, so the whole draw hashes each block
-once.
+`accepted` writes for words [0, n), followed by `integers(lo, hi,
+shortfall)` drawn from word n on, where shortfall is the number of words
+rejected.  Words [0, n) may be cut into ranges that are read separately,
+by different processes, and joined in range order (_join); ranges that
+start on a multiple of 4 words (_word_ranges) hash disjoint blocks, so the
+whole draw hashes each block once.
 
 The blocks are hashed by CPython's own SHA-256 (`_sha2` from Python
 3.12, `_sha256` on 3.10-3.11), resolved once at import, else by
@@ -69,19 +72,11 @@ _BLOCK = 32  # bytes per SHA-256 output
 _TWO64 = 1 << 64
 _INT64_MIN, _INT64_END = -(1 << 63), 1 << 63
 _U64_MAX = np.uint64(_TWO64 - 1)
-_CHUNK = 1 << 15  # words hashed per batch: 256 KiB of stream
+# Words per hashed batch, 128 KiB of stream.  A sweep worker keeps part of
+# a batch's scratch in its heap: sweep_large_p's peak_rss_mb read
+# 142.8-143.2 MB at 2^15 words, 141.1-141.4 MB at 2^14 (2 cores).
+_CHUNK = 1 << 14
 _BLOCK_WORDS = _BLOCK // 8  # 64-bit words per block
-
-
-def _range(lo: int, hi: int) -> tuple[int, int]:
-    """(lo, hi - lo) as Python ints, once [lo, hi) is checked to be a
-    nonempty int64 range."""
-    lo, hi = operator.index(lo), operator.index(hi)
-    if hi <= lo:
-        raise BadParams("empty range [%d, %d)" % (lo, hi))
-    if lo < _INT64_MIN or hi > _INT64_END:
-        raise BadParams("range [%d, %d) does not fit in int64" % (lo, hi))
-    return lo, hi - lo
 
 
 def _word_ranges(n: int, parts: int) -> list:
@@ -91,6 +86,24 @@ def _word_ranges(n: int, parts: int) -> list:
     step = -(-n // parts)
     step += -step % _BLOCK_WORDS
     return [(i, min(i + step, n)) for i in range(0, n, step)]
+
+
+def _join(dest: np.ndarray, key: tuple, lo: int, hi: int,
+          parts: list) -> None:
+    """Complete dest as CounterRng(*key).integers(lo, hi, len(dest)), bit
+    for bit (the split rule), from parts [(start, count), ...]:
+    `accepted` wrote count values at dest[start:] for words [start, next
+    start), the last part ending at word len(dest).  The parts' values
+    move together in order, and any shortfall is drawn from word
+    len(dest) on.  Nothing is written when no word was rejected, which at
+    span p - 1 < 2^20 has probability below 2^-44 a word."""
+    n, at = len(dest), 0
+    for start, count in parts:
+        if at != start:
+            dest[at:at + count] = dest[start:start + count]
+        at += count
+    if at < n:
+        CounterRng(*key, word=n).fill(dest[at:], lo, hi)
 
 
 class CounterRng:
@@ -145,30 +158,45 @@ class CounterRng:
         size = operator.index(size)
         if size < 0:
             raise BadParams("integers() needs size >= 0, got %d" % size)
-        _range(lo, hi)
         out = np.empty(size, dtype=np.int64)
-        done = 0
-        while done < size:
-            vals = self.accepted(lo, hi, min(_CHUNK, size - done))
-            out[done:done + vals.size] = vals
-            done += vals.size
+        self.fill(out, lo, hi)
         return out
 
-    def accepted(self, lo: int, hi: int, count: int) -> np.ndarray:
-        """The draws from [lo, hi) that `integers` makes of the next count
-        words, in order, as an int64 array: a word is kept when it lies
-        below the largest multiple of hi - lo that fits in 2^64, and
-        rejected words give no value.  count bounds the batch's buffers."""
-        lo, span = _range(lo, hi)
+    def fill(self, dest: np.ndarray, lo: int, hi: int) -> None:
+        """Write integers(lo, hi, len(dest))'s values to dest, in any
+        integer dtype that holds them, with no array of that length
+        beside it."""
+        done = self.accepted(dest, lo, hi, len(dest))
+        while done < len(dest):
+            done += self.accepted(dest[done:], lo, hi, len(dest) - done)
+
+    def accepted(self, dest: np.ndarray, lo: int, hi: int,
+                 count: int) -> int:
+        """Write to dest, in order, the draws from [lo, hi) that
+        `integers` makes of the next count words, and return how many
+        there are: a word is kept when it lies below the largest multiple
+        of hi - lo that fits in 2^64, and a rejected word gives no value.
+        The range is checked even when count is 0."""
+        lo, hi, count = map(operator.index, (lo, hi, count))
+        if hi <= lo:
+            raise BadParams("empty range [%d, %d)" % (lo, hi))
+        if lo < _INT64_MIN or hi > _INT64_END:
+            raise BadParams("range [%d, %d) does not fit in int64" % (lo, hi))
+        span = hi - lo
         # accept x <= top, i.e. x < 2^64 - (2^64 mod span)
         top = _U64_MAX - np.uint64(_TWO64 % span)
-        words = self._words(operator.index(count))
-        out = words[words <= top]
-        if span < _TWO64:
-            out %= np.uint64(span)
-        # lo + x wraps mod 2^64 onto the int64 bit pattern of the result
-        out += np.uint64(lo % _TWO64)
-        return out.view(np.int64)
+        at = 0
+        for w in range(0, count, _CHUNK):
+            words = self._words(min(_CHUNK, count - w))
+            vals = words[words <= top]
+            if span < _TWO64:
+                vals %= np.uint64(span)
+            # lo + x wraps mod 2^64 onto the int64 bit pattern of the result
+            vals += np.uint64(lo % _TWO64)
+            dest[at:at + vals.size] = vals.view(np.int64)
+            at += vals.size
+            del words, vals  # before the next batch is hashed
+        return at
 
     def subset(self, population: int, k: int) -> np.ndarray:
         """Uniform k-subset of {0,...,population-1}, sorted, via partial

@@ -19,13 +19,14 @@ random:<seed> table of the prime is hashed once, before any instance
 runs: the parent allocates one anonymous shared mmap of p int32 per table
 before the pool forks (and never writes to it), the workers map
 block-aligned word ranges of each table's stream, one range per worker,
-and then map the prime's instances, each of which wraps the shared
-buffers in FnTables.  Other function specs are built per instance, so a
-file: table that does not load fails on the instance that reads it.  On
-one worker the same two phases run in-process, one range per table.  The
-tables are freed after their prime's instances.  The pool forks
-(multiprocessing.get_context("fork")) because the workers reach the
-buffers by inheritance.
+and then map the prime's instances.  Each process wraps a shared buffer
+in one FnTable for the prime, so a table's whole-domain fibers are
+counted once per process.  Other function specs are built per instance,
+so a file: table that does not load fails on the instance that reads
+it.  On one worker the same two phases run in-process, one range per
+table.  The tables and their FnTables are freed after their prime's
+instances.  The pool forks (multiprocessing.get_context("fork")) because
+the workers reach the buffers by inheritance.
 
 Set construction per family avoids 0 by design (the maps under study live
 on F_p^*): intervals are drawn inside [1, p-1], arithmetic progressions
@@ -52,10 +53,9 @@ import numpy as np
 from .energy import normalize_eps
 from .errors import BadEpsilon, BadParams, ConfigError, ParseError
 from .field import make_field
-from .functions import (FnTable, _join_random, _random_key, _random_part,
-                        fn_spec_args, parse_fn_spec)
+from .functions import FnTable, _random_key, fn_spec_args, parse_fn_spec
 from .incidence import COLLINEAR_CAP, TRIPLES_CAP
-from .rng import CounterRng, _word_ranges
+from .rng import CounterRng, _join, _word_ranges
 from .sets import FAMILIES, generate, subgroup_orders
 from .verify import (CHAINS, CSV_HEADER, PHI_CAP, THEOREMS, ThmInstance,
                      _csv_row, theorem_ratio)
@@ -65,10 +65,14 @@ CHAIN_NAMES = tuple(name for name, (_, _, reads, _) in CHAINS.items()
                     if "P" not in reads)
 _GP_RETRIES = 64
 
-# The random: tables of the prime being swept, (p, seed) -> an anonymous
-# shared mmap of the table's p int32 values.  Filled before the prime's
-# pool forks, so that its workers inherit the buffers.
+# The random: tables of the prime being swept, (p, seed) -> (an anonymous
+# shared mmap of the table's p int32 values, an int32 view of it).  Filled
+# before the prime's pool forks, so that its workers inherit the buffers.
 _TABLES: dict = {}
+# (p, seed) -> this process's one FnTable over a _TABLES view, made when an
+# instance first reads it, so the fibers kept on it are counted once per
+# process; cleared with _TABLES.
+_FN_TABLES: dict = {}
 
 
 def _whole(v) -> bool:
@@ -275,11 +279,11 @@ def _random_seeds(cfg: SweepConfig) -> list:
 
 def _table_part(job) -> int:
     """Draw words [start, stop) of a random: table's stream into its
-    shared buffer; return the count _random_part returns."""
+    shared buffer; return the count `accepted` returns."""
     p, seed, start, stop = job
-    buf = _TABLES[p, seed]
-    got = _random_part(np.frombuffer(buf, dtype=np.int32)[1:],
-                       _random_key(p, seed), 1, p, start, stop)
+    buf, vals = _TABLES[p, seed]
+    got = CounterRng(*_random_key(p, seed), word=start).accepted(
+        vals[1 + start:], 1, p, stop - start)
     if hasattr(mmap, "MADV_DONTNEED"):
         # drops the written pages from this process's RSS only: the
         # mapping is shared, so their contents stay (madvise(2))
@@ -294,21 +298,22 @@ def _build_tables(p: int, seeds: list, parts: int, each) -> None:
     counts = iter(each(_table_part, [(p, seed, *r) for seed in seeds
                                      for r in ranges]))
     for seed in seeds:
-        # writes only if a word was rejected (_join_random)
-        _join_random(np.frombuffer(_TABLES[p, seed], dtype=np.int32)[1:],
-                     _random_key(p, seed), 1, p,
-                     [(start, next(counts)) for start, _ in ranges])
+        # writes only if a word was rejected (rng._join)
+        _join(_TABLES[p, seed][1][1:], _random_key(p, seed), 1, p,
+              [(start, next(counts)) for start, _ in ranges])
 
 
 def _fn_table(field, spec: str) -> FnTable:
-    """The table of a function spec: a random: one wraps its prime's
-    shared buffer, any other is built here."""
+    """The table of a function spec: a random: one is this process's
+    wrapper of its prime's shared buffer, any other is built here."""
     kind, args = fn_spec_args(spec)
     if kind != "random":
         return parse_fn_spec(field, spec)
-    return FnTable(field, np.frombuffer(_TABLES[field.p, args["seed"]],
-                                        dtype=np.int32),
-                   "random:%d" % args["seed"], copy=False)
+    key = field.p, args["seed"]
+    if key not in _FN_TABLES:
+        _FN_TABLES[key] = FnTable(field, _TABLES[key][1],
+                                  "random:%d" % args["seed"], copy=False)
+    return _FN_TABLES[key]
 
 
 @contextlib.contextmanager
@@ -318,8 +323,11 @@ def _prime_pool(p: int, seeds: list, procs: int):
     pool of procs forked processes, chunksize 1, or in-process when procs
     is 1.  The tables are freed on exit."""
     with contextlib.ExitStack() as stack:
+        stack.callback(_FN_TABLES.clear)
         stack.callback(_TABLES.clear)
-        _TABLES.update(((p, seed), mmap.mmap(-1, 4 * p)) for seed in seeds)
+        for seed in seeds:
+            buf = mmap.mmap(-1, 4 * p)
+            _TABLES[p, seed] = buf, np.frombuffer(buf, dtype=np.int32)
         if procs == 1:
             def each(fn, items):
                 return list(map(fn, items))

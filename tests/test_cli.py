@@ -15,7 +15,7 @@ from fpsp.field import make_field
 from fpsp.functions import make_fn
 from fpsp.incidence import VARIANTS
 from fpsp.sets import FAMILIES
-from fpsp.verify import PHI_CAP
+from fpsp.verify import PHI_CAP, THEOREMS
 
 F101 = make_field(101)
 
@@ -135,6 +135,19 @@ def test_setop_and_affine(capsys):
     code, _, err = run(capsys, "setop", "--p", "7", "--A", "explicit:1",
                        "--affine", "2,0", "--B", "bogus:1")
     assert code == 2 and "bogus:1" in err
+
+
+def test_setop_affine_refuses_op_and_b(capsys):
+    # --affine reads --A alone: --op and --B are refused, by name, with
+    # nothing on stdout, where the affine image used to print alone
+    base = ("setop", "--p", "101", "--A", "interval:1:4", "--affine", "2,1")
+    for extra, named in ((("--op", "sum", "--B", "interval:1:4"), "--op, --B"),
+                         (("--op", "sum"), "--op"),
+                         (("--B", "interval:1:4"), "--B")):
+        code, out, err = run(capsys, *base, *extra)
+        assert (code, out) == (2, ""), extra
+        assert "setop --affine does not take %s\n" % named in err, err
+    assert run(capsys, *base)[:2] == (0, "p=101\n3\n5\n7\n9\n")
 
 
 def test_integers_beyond_int64_reduce_mod_p(tmp_path, capsys):
@@ -551,6 +564,33 @@ def test_verify_theorem_strict_and_missing(capsys):
     code, _, _ = run(capsys, "verify", "theorem", "--id", "T_0_0",
                      "--p", "101", "--A", "full")
     assert code == 2
+
+
+def test_verify_theorem_refuses_unread_flags(capsys):
+    # A row reads the sets its THEOREMS entry lists, --g2 and --h2 only
+    # with D, and --eps only at T_1_12_threshold; any other of these flags
+    # is refused, by name, with nothing on stdout.
+    code, out, err = run(capsys, "verify", "theorem", "--id", "Vinh_1_2",
+                         "--p", "101", "--A", "interval:1:10",
+                         "--D", "interval:3:5", "--eps", "1/3",
+                         "--g2", "power:2")
+    assert (code, out) == (2, "")
+    assert "Vinh_1_2 does not take --D, --g2, --eps" in err
+    flags = {"B": "interval:2:10", "C": "interval:3:10", "D": "interval:4:9",
+             "g2": "power:2", "h2": "const:2", "eps": "1/3"}
+    for tid, (used, _) in THEOREMS.items():
+        base = ("verify", "theorem", "--id", tid, "--p", "101",
+                "--A", "interval:1:10", "--g", "id", "--h", "const:1")
+        for flag, spec in flags.items():
+            reads = (flag.lower() in used if flag in "BCD"
+                     else "d" in used if flag in ("g2", "h2")
+                     else tid == "T_1_12_threshold")
+            code, out, err = run(capsys, *base, "--" + flag, spec)
+            if reads:
+                assert code == 0 and out, (tid, flag, err)
+            else:
+                assert (code, out) == (2, ""), (tid, flag)
+                assert "does not take --%s\n" % flag in err, (tid, flag)
 
 
 def test_verify_theorem_threshold_eps(capsys):

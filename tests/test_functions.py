@@ -535,9 +535,9 @@ def test_random_parts_join_to_one_draw_under_rejection():
     # falls short and the join moves values and draws the shortfall from
     # the word where the parts end.  However [0, size) is cut, the joined
     # values are one integers(lo, hi, size) call's, bit for bit.  size
-    # spans several _DRAW_CHUNK batches and is not a multiple of 4 words.
+    # spans several rng._CHUNK batches and is not a multiple of 4 words.
     lo, hi = -5, (1 << 62) - 4
-    size = 3 * functions._DRAW_CHUNK + 7
+    size = 3 * rng._CHUNK + 7
     key = (8, "parts")
     want = CounterRng(*key).integers(lo, hi, size)
     cuts = {k: rng._word_ranges(size, k) for k in (1, 2, 3, 7)}
@@ -545,9 +545,9 @@ def test_random_parts_join_to_one_draw_under_rejection():
     for name, ranges in cuts.items():
         assert len(ranges) == (3 if name == "unaligned" else name)
         dest = np.full(size, -1, dtype=np.int64)
-        parts = [(start, functions._random_part(dest, key, lo, hi, start,
-                                                stop))
+        parts = [(start, CounterRng(*key, word=start).accepted(
+                      dest[start:], lo, hi, stop - start))
                  for start, stop in ranges]
         assert sum(got for _, got in parts) < 0.8 * size  # words rejected
-        functions._join_random(dest, key, lo, hi, parts)
+        rng._join(dest, key, lo, hi, parts)
         assert np.array_equal(dest, want), name

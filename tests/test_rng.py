@@ -178,7 +178,8 @@ def test_integers_and_subset():
 
 def test_integers_validates_before_drawing():
     r = CounterRng(5, "val")
-    for args in ((0, 5, -1), (0, (1 << 63) + 1, 3), (-(1 << 63) - 1, 0, 3)):
+    for args in ((0, 5, -1), (0, (1 << 63) + 1, 3), (-(1 << 63) - 1, 0, 3),
+                 (5, 5, 0)):
         with pytest.raises(BadParams):
             r.integers(*args)
     with pytest.raises(BadParams):

@@ -434,7 +434,9 @@ def test_large_p_instances_build_no_field_tables(monkeypatch):
 
 def test_each_random_table_is_hashed_once_per_prime(monkeypatch):
     # Four instances at p = 1009 read random:11 on one worker: its 1008
-    # stream words, 252 SHA-256 blocks, are hashed once, not per instance.
+    # stream words, 252 SHA-256 blocks, are hashed once, not per instance,
+    # and its whole-domain fibers are counted once, on the process's one
+    # FnTable of it, not once per instance.
     key = b"fpsp|11|fn:p=1009|"
     real_sha = rng._sha256
     blocks = Counter()
@@ -444,12 +446,22 @@ def test_each_random_table_is_hashed_once_per_prime(monkeypatch):
             blocks[int(data[len(key):])] += 1
         return real_sha(data)
 
+    real_count = functions._count_max
+    counted = Counter()
+
+    def counting_max(vals, p, times=None):
+        counted[hashlib.sha256(vals.tobytes()).hexdigest()] += 1
+        return real_count(vals, p, times)
+
     monkeypatch.setattr(rng, "_sha256", counting_sha)
+    monkeypatch.setattr(functions, "_count_max", counting_max)
     res = run_sweep(_cfg(primes=[1009], families=["interval"],
                          seeds=[0, 1, 2, 3], g=["random:11"]))
     assert res["meta"]["n_instances"] == 4 and res["meta"]["n_tables"] == 1
     assert sorted(blocks) == list(range(252))
     assert set(blocks.values()) == {1}
+    table = functions.make_fn(make_field(1009), "random", seed=11).values
+    assert counted[hashlib.sha256(table.tobytes()).hexdigest()] == 1
 
 
 @pytest.mark.parametrize("p", [1009, 1048573])
@@ -462,6 +474,7 @@ def test_sweep_tables_are_make_fn_tables(p):
     for workers in (1, 2, 3):
         with sweep._prime_pool(p, [11, 12], workers):
             for seed in (11, 12):
-                got = np.frombuffer(sweep._TABLES[p, seed], dtype=np.int32)
+                got = np.frombuffer(sweep._TABLES[p, seed][0],
+                                    dtype=np.int32)
                 assert np.array_equal(got, want[seed]), (workers, seed)
-        assert sweep._TABLES == {}
+        assert sweep._TABLES == {} and sweep._FN_TABLES == {}
